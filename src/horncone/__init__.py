@@ -35,6 +35,7 @@ from .lr import (
 from .horn import (
     HornStore,
     HornTable,
+    MemoryBudgetExceeded,
     MissingDependency,
     NotSigmaStable,
     count_intersecting,
@@ -73,7 +74,8 @@ __all__ = [
     "schubert_partitions", "slope", "stable_tuples",
     "IntersectionClass", "classify", "lr_coefficient", "schubert_product",
     "subset_to_schubert_partition",
-    "HornStore", "HornTable", "MissingDependency", "NotSigmaStable",
+    "HornStore", "HornTable", "MemoryBudgetExceeded", "MissingDependency",
+    "NotSigmaStable",
     "count_intersecting", "cross_check", "horn_check",
     "InequalitySystem", "SpectrumFamily", "generate_system", "lr_membership",
     "member", "shift_rescale",

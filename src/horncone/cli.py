@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import cone, horn, lp, witness
-from .subsets import group_into_orbits
+from .subsets import Permutation, group_into_orbits
 from .horn import HornStore
 
 
@@ -64,16 +64,16 @@ def cmd_tuples(args):
         "0": table.zero_dim_members(),
         "00": table.point_members(),
     }[args.level]
-    def diagonal(t):
-        return all(p == t.parts[0] for p in t.parts)
-
+    # without --sigma the mark is "all parts equal", which is being fixed
+    # by the full s-cycle
+    perm = Permutation.from_cycle_type(sigma or (args.s,))
     if args.orbits:
         listed = [
-            (rep, len(members), diagonal(rep))
+            (rep, len(members), rep.is_stable(perm))
             for rep, members in group_into_orbits(chosen)
         ]
     else:
-        listed = [(t, None, diagonal(t)) for t in chosen]
+        listed = [(t, None, t.is_stable(perm)) for t in chosen]
     if args.format == "json":
         rows = []
         for tup, size, stable in listed:
@@ -233,9 +233,10 @@ def cmd_witness(args):
 
 
 def cmd_crosscheck(args):
+    sigma = _parse_sigma(args.sigma)
     store = _store(args, args.s)
-    store.build_through(args.r, args.n)
-    report = horn.cross_check(args.r, args.n, store)
+    store.build_through(args.r, args.n, sigma)
+    report = horn.cross_check(args.r, args.n, store, sigma)
     summary = {
         "size": args.r,
         "ambient": args.n,
@@ -328,7 +329,8 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, OSError, json.JSONDecodeError,
+            horn.MemoryBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

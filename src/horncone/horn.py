@@ -16,7 +16,9 @@ Tables are immutable once published and keyed by
 from __future__ import annotations
 
 import json
+import math
 import os
+import uuid
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +40,18 @@ CACHE_SCHEMA = 1
 # the vectorized kernel (three-part tuples without symmetry restriction).
 _VECTOR_THRESHOLD = 2_000_000
 
+# The dense filter holds about four bytes per cell of its N^3 cube (an
+# int16 sum buffer, the bool verdicts and a bool temporary).  Above this
+# budget it refuses to start: the (5, 11) census (N = 462) needs 0.4 GB.
+CUBE_BYTES_BUDGET = 1 << 30
+
 
 class MissingDependency(RuntimeError):
     """A required lower level is not present in the store."""
+
+
+class MemoryBudgetExceeded(MemoryError):
+    """A computation would allocate more than its declared budget."""
 
 
 class NotSigmaStable(ValueError):
@@ -204,10 +215,19 @@ class HornStore:
             return
         path = self._cache_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(table.to_json(), fh)
-        os.replace(tmp, path)
+        # a temporary file of our own, so that concurrent writers of the
+        # same level never share one; the rename publishes it whole.  A
+        # plain exclusive open keeps the umask's permissions, which
+        # tempfile.mkstemp would narrow to the owner.
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                json.dump(table.to_json(), fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- building ----------------------------------------------------
 
@@ -397,7 +417,16 @@ def _vector_ok_cube(size, ambient, tests):
 
     The Horn inequality for one test tuple splits into a sum of per-part
     contributions, so each test is a single broadcast add-and-compare.
+    Raises MemoryBudgetExceeded, before allocating, when the cube would
+    not fit in CUBE_BYTES_BUDGET.
     """
+    need = 4 * math.comb(ambient, size) ** 3
+    if need > CUBE_BYTES_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"the dense Horn filter for size {size} in ambient {ambient} "
+            f"needs {need:,} bytes, above its budget of "
+            f"{CUBE_BYTES_BUDGET:,} bytes"
+        )
     subs = all_subsets(size, ambient)
     N = len(subs)
     dims = np.array([p.dim() for p in subs], dtype=np.int16)

@@ -9,8 +9,12 @@ positive level is the numerical signature of an infeasible family.  The
 result is advisory only -- exact membership always comes from the cone
 description.
 
-The eigensolver is a self-contained cyclic Jacobi iteration for complex
-Hermitian matrices of small order.
+Each projection step moves the whole family at once: the s matrices form
+one (s, r, r) array and LAPACK (``numpy.linalg.eigh``) diagonalizes the
+stack in a single call.  A candidate witness is then confirmed by a
+second, independent eigensolver: ``hermitian_eigh``, a self-contained
+cyclic Jacobi iteration for complex Hermitian matrices of small order,
+recomputes every spectrum in ``verify_witness``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ class NumericalFailure(RuntimeError):
 
 
 def _hermitize(x):
-    return (x + x.conj().T) / 2
+    return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
 def _off_norm(a):
@@ -110,13 +114,15 @@ def _rotate(a, v, p, q):
     v[:, q] = s * vp + c * vq
 
 
-def _check_spectrum(lam):
-    lam = np.asarray([float(x) for x in lam], dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
+def _check_spectrum(lam, stack=False):
+    """One spectrum, or with ``stack`` an array of them along the last
+    axis."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim == 0 or lam.shape[-1] == 0 or (lam.ndim > 1 and not stack):
         raise ValueError("spectrum must be a nonempty sequence")
-    if lam.size > MAX_ORDER:
+    if lam.shape[-1] > MAX_ORDER:
         raise ValueError(f"orders above {MAX_ORDER} are not supported")
-    if np.any(lam[:-1] < lam[1:]):
+    if np.any(lam[..., :-1] < lam[..., 1:]):
         raise ValueError("spectrum must be weakly decreasing")
     return lam
 
@@ -138,10 +144,15 @@ def sample_orbit(lam, seed=0):
 
 def project_to_orbit(x, lam):
     """Nearest matrix with spectrum ``lam`` in the Frobenius norm: keep
-    the eigenvectors of x, replace its decreasing eigenvalues by lam."""
-    lam = _check_spectrum(lam)
-    _, v = hermitian_eigh(x)
-    return _hermitize((v * lam) @ v.conj().T)
+    the eigenvectors of x, replace its decreasing eigenvalues by lam.
+
+    ``x`` may be one (r, r) matrix or a stack (..., r, r) with spectra
+    (..., r); the stack is diagonalized by one LAPACK call.  ``eigh``
+    returns ascending eigenvalues, so its eigenvectors are paired with
+    the reversed targets."""
+    lam = _check_spectrum(lam, stack=True)[..., ::-1]
+    _, v = np.linalg.eigh(x)
+    return _hermitize((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 class WitnessResult(NamedTuple):
@@ -221,8 +232,8 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     if any(l.size != r for l in lams):
         raise ValueError("all spectra must have the same length")
     s = len(lams)
-    eye = np.eye(r)
-    target = t * eye
+    stacked = np.stack(lams)
+    target = t * np.eye(r)
     log = residual_log
     if log is not None:
         log.write("attempt,iteration,residual\n")
@@ -232,19 +243,18 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     total_iters = 0
     for attempt in range(max(1, restarts)):
         rng_seed = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt])
-        xs = [
+        xs = np.stack([
             sample_orbit(lam, st)
             for lam, st in zip(lams, rng_seed.spawn(s))
-        ]
+        ])
         prev = math.inf
         best = math.inf
         since_best = 0
         for it in range(1, max_iters + 1):
             total_iters += 1
-            defect = (sum(xs) - target) / s
-            xs = [x - defect for x in xs]
-            xs = [project_to_orbit(x, lam) for x, lam in zip(xs, lams)]
-            res = float(np.linalg.norm(sum(xs) - target))
+            defect = (xs.sum(axis=0) - target) / s
+            xs = project_to_orbit(xs - defect, stacked)
+            res = float(np.linalg.norm(xs.sum(axis=0) - target))
             if log is not None:
                 log.write(f"{attempt},{it},{res:.16e}\n")
             if res > prev * (1 + 1e-9) + 1e-13:

@@ -56,6 +56,14 @@ class TestTuples:
                  for line in grouped.strip().split("\n")]
         assert sum(sizes) == total
 
+    def test_sigma_marker_follows_cycle_type(self, capsys):
+        # (1,2) swaps the last two positions, which fixes {1} {4} {4}
+        # although its parts are not all equal
+        code, out, _ = run(capsys, "tuples", "--d", "1", "--r", "4",
+                           "--sigma", "1,2", "--level", "all")
+        assert code == 0
+        assert "{1} {4} {4} *" in out.strip().split("\n")
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "tuples", "--d", "1", "--r", "3",
                            "--level", "00", "--orbits", "--format", "json")
@@ -155,13 +163,20 @@ class TestCrosscheck:
         data = json.loads(out)
         assert code == 0 and data["mismatches"] == 0 and data["tuples"] == 216
 
+    def test_sigma_restricts_to_stable_tuples(self, capsys):
+        code, out, _ = run(capsys, "crosscheck", "--r", "2", "--n", "5",
+                           "--sigma", "3")
+        data = json.loads(out)
+        assert code == 0
+        assert data["tuples"] == 10 and data["mismatches"] == 0
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         from horncone import cli as cli_mod
         from horncone.horn import CrossCheckReport
 
         monkeypatch.setattr(
             cli_mod.horn, "cross_check",
-            lambda r, n, store: CrossCheckReport(r, n, 1, [("fake", 0, 1)]),
+            lambda r, n, store, sigma: CrossCheckReport(r, n, 1, [("fake", 0, 1)]),
         )
         code, out, _ = run(capsys, "crosscheck", "--r", "1", "--n", "2")
         assert code == 1

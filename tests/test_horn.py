@@ -1,14 +1,19 @@
 import json
+import os
+import tracemalloc
 
 import pytest
 
 from horncone.horn import (
+    CUBE_BYTES_BUDGET,
     HornStore,
     HornTable,
+    MemoryBudgetExceeded,
     MissingDependency,
     NotSigmaStable,
     count_intersecting,
     cross_check,
+    _vector_ok_cube,
     horn_check,
     normalize_cycle_type,
 )
@@ -262,6 +267,22 @@ class TestCountIntersecting:
         cnt = count_intersecting(3, 6, store)
         assert cnt.total == len(store.table(3, 6))
 
+    def test_cube_over_budget_raises_before_allocating(self):
+        # N = C(12, 6) = 924: the cube would need 4 * 924^3 bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetExceeded) as info:
+                _vector_ok_cube(6, 12, [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        message = str(info.value)
+        assert f"{4 * 924 ** 3:,}" in message
+        assert f"{CUBE_BYTES_BUDGET:,}" in message
+        # the (5, 11) census, N = C(11, 5) = 462, stays inside the budget
+        assert 4 * 462 ** 3 <= CUBE_BYTES_BUDGET
+
 
 class TestCrossCheck:
     def test_clean_levels(self, store):
@@ -309,6 +330,23 @@ class TestCache:
         fresh = HornStore(arity=3, cache_dir=str(tmp_path))
         fresh.build_through(1, 3)
         assert len(fresh.table(1, 3)) > 0
+
+    def test_save_ignores_a_stale_fixed_tmp_path(self, tmp_path):
+        # a leftover at the fixed name "<file>.tmp" must not break a
+        # save; nothing temporary is left behind
+        store = HornStore(arity=3, cache_dir=str(tmp_path))
+        path = store._cache_path((1, 2, None))
+        os.makedirs(path + ".tmp")
+        store.build_through(1, 2)
+        again = HornStore(arity=3, cache_dir=str(tmp_path))
+        assert again._load_cached((1, 2, None)).members == store.table(1, 2).members
+        leftovers = [n for n in os.listdir(os.path.dirname(path))
+                     if n.endswith(".tmp") and n != os.path.basename(path) + ".tmp"]
+        assert leftovers == []
+        # the published file keeps the permissions the umask gives
+        mask = os.umask(0o022)
+        os.umask(mask)
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~mask
 
     def test_table_json_roundtrip(self, store):
         table = store.table(2, 4, (3,))

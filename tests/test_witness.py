@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from horncone import witness
 from horncone.cone import SpectrumFamily
 from horncone.witness import (
     NumericalFailure,
@@ -119,6 +120,45 @@ class TestProjectToOrbit:
         w, _ = hermitian_eigh(p)
         assert np.max(np.abs(w - [1.0, -1.0])) < 1e-10
 
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(17)
+        xs = np.stack([random_hermitian(rng, 4) for _ in range(6)])
+        lams = np.sort(rng.standard_normal((6, 4)), axis=1)[:, ::-1]
+        stacked = project_to_orbit(xs, lams)
+        assert stacked.shape == xs.shape
+        for x, lam, p in zip(xs, lams, stacked):
+            assert np.max(np.abs(p - project_to_orbit(x, lam))) < 1e-12
+
+    def test_stack_lands_on_orbits_by_jacobi(self):
+        rng = np.random.default_rng(19)
+        for r in range(1, 13):
+            xs = np.stack([random_hermitian(rng, r) for _ in range(3)])
+            lams = np.sort(rng.standard_normal((3, r)), axis=1)[:, ::-1]
+            for p, lam in zip(project_to_orbit(xs, lams), lams):
+                assert np.max(np.abs(p - p.conj().T)) == 0
+                w, _ = hermitian_eigh(p)
+                assert np.max(np.abs(w - lam)) < 1e-10
+
+    def test_repeated_eigenvalues_land_on_orbit(self):
+        # a degenerate input (eigenvalue 2 twice, 0 three times) and
+        # degenerate targets: the eigenbasis is not unique, the image is
+        rng = np.random.default_rng(23)
+        q, _ = np.linalg.qr(random_hermitian(rng, 5))
+        x = (q * [2.0, 2.0, 0.0, 0.0, 0.0]) @ q.conj().T
+        lams = np.array([[1.0, 1.0, 1.0, -2.0, -2.0],
+                         [3.0, 0.5, 0.5, 0.5, 0.5],
+                         [2.0, 2.0, 0.0, 0.0, 0.0]])
+        stacked = project_to_orbit(np.stack([x, x, x]), lams)
+        for p, lam in zip(stacked, lams):
+            w, _ = hermitian_eigh(p)
+            assert np.max(np.abs(w - lam)) < 1e-10
+        # x already has the last spectrum, so it is its own projection
+        assert np.max(np.abs(stacked[2] - x)) < 1e-10
+
+    def test_stack_spectra_checked(self):
+        with pytest.raises(ValueError):
+            project_to_orbit(np.zeros((2, 2, 2)), [[1.0, 0.0], [0.0, 1.0]])
+
 
 class TestFindWitness:
     def test_member_converges(self):
@@ -171,6 +211,29 @@ class TestFindWitness:
         res = find_witness([[2, 1, -1]] * 3, 2, seed=6)
         assert res.converged
         assert verify_witness(res.matrices, [[2, 1, -1]] * 3, 2) <= 1e-8
+
+    def test_converged_result_confirmed_by_jacobi(self, monkeypatch):
+        # the projections run on LAPACK; every spectrum a verification
+        # recomputes goes through the independent Jacobi solver
+        eigh_inputs = []
+        verifications = []
+        jacobi, verify = witness.hermitian_eigh, witness.verify_witness
+
+        def counting_eigh(a, *args, **kwargs):
+            eigh_inputs.append(np.array(a))
+            return jacobi(a, *args, **kwargs)
+
+        def counting_verify(matrices, *args):
+            verifications.append(len(matrices))
+            return verify(matrices, *args)
+
+        monkeypatch.setattr(witness, "hermitian_eigh", counting_eigh)
+        monkeypatch.setattr(witness, "verify_witness", counting_verify)
+        res = find_witness([[2, 1, -1]] * 3, 2, seed=6)
+        assert res.converged and res.iterations > 1
+        assert verifications and len(eigh_inputs) == sum(verifications)
+        for m, seen in zip(res.matrices, eigh_inputs[-3:]):
+            assert np.array_equal(m, seen)
 
     def test_residual_log(self):
         log = io.StringIO()
