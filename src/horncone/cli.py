@@ -255,16 +255,26 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--s", type=int, default=3)
-        p.add_argument("--sigma", help="cycle type, e.g. '3' or '1,1,1'")
-        p.add_argument("--format", choices=("table", "json", "csv"),
-                       default="table")
-        p.add_argument("--cache-dir")
-        p.add_argument("--no-cache", action="store_true")
+    def command(name, help):
+        # no abbreviations: "--s" must not pass for "--seed" or "--sigma"
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    def common(p, arity=True, levels=True, fmt=True):
+        """The shared options a subcommand reads: the arity, the cycle
+        type and cache of the level tables, the output format; every
+        subcommand writes through -o."""
+        if arity:
+            p.add_argument("--s", type=int, default=3)
+        if levels:
+            p.add_argument("--sigma", help="cycle type, e.g. '3' or '1,1,1'")
+            p.add_argument("--cache-dir")
+            p.add_argument("--no-cache", action="store_true")
+        if fmt:
+            p.add_argument("--format", choices=("table", "json", "csv"),
+                           default="table")
         p.add_argument("-o", "--output")
 
-    p = sub.add_parser("tuples", help="list one level of intersecting tuples")
+    p = command("tuples", "list one level of intersecting tuples")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--level", default="00")
@@ -273,25 +283,26 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_tuples)
 
-    p = sub.add_parser("system", help="emit the inequality description")
+    p = command("system", "emit the inequality description")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--level", default="full0")
     common(p)
     p.set_defaults(func=cmd_system)
 
-    p = sub.add_parser("member", help="decide membership of a spectrum family")
+    p = command("member", "decide membership of a spectrum family")
     p.add_argument("--input", required=True,
-                   help="JSON file with spectra and t as p/q strings")
+                   help="JSON file with spectra and t as p/q strings; "
+                        "the arity is the number of spectra")
     p.add_argument("--level", default="full0")
-    common(p)
+    common(p, arity=False)
     p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("tables", help="inequality count table by rank")
+    p = command("tables", "inequality count table by rank")
     p.add_argument("--rmax", type=int, required=True)
     common(p)
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("redundancy", help="LP redundancy report for a system")
+    p = command("redundancy", "LP redundancy report for a system")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--level", default="full0")
     p.add_argument("--slice-t", action="store_true",
@@ -302,20 +313,20 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_redundancy)
 
-    p = sub.add_parser("witness", help="numeric witness search")
+    p = command("witness", "numeric witness search (JSON output)")
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--residual-csv", help="per-iteration residual log")
-    common(p)
+    common(p, arity=False, levels=False, fmt=False)
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("crosscheck", help="recursion vs LR classification")
+    p = command("crosscheck", "recursion vs LR classification (JSON output)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, fmt=False)
     p.set_defaults(func=cmd_crosscheck)
 
     return parser
@@ -329,8 +340,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError, json.JSONDecodeError,
-            horn.MemoryBudgetExceeded) as exc:
+    except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

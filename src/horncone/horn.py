@@ -9,6 +9,11 @@ to tuples fixed by a coordinate permutation (computed against the
 likewise-restricted test sets), and cross-checks the recursion against
 the Littlewood-Richardson backend.
 
+One numpy kernel, ``_horn_survivors``, applies that test for every
+arity and cycle type, in chunks of bounded size; it serves the level
+tables and the census ``count_intersecting``.  ``horn_check`` is the
+definitional one-tuple check the tests compare it against.
+
 Tables are immutable once published and keyed by
 (size, ambient, cycle type-or-None); a store may persist them as JSON.
 """
@@ -16,7 +21,6 @@ Tables are immutable once published and keyed by
 from __future__ import annotations
 
 import json
-import math
 import os
 import uuid
 from typing import NamedTuple
@@ -36,22 +40,14 @@ from .subsets import (
 
 CACHE_SCHEMA = 1
 
-# Above this many (candidate, test) pairs the level filter switches to
-# the vectorized kernel (three-part tuples without symmetry restriction).
-_VECTOR_THRESHOLD = 2_000_000
-
-# The dense filter holds about four bytes per cell of its N^3 cube (an
-# int16 sum buffer, the bool verdicts and a bool temporary).  Above this
-# budget it refuses to start: the (5, 11) census (N = 462) needs 0.4 GB.
-CUBE_BYTES_BUDGET = 1 << 30
+# The Horn filter holds about this many candidate rows at once, and
+# compacts its survivors after each batch of this many test tuples.
+_CHUNK_ROWS = 1 << 16
+_TEST_BATCH = 32
 
 
 class MissingDependency(RuntimeError):
     """A required lower level is not present in the store."""
-
-
-class MemoryBudgetExceeded(MemoryError):
-    """A computation would allocate more than its declared budget."""
 
 
 class NotSigmaStable(ValueError):
@@ -165,7 +161,6 @@ class HornStore:
         self.tables = {}
         self.cache_dir = cache_dir
         self.use_cache = use_cache and cache_dir is not None
-        self.log = []
 
     def _key(self, size, ambient, sigma):
         return (size, ambient, normalize_cycle_type(sigma))
@@ -231,15 +226,18 @@ class HornStore:
 
     # -- building ----------------------------------------------------
 
-    def build_level(self, size, ambient_max, sigma=None, test_level="0"):
+    def build_level(self, size, ambient_max, sigma=None):
         """Build the tables (size, n) for every n in [size..ambient_max].
 
         All lower levels (d, size) for d < size must already be present;
-        otherwise MissingDependency is raised.  ``test_level`` selects the
-        Horn test sets: "0" uses the zero-expected-dimension members (the
-        default; no LR values needed) and "00" the point-class members.
+        otherwise MissingDependency is raised.  A cycle type that is not a
+        partition of the store's arity raises ValueError.
         """
         sigma = normalize_cycle_type(sigma)
+        if sigma is not None and sum(sigma) != self.arity:
+            raise ValueError(
+                f"cycle type {sigma} is not a partition of s={self.arity}"
+            )
         for d in range(1, size):
             if not self.has(d, size, sigma):
                 raise MissingDependency(
@@ -252,58 +250,37 @@ class HornStore:
                 continue
             table = self._load_cached(key)
             if table is None:
-                table = self._compute_table(size, n, sigma, test_level)
+                table = self._compute_table(size, n, sigma)
                 self._save_cached(key, table)
             # publication is a single atomic assignment
             self.tables[key] = table
-            self.log.append(
-                f"built (size={size}, ambient={n}, sigma={sigma}): "
-                f"{len(table)} members"
-            )
         return self
 
-    def build_through(self, size_max, ambient_max, sigma=None, test_level="0"):
+    def build_through(self, size_max, ambient_max, sigma=None):
         """Build every level up to ``size_max`` with ambients up to
         ``ambient_max`` (which must be >= size_max)."""
         if ambient_max < size_max:
             raise ValueError("ambient_max must be at least size_max")
         for size in range(1, size_max + 1):
-            self.build_level(size, ambient_max, sigma, test_level)
+            self.build_level(size, ambient_max, sigma)
         return self
 
-    def _test_sets(self, size, sigma, test_level):
-        """Per-level Horn test tuples for candidates of the given size,
-        as index tuples into all_subsets(d, size)."""
-        tests = []
-        for d in range(1, size):
-            table = self.table(d, size, sigma)
-            tuples = (
-                table.zero_dim_members() if test_level == "0"
-                else table.point_members()
-            )
-            pos = {sub: i for i, sub in enumerate(all_subsets(d, size))}
-            tests.append((d, [tuple(pos[p] for p in t.parts) for t in tuples]))
-        return tests
+    def _test_sets(self, size, sigma):
+        """Per-level Horn test tuples for candidates of the given size: the
+        zero-expected-dimension members of each level (d, size), as index
+        rows into all_subsets(d, size)."""
+        return [
+            (d, _index_rows(self.table(d, size, sigma).zero_dim_members()))
+            for d in range(1, size)
+        ]
 
-    def _compute_table(self, size, ambient, sigma, test_level):
+    def _compute_table(self, size, ambient, sigma):
         s = self.arity
-        tests = self._test_sets(size, sigma, test_level)
-        n_tests = sum(len(tt) for _, tt in tests)
         subs = all_subsets(size, ambient)
-        big = len(subs) ** s * max(1, n_tests)
-        if sigma is None and s == 3 and big > _VECTOR_THRESHOLD:
-            member_idx = _vector_filter(size, ambient, tests)
-            members = [
-                SubsetTuple(subs[i] for i in idx) for idx in member_idx
-            ]
-        else:
-            if sigma is None:
-                candidates = all_tuples(size, ambient, s)
-            else:
-                candidates = stable_tuples(size, ambient,
-                                           Permutation.from_cycle_type(sigma))
-            members = [t for t in candidates
-                       if _passes(t, tests, size, ambient, s)]
+        chunks = _horn_survivors(size, ambient, s, sigma,
+                                 self._test_sets(size, sigma))
+        members = [SubsetTuple(subs[i] for i in row)
+                   for chunk in chunks for row in chunk.tolist()]
         zero_dim = [expected_dim(t) == 0 for t in members]
         point = [
             z and lr.classify(t).is_point for t, z in zip(members, zero_dim)
@@ -312,43 +289,79 @@ class HornStore:
                          "recursion+lr")
 
 
-def _passes(tup, tests, size, ambient, s):
-    """Plain-Python Horn filter for one candidate tuple."""
-    if expected_dim(tup) < 0:
-        return False
-    for d, test_tuples in tests:
-        if not test_tuples:
-            continue
-        d_subs = all_subsets(d, size)
-        base = s * d * (d + 1) // 2 + (s - 1) * d * (ambient - d)
-        for idx in test_tuples:
-            total = 0
-            for part, j in zip(tup.parts, idx):
-                inner = d_subs[j].elements
-                elems = part.elements
-                for x in inner:
-                    total += elems[x - 1]
-            if total < base:
-                return False
-    return True
+def _index_rows(tuples):
+    """Tuples of one shape as the rows of their parts' positions in
+    all_subsets(size, ambient)."""
+    tuples = list(tuples)
+    if not tuples:
+        return []
+    subs = all_subsets(tuples[0].size, tuples[0].ambient)
+    pos = {sub: i for i, sub in enumerate(subs)}
+    return [tuple(pos[p] for p in t.parts) for t in tuples]
 
 
 def _composition_sums(size, ambient, d):
     """Matrix F with F[i, j] = sum_k I_i(J_j(k)) over the mask-ordered
     subsets I of [ambient] (size ``size``) and J of [size] (size d)."""
-    outer = all_subsets(size, ambient)
-    inner = all_subsets(d, size)
-    F = np.empty((len(outer), len(inner)), dtype=np.int16)
-    for i, I in enumerate(outer):
-        e = I.elements
-        for j, J in enumerate(inner):
-            F[i, j] = sum(e[x - 1] for x in J.elements)
-    return F
+    outer = np.array([I.elements for I in all_subsets(size, ambient)])
+    inner = np.array([J.elements for J in all_subsets(d, size)]) - 1
+    return outer[:, inner].sum(axis=-1, dtype=np.int32)
 
 
-def _vector_filter(size, ambient, tests):
-    """Index triples of the tuples surviving the vectorized Horn filter."""
-    return np.argwhere(_vector_ok_cube(size, ambient, tests))
+def _horn_survivors(size, ambient, s, sigma, tests):
+    """Yield, in mask-key order, chunks of the (M, s) index rows into
+    all_subsets(size, ambient) of the tuples that are fixed by the cycle
+    type ``sigma`` (None: every tuple), have nonnegative expected
+    dimension and satisfy ``edim(tup o test) >= 0`` for every test tuple
+    in ``tests``: pairs (d, rows) of zero-expected-dimension tuples given
+    as index rows into all_subsets(d, size).
+
+    Candidates grow by one free index per cycle, weighted by its length;
+    a prefix is dropped once its dimension sum can no longer reach the
+    threshold, and each growth step is split to hold about _CHUNK_ROWS
+    rows.  The Horn inequality of one test tuple is a sum of per-part
+    gathers from the transposed composition sums.
+    """
+    lengths = (1,) * s if sigma is None else sigma
+    column = np.repeat(np.arange(len(lengths)), lengths)
+    dims = np.array([p.dim() for p in all_subsets(size, ambient)])
+    # the expected dimension is nonnegative iff the dims sum to at least
+    threshold = (s - 1) * size * (ambient - size)
+    # reach[k]: the most the cycles k, k+1, ... can still add
+    reach = np.cumsum([0] + [w * dims.max() for w in lengths[::-1]])[::-1]
+    horn = [
+        (_composition_sums(size, ambient, d).T.copy(),
+         s * d * (d + 1) // 2 + (s - 1) * d * (ambient - d), rows)
+        for d, rows in tests if rows
+    ]
+    step = max(1, _CHUNK_ROWS // len(dims))
+
+    def passing(free):
+        # free holds one row of indices per cycle
+        for FT, base, rows in horn:
+            for lo in range(0, len(rows), _TEST_BATCH):
+                ok = np.ones(free.shape[1], dtype=bool)
+                for row in rows[lo:lo + _TEST_BATCH]:
+                    total = sum(FT[j][free[c]] for j, c in zip(row, column))
+                    ok &= total >= base
+                free = free[:, ok]
+        return free
+
+    def grow(free, sums, k):
+        if k == len(lengths):
+            free = passing(free)
+            if free.shape[1]:
+                yield free[column].T
+            return
+        gain = lengths[k] * dims
+        for lo in range(0, len(sums), step):
+            i, j = np.nonzero(sums[lo:lo + step, None] + gain
+                              >= threshold - reach[k + 1])
+            i += lo
+            yield from grow(np.vstack((free[:, i], j)), sums[i] + gain[j],
+                            k + 1)
+
+    yield from grow(np.zeros((0, 1), dtype=np.intp), np.zeros(1, np.int64), 0)
 
 
 def horn_check(tup, store, sigma=None):
@@ -376,7 +389,7 @@ def horn_check(tup, store, sigma=None):
 
 
 class IntersectingCount(NamedTuple):
-    """Counts from a full-cube intersecting enumeration: the total, the
+    """Counts from a full intersecting enumeration: the total, the
     all-components-equal diagonal, and how many diagonal members have
     expected dimension zero."""
 
@@ -387,64 +400,18 @@ class IntersectingCount(NamedTuple):
 
 def count_intersecting(size, ambient, store):
     """Count the intersecting tuples of Subsets(size, ambient, s) without
-    materializing them, using the store's lower levels.  Vectorized for
-    s = 3; plain enumeration otherwise."""
+    materializing them, using the store's lower levels."""
     s = store.arity
-    tests = store._test_sets(size, None, "0")
-    if s == 3:
-        subs = all_subsets(size, ambient)
-        N = len(subs)
-        ok = _vector_ok_cube(size, ambient, tests)
-        idx = np.arange(N)
-        diag = ok[idx, idx, idx]
-        dims = np.array([p.dim() for p in subs], dtype=np.int64)
-        zero = diag & (3 * dims == 2 * size * (ambient - size))
-        return IntersectingCount(int(ok.sum()), int(diag.sum()), int(zero.sum()))
+    dims = np.array([p.dim() for p in all_subsets(size, ambient)])
     total = diagonal = diagonal_zero = 0
-    for tup in all_tuples(size, ambient, s):
-        if _passes(tup, tests, size, ambient, s):
-            total += 1
-            if all(p == tup.parts[0] for p in tup.parts):
-                diagonal += 1
-                if expected_dim(tup) == 0:
-                    diagonal_zero += 1
+    for rows in _horn_survivors(size, ambient, s, None,
+                                store._test_sets(size, None)):
+        total += len(rows)
+        diag = rows[(rows == rows[:, :1]).all(axis=1), 0]
+        diagonal += len(diag)
+        diagonal_zero += int(np.sum(s * dims[diag]
+                                    == (s - 1) * size * (ambient - size)))
     return IntersectingCount(total, diagonal, diagonal_zero)
-
-
-def _vector_ok_cube(size, ambient, tests):
-    """Boolean cube over Subsets(size, ambient)^3 marking the tuples that
-    pass the expected-dimension and Horn conditions.
-
-    The Horn inequality for one test tuple splits into a sum of per-part
-    contributions, so each test is a single broadcast add-and-compare.
-    Raises MemoryBudgetExceeded, before allocating, when the cube would
-    not fit in CUBE_BYTES_BUDGET.
-    """
-    need = 4 * math.comb(ambient, size) ** 3
-    if need > CUBE_BYTES_BUDGET:
-        raise MemoryBudgetExceeded(
-            f"the dense Horn filter for size {size} in ambient {ambient} "
-            f"needs {need:,} bytes, above its budget of "
-            f"{CUBE_BYTES_BUDGET:,} bytes"
-        )
-    subs = all_subsets(size, ambient)
-    N = len(subs)
-    dims = np.array([p.dim() for p in subs], dtype=np.int16)
-    thr0 = 2 * size * (ambient - size)
-    pair = dims[:, None] + dims[None, :]
-    ok = pair[:, :, None] + dims[None, None, :] >= thr0
-    buf = np.empty((N, N, N), dtype=np.int16)
-    for d, test_tuples in tests:
-        if not test_tuples:
-            continue
-        F = _composition_sums(size, ambient, d)
-        base = 3 * d * (d + 1) // 2 + 2 * d * (ambient - d)
-        for j1, j2, j3 in test_tuples:
-            a, b, c = F[:, j1], F[:, j2], F[:, j3]
-            np.add(a[:, None, None], b[None, :, None], out=buf)
-            np.add(buf, c[None, None, :], out=buf)
-            ok &= buf >= base
-    return ok
 
 
 class CrossCheckReport(NamedTuple):

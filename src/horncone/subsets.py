@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 
 class InvalidShift(ValueError):
@@ -387,10 +386,6 @@ def all_subsets(size, ambient):
     subs = [Subset(c, ambient) for c in itertools.combinations(range(1, ambient + 1), size)]
     subs.sort(key=lambda x: x.mask)
     return tuple(subs)
-
-
-def subset_count(size, ambient):
-    return comb(ambient, size)
 
 
 def all_tuples(size, ambient, arity):

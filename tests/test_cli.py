@@ -183,6 +183,47 @@ class TestCrosscheck:
         assert json.loads(out)["mismatches"] == 1
 
 
+class TestCycleTypeCheck:
+    def test_cycle_type_not_a_partition_of_s(self, capsys, tmp_path):
+        code, out, err = run(capsys, "tuples", "--d", "1", "--r", "3",
+                             "--sigma", "2", "--cache-dir", str(tmp_path))
+        assert code == 2 and out == "" and "partition" in err
+        assert not any(tmp_path.rglob("*.json"))
+        code, out, _ = run(capsys, "crosscheck", "--r", "1", "--n", "3",
+                           "--sigma", "2")
+        assert code == 2 and out == ""
+
+
+class TestOptionsEachCommandReads:
+    # an option a subcommand would not read is rejected, not ignored
+
+    def family(self, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(
+            {"spectra": [["1", "-1"], ["1", "-1"], ["1", "-1"]], "t": "0"}
+        ))
+        return str(path)
+
+    def test_witness(self, capsys, tmp_path):
+        path = self.family(tmp_path)
+        for extra in (["--s", "3"], ["--sigma", "3"], ["--format", "csv"],
+                      ["--cache-dir", str(tmp_path)], ["--no-cache"]):
+            code, out, _ = run(capsys, "witness", "--input", path,
+                               "--seed", "2", *extra)
+            assert code == 2 and out == "", extra
+
+    def test_member(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "member", "--input", self.family(tmp_path),
+                           "--s", "5")
+        assert code == 2 and out == ""
+
+    def test_crosscheck(self, capsys):
+        for fmt in ("csv", "table", "json"):
+            code, out, _ = run(capsys, "crosscheck", "--r", "1", "--n", "2",
+                               "--format", fmt)
+            assert code == 2 and out == "", fmt
+
+
 class TestCache:
     def test_cache_dir_roundtrip(self, capsys, tmp_path):
         code1, out1, _ = run(capsys, "tables", "--rmax", "3",

@@ -5,15 +5,14 @@ import tracemalloc
 import pytest
 
 from horncone.horn import (
-    CUBE_BYTES_BUDGET,
     HornStore,
     HornTable,
-    MemoryBudgetExceeded,
     MissingDependency,
     NotSigmaStable,
+    _horn_survivors,
+    _index_rows,
     count_intersecting,
     cross_check,
-    _vector_ok_cube,
     horn_check,
     normalize_cycle_type,
 )
@@ -24,6 +23,7 @@ from horncone.subsets import (
     all_tuples,
     expected_dim,
     orbit,
+    stable_tuples,
 )
 
 
@@ -61,6 +61,13 @@ class TestBuildDiscipline:
         store = HornStore(arity=3)
         with pytest.raises(ValueError):
             store.build_through(4, 3)
+
+    def test_cycle_type_must_partition_the_arity(self):
+        store = HornStore(arity=3)
+        for sigma in [(2,), (1, 3), (1, 1, 1, 1)]:
+            with pytest.raises(ValueError, match="partition"):
+                store.build_level(1, 3, sigma=sigma)
+        assert not store.tables
 
 
 class TestLevelsAgainstClassification:
@@ -188,13 +195,53 @@ class TestSigmaRefinement:
 
 class TestAlternativeTestSets:
     def test_point_class_test_sets_build_the_same_levels(self, store):
-        # the recursion may equally use the point-class members as its
-        # Horn test sets; the resulting levels coincide
-        alt = HornStore(arity=3)
-        alt.build_through(4, 5, test_level="00")
+        # the Horn filter may equally use the point-class members as its
+        # test sets; the resulting levels coincide
         for n in range(1, 6):
             for r in range(1, min(n, 4) + 1):
-                assert alt.table(r, n).members == store.table(r, n).members
+                tests = [
+                    (d, _index_rows(store.table(d, r).point_members()))
+                    for d in range(1, r)
+                ]
+                rows = [tuple(row)
+                        for chunk in _horn_survivors(r, n, 3, None, tests)
+                        for row in chunk.tolist()]
+                assert rows == _index_rows(store.table(r, n).members)
+
+
+class TestKernelAgainstHornCheck:
+    @pytest.mark.parametrize("s, sigma, ambient", [
+        (2, None, 5), (3, None, 4), (4, None, 4),
+        (3, (3,), 6), (3, (1, 2), 5), (4, (2, 2), 5), (4, (1, 3), 5),
+    ])
+    def test_members_are_the_candidates_horn_check_accepts(self, s, sigma,
+                                                           ambient):
+        store = HornStore(arity=s)
+        store.build_through(ambient, ambient, sigma)
+        perm = Permutation.from_cycle_type(sigma or (1,) * s)
+        for n in range(1, ambient + 1):
+            for r in range(1, n + 1):
+                want = [t for t in stable_tuples(r, n, perm)
+                        if horn_check(t, store, sigma)]
+                assert list(store.table(r, n, sigma).members) == want
+
+    def test_four_factor_levels_match_classification(self):
+        four = HornStore(arity=4)
+        four.build_through(5, 5)
+        for n in range(1, 6):
+            for r in range(1, n + 1):
+                assert cross_check(r, n, four).clean
+
+    def test_chunks_hold_about_chunk_rows(self, store, monkeypatch):
+        from horncone import horn as horn_mod
+
+        monkeypatch.setattr(horn_mod, "_CHUNK_ROWS", 100)
+        tests = store._test_sets(3, None)
+        chunks = list(_horn_survivors(3, 6, 3, None, tests))
+        assert len(chunks) > 1
+        assert max(len(c) for c in chunks) <= 100
+        rows = [tuple(row) for c in chunks for row in c.tolist()]
+        assert rows == _index_rows(store.table(3, 6).members)
 
 
 class TestOtherArities:
@@ -236,19 +283,6 @@ class TestOtherArities:
         assert cnt.total == len(two.table(2, 4))
 
 
-class TestVectorizedTableBuild:
-    def test_vector_branch_matches_plain_enumeration(self, store, monkeypatch):
-        from horncone import horn as horn_mod
-
-        monkeypatch.setattr(horn_mod, "_VECTOR_THRESHOLD", 0)
-        forced = HornStore(arity=3)
-        forced.build_through(3, 6)
-        for n in range(1, 7):
-            for r in range(1, min(n, 3) + 1):
-                assert forced.table(r, n).members == store.table(r, n).members
-                assert forced.table(r, n).point == store.table(r, n).point
-
-
 class TestCountIntersecting:
     def test_matches_tables_small(self, store):
         for (r, n) in [(1, 4), (2, 4), (2, 5), (3, 5)]:
@@ -262,26 +296,22 @@ class TestCountIntersecting:
             )
 
     def test_vector_path_used_at_scale(self, store):
-        # ambient 6 size 3 goes through the numpy kernel once the
-        # candidate-times-test volume passes the threshold; counts agree
         cnt = count_intersecting(3, 6, store)
         assert cnt.total == len(store.table(3, 6))
 
-    def test_cube_over_budget_raises_before_allocating(self):
-        # N = C(12, 6) = 924: the cube would need 4 * 924^3 bytes
+    def test_census_runs_in_bounded_memory(self):
+        # the 252^3 candidates stream through in chunks; one bool array
+        # over all of them alone would take 16 MB
+        store = HornStore(arity=3)
+        store.build_through(4, 5)
         tracemalloc.start()
         try:
-            with pytest.raises(MemoryBudgetExceeded) as info:
-                _vector_ok_cube(6, 12, [])
+            cnt = count_intersecting(5, 10, store)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
-        message = str(info.value)
-        assert f"{4 * 924 ** 3:,}" in message
-        assert f"{CUBE_BYTES_BUDGET:,}" in message
-        # the (5, 11) census, N = C(11, 5) = 462, stays inside the budget
-        assert 4 * 462 ** 3 <= CUBE_BYTES_BUDGET
+        assert cnt == (718738, 49, 0)
+        assert peak < 16 << 20
 
 
 class TestCrossCheck:
