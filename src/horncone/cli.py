@@ -259,19 +259,18 @@ def build_parser():
         # no abbreviations: "--s" must not pass for "--seed" or "--sigma"
         return sub.add_parser(name, help=help, allow_abbrev=False)
 
-    def common(p, arity=True, levels=True, fmt=True):
+    def common(p, arity=True, levels=True, formats=("table", "json", "csv")):
         """The shared options a subcommand reads: the arity, the cycle
-        type and cache of the level tables, the output format; every
-        subcommand writes through -o."""
+        type and cache of the level tables, the output format (the first
+        of ``formats`` by default); every subcommand writes through -o."""
         if arity:
             p.add_argument("--s", type=int, default=3)
         if levels:
             p.add_argument("--sigma", help="cycle type, e.g. '3' or '1,1,1'")
             p.add_argument("--cache-dir")
             p.add_argument("--no-cache", action="store_true")
-        if fmt:
-            p.add_argument("--format", choices=("table", "json", "csv"),
-                           default="table")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("-o", "--output")
 
     p = command("tuples", "list one level of intersecting tuples")
@@ -310,7 +309,7 @@ def build_parser():
     p.add_argument("--minimize", action="store_true",
                    help="greedy sequential reduction instead of "
                         "independent verdicts")
-    common(p)
+    common(p, formats=("json", "csv"))
     p.set_defaults(func=cmd_redundancy)
 
     p = command("witness", "numeric witness search (JSON output)")
@@ -320,13 +319,13 @@ def build_parser():
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--residual-csv", help="per-iteration residual log")
-    common(p, arity=False, levels=False, fmt=False)
+    common(p, arity=False, levels=False, formats=())
     p.set_defaults(func=cmd_witness)
 
     p = command("crosscheck", "recursion vs LR classification (JSON output)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p, fmt=False)
+    common(p, formats=())
     p.set_defaults(func=cmd_crosscheck)
 
     return parser

@@ -9,6 +9,10 @@ intersecting tuple of each level d < r.  When the family is required to
 be fixed by a coordinate permutation, the Horn rows shrink to the tuples
 fixed by it and the chamber rows to one run per cycle.
 
+Each system is one exact integer matrix, built on first use from its
+constraint list; membership decisions, the CSV output and the redundancy
+LPs all read it.
+
 All arithmetic is exact: spectra and t are `fractions.Fraction` values,
 serialized as "p/q" strings.
 """
@@ -19,10 +23,13 @@ import csv
 import io
 import json
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .horn import HornStore, NotSigmaStable, normalize_cycle_type
-from .subsets import Permutation, Subset, SubsetTuple, entry_sum
+from .subsets import Permutation, Subset, SubsetTuple
 
 
 def _frac(x):
@@ -231,7 +238,7 @@ class InequalitySystem:
             k += 1
         return rows
 
-    # -- coefficient vectors (for the LP backend) ----------------------
+    # -- the coefficient matrix -----------------------------------------
 
     def _variable_names(self):
         names = []
@@ -241,55 +248,43 @@ class InequalitySystem:
         names.append("t")
         return names
 
-    def row_vector(self, constraint, fix_t_zero=False):
-        """Coefficients a with the row meaning ``a . x <= 0``, over the
-        cycle spectra followed by t (dropped when ``fix_t_zero``)."""
-        p = len(self.cycles)
-        vec = [Fraction(0)] * (p * self.r + 1)
-        if constraint.kind in ("trace_le", "trace_ge"):
-            sign = 1 if constraint.kind == "trace_le" else -1
-            for c, cyc in enumerate(self.cycles):
-                w = len(cyc)
-                for j in range(self.r):
-                    vec[c * self.r + j] = Fraction(sign * w)
-            vec[-1] = Fraction(-sign * self.r)
-        elif constraint.kind == "chamber":
-            c, i = constraint.meta
-            vec[c * self.r + i] = Fraction(1)
-            vec[c * self.r + i - 1] = Fraction(-1)
-        else:
-            row = constraint.meta
-            for l, part in enumerate(row.tup.parts, start=1):
-                c = None
-                for cyc_index, cyc in enumerate(self.cycles):
-                    if l in cyc:
-                        c = cyc_index
-                        break
-                for j in part.elements:
-                    vec[c * self.r + (j - 1)] += 1
-            vec[-1] = Fraction(-row.d)
-        return vec[:-1] if fix_t_zero else vec
+    @cached_property
+    def matrix(self):
+        """Exact integer coefficients, one row per constraint in canonical
+        order: row a means ``a . x <= 0``, where x holds the spectrum of
+        each cycle (columns ``c*r`` to ``c*r + r - 1``) followed by t."""
+        r = self.r
+        cycle_of = {l: c for c, cyc in enumerate(self.cycles) for l in cyc}
+        weights = [len(cyc) for cyc in self.cycles for _ in range(r)]
+        rows = []
+        for con in self.constraints():
+            if con.kind == "trace_le":
+                rows.append((*weights, -r))
+                continue
+            if con.kind == "trace_ge":
+                rows.append((*(-w for w in weights), r))
+                continue
+            vec = [0] * self.num_vars
+            if con.kind == "chamber":
+                c, i = con.meta
+                vec[c * r + i] = 1
+                vec[c * r + i - 1] = -1
+            else:
+                row = con.meta
+                for l, part in enumerate(row.tup.parts, start=1):
+                    for j in part.elements:
+                        vec[cycle_of[l] * r + j - 1] += 1
+                vec[-1] = -row.d
+            rows.append(tuple(vec))
+        return tuple(rows)
 
     # -- membership -----------------------------------------------------
 
-    def _evaluate(self, constraint, point):
-        """Excess of the row at the point; positive means violated."""
-        r, t = self.r, point.t
-        if constraint.kind == "trace_le":
-            return point.total - r * t
-        if constraint.kind == "trace_ge":
-            return r * t - point.total
-        if constraint.kind == "chamber":
-            c, i = constraint.meta
-            rep = min(self.cycles[c])
-            spec = point.spectra[rep - 1]
-            return spec[i] - spec[i - 1]
-        row = constraint.meta
-        return entry_sum(row.tup, point.spectra) - row.d * t
-
-    def decide(self, point):
-        """Exact membership verdict; a non-member reports the first
-        violated constraint in canonical order."""
+    def excesses(self, point):
+        """Exact excess ``a . x`` of every row at the point, in canonical
+        order (positive means violated), as ``(numerators, L)``: the
+        numerators are Python ints over the one common denominator L of
+        the point's entries, yielded lazily."""
         if point.arity != self.s or point.length != self.r:
             raise ValueError(
                 f"point shape ({point.arity}, {point.length}) does not match "
@@ -302,13 +297,25 @@ class InequalitySystem:
                     "the restricted system only decides families fixed by "
                     f"the cycle type {self.sigma}"
                 )
+        # a stable family repeats its spectrum along each cycle, so the
+        # cycle's first spectrum stands for all of them
+        x = [v for cyc in self.cycles for v in point.spectra[min(cyc) - 1]]
+        x.append(point.t)
+        denom = lcm(*(v.denominator for v in x))
+        cleared = [v.numerator * (denom // v.denominator) for v in x]
+        return (sum(map(mul, row, cleared)) for row in self.matrix), denom
+
+    def decide(self, point):
+        """Exact membership verdict; a non-member reports the first
+        violated constraint in canonical order."""
         # the min00 convention at r = 2 drops the chamber rows exactly
         # because the trace equality and the Horn rows imply them, so
         # scanning the remaining rows still decides the cone
-        for constraint in self.constraints():
-            excess = self._evaluate(constraint, point)
-            if excess > 0:
-                return MembershipVerdict(False, Violation(constraint, excess))
+        numerators, denom = self.excesses(point)
+        for k, num in enumerate(numerators):
+            if num > 0:
+                violation = Violation(self.constraints()[k], Fraction(num, denom))
+                return MembershipVerdict(False, violation)
         return MembershipVerdict(True, None)
 
     # -- serialization ----------------------------------------------------
@@ -358,8 +365,7 @@ class InequalitySystem:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["kind", "d", "tuple", *names])
-        for con in self.constraints():
-            vec = self.row_vector(con)
+        for con, vec in zip(self.constraints(), self.matrix):
             if con.kind == "horn":
                 d = con.meta.d
                 tup = json.dumps(con.meta.tup.to_json())

@@ -75,10 +75,9 @@ class HornTable:
     """
 
     __slots__ = ("size", "ambient", "arity", "sigma", "members", "zero_dim",
-                 "point", "provenance", "_index")
+                 "point", "_index")
 
-    def __init__(self, size, ambient, arity, sigma, members, zero_dim, point,
-                 provenance):
+    def __init__(self, size, ambient, arity, sigma, members, zero_dim, point):
         members = tuple(members)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "ambient", ambient)
@@ -87,7 +86,6 @@ class HornTable:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "zero_dim", tuple(zero_dim))
         object.__setattr__(self, "point", tuple(point))
-        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(
             self, "_index", {t: i for i, t in enumerate(members)}
         )
@@ -125,7 +123,6 @@ class HornTable:
             "ambient": self.ambient,
             "arity": self.arity,
             "sigma": list(self.sigma) if self.sigma is not None else None,
-            "provenance": self.provenance,
             "members": [t.to_json() for t in self.members],
             "zero_dim": list(self.zero_dim),
             "point": list(self.point),
@@ -144,7 +141,7 @@ class HornTable:
             data["size"], data["ambient"], data["arity"],
             tuple(sigma) if sigma is not None else None,
             members, [bool(b) for b in data["zero_dim"]],
-            [bool(b) for b in data["point"]], data["provenance"],
+            [bool(b) for b in data["point"]],
         )
 
 
@@ -285,8 +282,7 @@ class HornStore:
         point = [
             z and lr.classify(t).is_point for t, z in zip(members, zero_dim)
         ]
-        return HornTable(size, ambient, s, sigma, members, zero_dim, point,
-                         "recursion+lr")
+        return HornTable(size, ambient, s, sigma, members, zero_dim, point)
 
 
 def _index_rows(tuples):

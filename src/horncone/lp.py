@@ -257,18 +257,14 @@ def is_redundant(system, index, fix_t_zero=False):
 
     ``fix_t_zero`` restricts to the slice t = 0 (the integral-weight
     picture)."""
-    constraints = system.constraints()
-    target = constraints[index]
-    objective = system.row_vector(target, fix_t_zero)
-    others = [
-        (system.row_vector(con, fix_t_zero), ZERO)
-        for con in constraints
-        if con.index != index
-    ]
+    vectors = [a[:-1] if fix_t_zero else a for a in system.matrix]
+    objective = vectors[index]
+    others = [(a, ZERO) for k, a in enumerate(vectors) if k != index]
     res = solve_lp(objective, others + _box_rows(len(objective)))
     if res.status != "optimal":
         raise RuntimeError(f"redundancy LP ended {res.status}")
-    return RowVerdict(index, target.kind, res.value > 0, res.value)
+    kind = system.constraints()[index].kind
+    return RowVerdict(index, kind, res.value > 0, res.value)
 
 
 def redundancy_report(system, fix_t_zero=False, kinds=None):
@@ -299,7 +295,7 @@ def minimize_system(system, fix_t_zero=False):
     essential rows are facets the outcome does not depend on the order.
     """
     constraints = system.constraints()
-    vectors = [system.row_vector(con, fix_t_zero) for con in constraints]
+    vectors = [a[:-1] if fix_t_zero else a for a in system.matrix]
     active = list(range(len(constraints)))
     verdicts = []
     for k in range(len(constraints)):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from horncone.cli import main
@@ -217,6 +218,13 @@ class TestOptionsEachCommandReads:
                            "--s", "5")
         assert code == 2 and out == ""
 
+    def test_redundancy_has_no_table_format(self, capsys):
+        code, out, _ = run(capsys, "redundancy", "--r", "1", "--format", "table")
+        assert code == 2 and out == ""
+        _, default, _ = run(capsys, "redundancy", "--r", "1")
+        _, as_json, _ = run(capsys, "redundancy", "--r", "1", "--format", "json")
+        assert default == as_json and json.loads(default)["rows"]
+
     def test_crosscheck(self, capsys):
         for fmt in ("csv", "table", "json"):
             code, out, _ = run(capsys, "crosscheck", "--r", "1", "--n", "2",
@@ -249,3 +257,40 @@ class TestOutputFile:
         run(capsys, "tuples", "--d", "2", "--r", "5", "--level", "00",
             "--orbits", "-o", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestGoldenBytes:
+    # sha256 of outputs whose bytes must not change: the coefficient
+    # columns, the reported violation and its exact excess, LP optima
+    GOLDEN = {
+        ("system", "--r", "5", "--format", "csv"):
+            "b9f105e10c75309e280a4075dbbfae757cdc7f858c37a0a917653d1e3c2a8270",
+        ("system", "--r", "6", "--sigma", "3", "--format", "csv"):
+            "40200c8638abc7f6d34510336524d8de9cf11e6614bf68ac285fc548523404b1",
+        ("redundancy", "--r", "2", "--minimize"):
+            "bc775ad50c6cae5577743eb3f82f54f263ffc5ee8012aae0ec8e2d9b8acbd825",
+    }
+    NON_MEMBER = {
+        "table": "c51bcd712739ed1f462839be428ecff10ae198caa21d6641cdf07aea4d50e90e",
+        "json": "b3c2c272e93e2da45ad87ad1cd9b613a6df26947eb7ff1154de1fda147f3d667",
+    }
+
+    def test_system_and_redundancy(self, capsys):
+        for argv, digest in self.GOLDEN.items():
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+    def test_member_violation(self, capsys, tmp_path):
+        # violates a level-2 Horn row by exactly 1/11
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({
+            "spectra": [["18/11", "-20/11", "-15/7"], ["11/7", "1", "-12/7"],
+                        ["20/13", "-2/13", "-11/13"]],
+            "t": "-310/1001",
+        }))
+        for fmt, digest in self.NON_MEMBER.items():
+            code, out, _ = run(capsys, "member", "--input", str(path),
+                               "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,13 @@ from horncone.cone import (
     shift_rescale,
 )
 from horncone.horn import NotSigmaStable
-from horncone.subsets import Permutation, all_tuples, expected_dim, schubert_partitions
+from horncone.subsets import (
+    Permutation,
+    all_tuples,
+    entry_sum,
+    expected_dim,
+    schubert_partitions,
+)
 
 
 def fam(spectra, t=0):
@@ -119,6 +126,121 @@ class TestGenerateSystem:
         lines = system.to_csv().strip().split("\n")
         assert len(lines) == 1 + system.count
         assert lines[0].startswith("kind,d,tuple,L1[1]")
+
+
+def definition_excess(system, con, point):
+    """Excess of one row at a point, from the definitions over all s
+    spectra: the trace sum, the chamber step of the cycle's first
+    spectrum, the Horn entry sum."""
+    r, t = system.r, point.t
+    if con.kind == "trace_le":
+        return point.total - r * t
+    if con.kind == "trace_ge":
+        return r * t - point.total
+    if con.kind == "chamber":
+        c, i = con.meta
+        spec = point.spectra[min(system.cycles[c]) - 1]
+        return spec[i] - spec[i - 1]
+    return entry_sum(con.meta.tup, point.spectra) - con.meta.d * t
+
+
+def reference_decide(system, point):
+    for con in system.constraints():
+        excess = definition_excess(system, con, point)
+        if excess > 0:
+            return con, excess
+    return None
+
+
+def stable_family(system, cycle_spectra, t):
+    """The family that repeats each cycle's spectrum along the cycle."""
+    spectra = [None] * system.s
+    for cyc, spec in zip(system.cycles, cycle_spectra):
+        for l in cyc:
+            spectra[l - 1] = spec
+    return SpectrumFamily(spectra, t)
+
+
+def coprime_fractions(rng, count, low=10**18):
+    """Fractions in [-9, 9] in lowest terms whose denominators exceed
+    ``low`` and are pairwise coprime."""
+    out, dens = [], []
+    while len(out) < count:
+        d = rng.randrange(low, 10 * low)
+        if any(math.gcd(d, e) != 1 for e in dens):
+            continue
+        n = rng.randrange(-9 * d, 9 * d)
+        if math.gcd(n, d) == 1:
+            dens.append(d)
+            out.append(Fraction(n, d))
+    return out
+
+
+@pytest.fixture(scope="module")
+def three_systems(store):
+    """Plain rank 4, three equal spectra at rank 6, and the cycle type
+    (1,2) at rank 4, where the trace rows weight the 2-cycle by 2."""
+    return [
+        generate_system(4, 3, None, "full0", store),
+        generate_system(6, 3, (3,), "full0", store),
+        generate_system(4, 3, (1, 2), "full0", type(store)(arity=3)),
+    ]
+
+
+class TestCoefficientMatrix:
+    def test_rows_match_the_definition(self, three_systems):
+        # column k of the matrix is the row's excess at the stable family
+        # with a single 1 in that variable (every spectrum of the cycle
+        # shares it), or with t = 1
+        for system in three_systems:
+            r, p = system.r, len(system.cycles)
+            assert len(system.matrix) == system.count
+            units = []
+            for col in range(system.num_vars):
+                flat = [0] * (p * r)
+                if col < p * r:
+                    flat[col] = 1
+                cycle_spectra = [flat[c * r:(c + 1) * r] for c in range(p)]
+                units.append(stable_family(system, cycle_spectra,
+                                           int(col == p * r)))
+            for con, row in zip(system.constraints(), system.matrix):
+                assert all(type(a) is int for a in row)
+                assert list(row) == [
+                    definition_excess(system, con, u) for u in units
+                ], con
+
+    def test_decide_clears_large_coprime_denominators(self, three_systems):
+        rng = random.Random(2024)
+        for system in three_systems:
+            r, p = system.r, len(system.cycles)
+            kinds = set()
+            for _ in range(60):
+                values = coprime_fractions(rng, p * r)
+                cycle_spectra = [
+                    sorted(values[c * r:(c + 1) * r], reverse=True)
+                    for c in range(p)
+                ]
+                if rng.random() < 0.15:
+                    cycle_spectra[0].reverse()
+                point = stable_family(system, cycle_spectra, 0)
+                t = point.total / r
+                if rng.random() < 0.15:
+                    t += coprime_fractions(rng, 1)[0] / 1000
+                point = stable_family(system, cycle_spectra, t)
+                verdict = system.decide(point)
+                expected = reference_decide(system, point)
+                if expected is None:
+                    assert verdict.is_member and verdict.violation is None
+                    kinds.add("member")
+                    continue
+                assert not verdict.is_member
+                con, amount = verdict.violation
+                assert con == expected[0]
+                assert type(amount) is Fraction and amount == expected[1]
+                assert amount.denominator > 10**18
+                kinds.add(con.kind)
+            assert kinds == {"member", "trace_le", "trace_ge", "chamber",
+                             "horn"}, system.sigma
 
 
 class TestMember:

@@ -361,6 +361,31 @@ class TestCache:
         fresh.build_through(1, 3)
         assert len(fresh.table(1, 3)) > 0
 
+    def test_loads_files_that_carry_a_provenance_key(self, tmp_path, monkeypatch):
+        # schema-1 files written before the key was dropped still load as
+        # cache hits; the key is ignored and no longer written
+        store = HornStore(arity=3, cache_dir=str(tmp_path))
+        path = store._cache_path((1, 2, None))
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as fh:
+            fh.write('{"schema": 1, "size": 1, "ambient": 2, "arity": 3, '
+                     '"sigma": null, "provenance": "recursion+lr", "members": '
+                     '[[[1], [2], [2]], [[2], [1], [2]], [[2], [2], [1]], '
+                     '[[2], [2], [2]]], "zero_dim": [true, true, true, false], '
+                     '"point": [true, true, true, false]}')
+        store.build_level(1, 1)
+
+        def no_build(*args):
+            raise AssertionError(f"level {args} rebuilt instead of loaded")
+
+        monkeypatch.setattr(store, "_compute_table", no_build)
+        store.build_level(1, 2)
+        table = store.table(1, 2)
+        assert [t.to_json() for t in table.members] == [
+            [[1], [2], [2]], [[2], [1], [2]], [[2], [2], [1]], [[2], [2], [2]]]
+        assert table.zero_dim == table.point == (True, True, True, False)
+        assert "provenance" not in table.to_json()
+
     def test_save_ignores_a_stale_fixed_tmp_path(self, tmp_path):
         # a leftover at the fixed name "<file>.tmp" must not break a
         # save; nothing temporary is left behind
