@@ -52,18 +52,13 @@ def _fmt_tuple(tup):
 
 def cmd_tuples(args):
     sigma = _parse_sigma(args.sigma)
-    if args.level not in ("all", "0", "00"):
-        raise UsageError("tuples expects --level all, 0 or 00")
     if not (1 <= args.d <= args.r):
         raise UsageError("need 1 <= d <= r")
     store = _store(args, args.s)
     store.build_through(args.d, args.r, sigma)
     table = store.table(args.d, args.r, sigma)
-    chosen = {
-        "all": list(table.members),
-        "0": table.zero_dim_members(),
-        "00": table.point_members(),
-    }[args.level]
+    flag = {"all": None, "0": "zero_dim", "00": "point"}[args.level]
+    chosen = [tup for tup, _ in table.select(flag)]
     # without --sigma the mark is "all parts equal", which is being fixed
     # by the full s-cycle
     perm = Permutation.from_cycle_type(sigma or (args.s,))
@@ -104,8 +99,6 @@ def cmd_tuples(args):
 
 def cmd_system(args):
     sigma = _parse_sigma(args.sigma)
-    if args.level not in ("full0", "min00", "all"):
-        raise UsageError("system expects --level full0, min00 or all")
     system = cone.generate_system(args.r, args.s, sigma, args.level,
                                   _store(args, args.s))
     if args.format == "json":
@@ -134,8 +127,6 @@ def _load_family(path):
 def cmd_member(args):
     family = _load_family(args.input)
     sigma = _parse_sigma(args.sigma)
-    if args.level not in ("full0", "min00", "all"):
-        raise UsageError("member expects --level full0, min00 or all")
     system = cone.generate_system(family.length, family.arity, sigma,
                                   args.level, _store(args, family.arity))
     verdict = system.decide(family)
@@ -188,8 +179,6 @@ def cmd_tables(args):
 
 def cmd_redundancy(args):
     sigma = _parse_sigma(args.sigma)
-    if args.level not in ("full0", "min00", "all"):
-        raise UsageError("redundancy expects --level full0, min00 or all")
     system = cone.generate_system(args.r, args.s, sigma, args.level,
                                   _store(args, args.s))
     if args.minimize:
@@ -197,11 +186,7 @@ def cmd_redundancy(args):
         payload = {
             "retained": len(result.retained),
             "dropped": len(result.dropped),
-            "rows": [
-                {"index": v.index, "kind": v.kind, "verdict": v.verdict,
-                 "optimum": str(v.optimum)}
-                for v in result.verdicts
-            ],
+            "rows": [v.to_json() for v in result.verdicts],
         }
     else:
         report = lp.redundancy_report(system, fix_t_zero=args.slice_t)
@@ -247,6 +232,9 @@ def cmd_crosscheck(args):
     return 0 if report.clean else 1
 
 
+SYSTEM_LEVELS = ("full0", "min00", "all")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="horncone",
@@ -276,7 +264,7 @@ def build_parser():
     p = command("tuples", "list one level of intersecting tuples")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--level", default="00")
+    p.add_argument("--level", choices=("all", "0", "00"), default="00")
     p.add_argument("--orbits", action="store_true",
                    help="group into coordinate-permutation orbits")
     common(p)
@@ -284,7 +272,7 @@ def build_parser():
 
     p = command("system", "emit the inequality description")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--level", default="full0")
+    p.add_argument("--level", choices=SYSTEM_LEVELS, default="full0")
     common(p)
     p.set_defaults(func=cmd_system)
 
@@ -292,7 +280,7 @@ def build_parser():
     p.add_argument("--input", required=True,
                    help="JSON file with spectra and t as p/q strings; "
                         "the arity is the number of spectra")
-    p.add_argument("--level", default="full0")
+    p.add_argument("--level", choices=SYSTEM_LEVELS, default="full0")
     common(p, arity=False)
     p.set_defaults(func=cmd_member)
 
@@ -303,7 +291,7 @@ def build_parser():
 
     p = command("redundancy", "LP redundancy report for a system")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--level", default="full0")
+    p.add_argument("--level", choices=SYSTEM_LEVELS, default="full0")
     p.add_argument("--slice-t", action="store_true",
                    help="fix t = 0 (integral-weight slice)")
     p.add_argument("--minimize", action="store_true",

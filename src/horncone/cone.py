@@ -387,30 +387,20 @@ def generate_system(r, s=3, sigma=None, level="full0", store=None):
     and "all" every intersecting tuple regardless of expected dimension
     (valid but heavily redundant).
     """
-    if level not in ("full0", "min00", "all"):
+    table_flag = {"full0": "zero_dim", "min00": "point", "all": None}
+    if level not in table_flag:
         raise ValueError(f"unknown level {level!r}")
     sigma = normalize_cycle_type(sigma)
     if sigma is not None and sum(sigma) != s:
         raise ValueError(f"cycle type {sigma} is not a partition of s={s}")
     if store is None:
         store = HornStore(arity=s)
-    if r >= 2:
-        for d in range(1, r):
-            if not store.has(d, r, sigma):
-                store.build_through(r - 1, r, sigma)
-                break
-    rows = []
-    for d in range(1, r):
-        table = store.table(d, r, sigma)
-        if level == "full0":
-            chosen = table.zero_dim_members()
-        elif level == "min00":
-            chosen = table.point_members()
-        else:
-            chosen = list(table.members)
-        for tup in chosen:
-            _, _, is_point = table.flags(tup)
-            rows.append(HornRow(d, tup, sigma is not None, is_point))
+    if not all(store.has(d, r, sigma) for d in range(1, r)):
+        store.build_through(r - 1, r, sigma)
+    flag = table_flag[level]
+    rows = [HornRow(d, tup, sigma is not None, is_point)
+            for d in range(1, r)
+            for tup, is_point in store.table(d, r, sigma).select(flag)]
     return InequalitySystem(r, s, sigma, level, rows)
 
 

@@ -14,8 +14,11 @@ arity and cycle type, in chunks of bounded size; it serves the level
 tables and the census ``count_intersecting``.  ``horn_check`` is the
 definitional one-tuple check the tests compare it against.
 
-Tables are immutable once published and keyed by
-(size, ambient, cycle type-or-None); a store may persist them as JSON.
+A level table is the kernel's output: the index rows of its members,
+a zero-dim flag per row read off their dimension sums, and a point flag
+from one ``lr.point_coefficient`` per zero-dim row.  Tables are immutable
+once published and keyed by (size, ambient, cycle type-or-None); a store
+may persist them as JSON files (schema 2) that carry a sha256 digest.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -30,15 +34,13 @@ import numpy as np
 from . import lr
 from .subsets import (
     Permutation,
-    Subset,
     SubsetTuple,
     all_subsets,
-    all_tuples,
     expected_dim,
     stable_tuples,
 )
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 # The Horn filter holds about this many candidate rows at once, and
 # compacts its survivors after each batch of this many test tuples.
@@ -69,52 +71,101 @@ def normalize_cycle_type(sigma):
 class HornTable:
     """The intersecting tuples of one (size, ambient) level, with flags.
 
-    ``members`` is sorted by mask key.  ``zero_dim`` marks the members of
-    expected dimension zero; ``point`` marks those whose Schubert product
-    is exactly the point class (always a subset of ``zero_dim``).
+    ``rows`` is a read-only (M, s) uint16 array, one row per member in
+    mask-key order: the positions of its parts in all_subsets(size,
+    ambient).  ``zero_dim`` marks the members of expected dimension zero,
+    ``point`` those whose Schubert product is the point class.
+    SubsetTuples are built only when a caller asks for them.
     """
 
-    __slots__ = ("size", "ambient", "arity", "sigma", "members", "zero_dim",
-                 "point", "_index")
+    __slots__ = ("size", "ambient", "arity", "sigma", "rows", "_zero_dim",
+                 "_point")
 
-    def __init__(self, size, ambient, arity, sigma, members, zero_dim, point):
-        members = tuple(members)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "zero_dim", tuple(zero_dim))
-        object.__setattr__(self, "point", tuple(point))
-        object.__setattr__(
-            self, "_index", {t: i for i, t in enumerate(members)}
-        )
+    def __init__(self, size, ambient, arity, sigma, rows, zero_dim, point):
+        rows = np.asarray(rows)
+        zero_dim = np.array(zero_dim, dtype=bool)
+        point = np.array(point, dtype=bool)
+        m, n = len(rows), comb(ambient, size)
+        if (rows.shape != (m, arity) or zero_dim.shape != (m,)
+                or point.shape != (m,) or n > 1 << 16
+                or m and not 0 <= rows.min() <= rows.max() < n):
+            raise ValueError(f"rows {rows.shape} are not a level of arity "
+                             f"{arity} in C({ambient}, {size}) uint16 positions")
+        rows = rows.astype(np.uint16)
+        for a in (rows, zero_dim, point):
+            a.setflags(write=False)
+        for name, value in zip(self.__slots__, (size, ambient, arity, sigma,
+                                                rows, zero_dim, point)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("HornTable is immutable once published")
 
     def __len__(self):
-        return len(self.members)
+        return len(self.rows)
 
     def __contains__(self, tup):
-        return tup in self._index
+        return self.flags(tup)[0]
 
     def flags(self, tup):
-        """(member, zero_dim, point) booleans for one tuple."""
-        i = self._index.get(tup)
-        if i is None:
+        """(member, zero_dim, point) booleans for one tuple.  The rows are
+        sorted, so each part narrows their range by a binary search."""
+        if not (isinstance(tup, SubsetTuple) and tup.arity == self.arity
+                and (tup.size, tup.ambient) == (self.size, self.ambient)):
             return (False, False, False)
-        return (True, self.zero_dim[i], self.point[i])
+        lo, hi = 0, len(self.rows)
+        for k, part in enumerate(tup.parts):
+            # mask order is colex order, in which this is a subset's rank
+            i = sum(comb(j - 1, c) for c, j in enumerate(part.elements, 1))
+            a, b = self.rows[lo:hi, k].searchsorted((i, i + 1)).tolist()
+            lo, hi = lo + a, lo + b
+        if lo == hi:
+            return (False, False, False)
+        return (True, bool(self._zero_dim[lo]), bool(self._point[lo]))
+
+    def _tuples(self, keep=slice(None)):
+        subs = all_subsets(self.size, self.ambient)
+        return [SubsetTuple([subs[i] for i in row])
+                for row in self.rows[keep].tolist()]
+
+    @property
+    def members(self):
+        return tuple(self._tuples())
+
+    @property
+    def zero_dim(self):
+        return tuple(self._zero_dim.tolist())
+
+    @property
+    def point(self):
+        return tuple(self._point.tolist())
 
     def zero_dim_members(self):
-        return [t for t, z in zip(self.members, self.zero_dim) if z]
+        return self._tuples(self._zero_dim)
 
     def point_members(self):
-        return [t for t, p in zip(self.members, self.point) if p]
+        return self._tuples(self._point)
+
+    def select(self, flag=None):
+        """(tuple, point flag) pairs of every member, or of the members
+        whose ``flag`` ("zero_dim" or "point") is set, in mask order."""
+        keep = {None: slice(None), "zero_dim": self._zero_dim,
+                "point": self._point}[flag]
+        return list(zip(self._tuples(keep), self._point[keep].tolist()))
 
     @property
     def key(self):
         return (self.size, self.ambient, self.arity, self.sigma)
+
+    def _digest(self):
+        """sha256 of the canonical payload: the schema and key, then the
+        rows and both flags as little-endian bytes."""
+        import hashlib  # loads OpenSSL (3.5 MB resident) in cache users only
+
+        h = hashlib.sha256(repr((CACHE_SCHEMA, self.key)).encode())
+        for a in (self.rows.astype("<u2"), self._zero_dim, self._point):
+            h.update(a.tobytes())
+        return h.hexdigest()
 
     def to_json(self):
         return {
@@ -123,26 +174,28 @@ class HornTable:
             "ambient": self.ambient,
             "arity": self.arity,
             "sigma": list(self.sigma) if self.sigma is not None else None,
-            "members": [t.to_json() for t in self.members],
-            "zero_dim": list(self.zero_dim),
-            "point": list(self.point),
+            "sha256": self._digest(),
+            "rows": self.rows.ravel().tolist(),
+            "zero_dim": self._zero_dim.view(np.uint8).tolist(),
+            "point": self._point.view(np.uint8).tolist(),
         }
 
     @classmethod
     def from_json(cls, data):
-        if data.get("schema") != CACHE_SCHEMA:
-            raise ValueError(f"unsupported cache schema {data.get('schema')}")
-        sigma = data["sigma"]
-        members = [
-            SubsetTuple(Subset(e, data["ambient"]) for e in t)
-            for t in data["members"]
-        ]
-        return cls(
-            data["size"], data["ambient"], data["arity"],
+        """Inverse of to_json; ValueError on a wrong schema, shape or
+        digest, KeyError or TypeError on a missing or mistyped field."""
+        if data["schema"] != CACHE_SCHEMA:
+            raise ValueError(f"unsupported cache schema {data['schema']}")
+        sigma, arity = data["sigma"], data["arity"]
+        table = cls(
+            data["size"], data["ambient"], arity,
             tuple(sigma) if sigma is not None else None,
-            members, [bool(b) for b in data["zero_dim"]],
-            [bool(b) for b in data["point"]],
+            np.reshape(data["rows"], (-1, arity)),
+            data["zero_dim"], data["point"],
         )
+        if table._digest() != data["sha256"]:
+            raise ValueError("cache file does not match its sha256")
+        return table
 
 
 class HornStore:
@@ -190,13 +243,11 @@ class HornStore:
     def _load_cached(self, key):
         if not self.use_cache:
             return None
-        path = self._cache_path(key)
-        if not os.path.exists(path):
-            return None
+        # an absent, unreadable, misshapen or altered file is a miss
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(self._cache_path(key), "r", encoding="utf-8") as fh:
                 table = HornTable.from_json(json.load(fh))
-        except (ValueError, KeyError, json.JSONDecodeError):
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
         if (table.size, table.ambient, table.sigma) != key or table.arity != self.arity:
             return None
@@ -215,7 +266,7 @@ class HornStore:
         fh = open(tmp, "x", encoding="utf-8")
         try:
             with fh:
-                json.dump(table.to_json(), fh)
+                fh.write(json.dumps(table.to_json(), separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -264,36 +315,23 @@ class HornStore:
 
     def _test_sets(self, size, sigma):
         """Per-level Horn test tuples for candidates of the given size: the
-        zero-expected-dimension members of each level (d, size), as index
-        rows into all_subsets(d, size)."""
-        return [
-            (d, _index_rows(self.table(d, size, sigma).zero_dim_members()))
-            for d in range(1, size)
-        ]
+        zero-expected-dimension rows of each level (d, size)."""
+        tables = [self.table(d, size, sigma) for d in range(1, size)]
+        return [(t.size, t.rows[t._zero_dim]) for t in tables]
 
     def _compute_table(self, size, ambient, sigma):
         s = self.arity
         subs = all_subsets(size, ambient)
-        chunks = _horn_survivors(size, ambient, s, sigma,
-                                 self._test_sets(size, sigma))
-        members = [SubsetTuple(subs[i] for i in row)
-                   for chunk in chunks for row in chunk.tolist()]
-        zero_dim = [expected_dim(t) == 0 for t in members]
-        point = [
-            z and lr.classify(t).is_point for t, z in zip(members, zero_dim)
-        ]
-        return HornTable(size, ambient, s, sigma, members, zero_dim, point)
-
-
-def _index_rows(tuples):
-    """Tuples of one shape as the rows of their parts' positions in
-    all_subsets(size, ambient)."""
-    tuples = list(tuples)
-    if not tuples:
-        return []
-    subs = all_subsets(tuples[0].size, tuples[0].ambient)
-    pos = {sub: i for i, sub in enumerate(subs)}
-    return [tuple(pos[p] for p in t.parts) for t in tuples]
+        rows = np.concatenate([np.zeros((0, s), dtype=np.intp),
+                               *_horn_survivors(size, ambient, s, sigma,
+                                                self._test_sets(size, sigma))])
+        dims = np.array([p.dim() for p in subs])
+        zero_dim = dims[rows].sum(axis=1) == (s - 1) * size * (ambient - size)
+        partitions = [p.schubert_partition() for p in subs]
+        point = [z and lr.point_coefficient([partitions[j] for j in row],
+                                            size, ambient) == 1
+                 for row, z in zip(rows.tolist(), zero_dim.tolist())]
+        return HornTable(size, ambient, s, sigma, rows, zero_dim, point)
 
 
 def _composition_sums(size, ambient, d):
@@ -310,7 +348,7 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     type ``sigma`` (None: every tuple), have nonnegative expected
     dimension and satisfy ``edim(tup o test) >= 0`` for every test tuple
     in ``tests``: pairs (d, rows) of zero-expected-dimension tuples given
-    as index rows into all_subsets(d, size).
+    as (K, s) arrays of index rows into all_subsets(d, size).
 
     Candidates grow by one free index per cycle, weighted by its length;
     a prefix is dropped once its dimension sum can no longer reach the
@@ -327,8 +365,8 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     reach = np.cumsum([0] + [w * dims.max() for w in lengths[::-1]])[::-1]
     horn = [
         (_composition_sums(size, ambient, d).T.copy(),
-         s * d * (d + 1) // 2 + (s - 1) * d * (ambient - d), rows)
-        for d, rows in tests if rows
+         s * d * (d + 1) // 2 + (s - 1) * d * (ambient - d), rows.tolist())
+        for d, rows in tests if len(rows)
     ]
     step = max(1, _CHUNK_ROWS // len(dims))
 
@@ -427,18 +465,13 @@ def cross_check(size, ambient, store, sigma=None):
     never raised.  Checks membership and both refinement flags."""
     sigma = normalize_cycle_type(sigma)
     table = store.table(size, ambient, sigma)
-    if sigma is None:
-        candidates = all_tuples(size, ambient, store.arity)
-    else:
-        candidates = stable_tuples(size, ambient,
-                                   Permutation.from_cycle_type(sigma))
+    perm = Permutation.from_cycle_type(sigma or (1,) * store.arity)
+    candidates = stable_tuples(size, ambient, perm)
     mismatches = []
-    total = 0
     for tup in candidates:
-        total += 1
         got = table.flags(tup)
         cls = lr.classify(tup)
         want = (cls.is_intersecting, cls.is_zero_dim, cls.is_point)
         if got != want:
             mismatches.append((tup, got, want))
-    return CrossCheckReport(size, ambient, total, mismatches)
+    return CrossCheckReport(size, ambient, len(candidates), mismatches)

@@ -9,7 +9,6 @@ by the box [-1, 1]^vars, which keeps each program bounded.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -204,6 +203,10 @@ class RowVerdict(NamedTuple):
     def verdict(self):
         return "essential" if self.essential else "redundant"
 
+    def to_json(self):
+        return {"index": self.index, "kind": self.kind,
+                "verdict": self.verdict, "optimum": str(self.optimum)}
+
 
 class RedundancyReport(NamedTuple):
     system_level: str
@@ -214,57 +217,41 @@ class RedundancyReport(NamedTuple):
     def essential_count(self):
         return sum(1 for v in self.verdicts if v.essential)
 
-    @property
-    def redundant_indices(self):
-        return [v.index for v in self.verdicts if not v.essential]
-
     def to_json(self):
         return {
             "level": self.system_level,
             "t_fixed_to_zero": self.fix_t_zero,
-            "rows": [
-                {
-                    "index": v.index,
-                    "kind": v.kind,
-                    "verdict": v.verdict,
-                    "optimum": str(v.optimum),
-                }
-                for v in self.verdicts
-            ],
+            "rows": [v.to_json() for v in self.verdicts],
         }
-
-    def to_json_str(self):
-        return json.dumps(self.to_json(), indent=2)
 
 
 def _box_rows(num_vars):
-    rows = []
-    for i in range(num_vars):
-        e = [ZERO] * num_vars
-        e[i] = ONE
-        rows.append((list(e), ONE))
-        e2 = [ZERO] * num_vars
-        e2[i] = -ONE
-        rows.append((e2, ONE))
-    return rows
+    """The rows x_i <= 1 and -x_i <= 1, for each variable in turn."""
+    return [([sign if j == i else ZERO for j in range(num_vars)], ONE)
+            for i in range(num_vars) for sign in (ONE, -ONE)]
 
 
-def is_redundant(system, index, fix_t_zero=False):
-    """Verdict for one constraint of an inequality system: maximize its
-    functional subject to every other constraint plus the normalizing box
-    [-1, 1] on all variables; the row is redundant exactly when the
-    optimum is <= 0.
-
-    ``fix_t_zero`` restricts to the slice t = 0 (the integral-weight
-    picture)."""
+def _row_verdict(system, index, others, fix_t_zero):
+    """Maximize constraint ``index`` subject to the constraints ``others``
+    (``index`` itself skipped) plus the normalizing box [-1, 1] on all
+    variables; the row is redundant exactly when the optimum is <= 0."""
     vectors = [a[:-1] if fix_t_zero else a for a in system.matrix]
     objective = vectors[index]
-    others = [(a, ZERO) for k, a in enumerate(vectors) if k != index]
-    res = solve_lp(objective, others + _box_rows(len(objective)))
+    leq = [(vectors[k], ZERO) for k in others if k != index]
+    res = solve_lp(objective, leq + _box_rows(len(objective)))
     if res.status != "optimal":
         raise RuntimeError(f"redundancy LP ended {res.status}")
     kind = system.constraints()[index].kind
     return RowVerdict(index, kind, res.value > 0, res.value)
+
+
+def is_redundant(system, index, fix_t_zero=False):
+    """Verdict for one constraint of an inequality system, tested against
+    every other constraint.
+
+    ``fix_t_zero`` restricts to the slice t = 0 (the integral-weight
+    picture)."""
+    return _row_verdict(system, index, range(system.count), fix_t_zero)
 
 
 def redundancy_report(system, fix_t_zero=False, kinds=None):
@@ -294,23 +281,13 @@ def minimize_system(system, fix_t_zero=False):
     set.  Verdicts refer to this sequential process; for systems whose
     essential rows are facets the outcome does not depend on the order.
     """
-    constraints = system.constraints()
-    vectors = [a[:-1] if fix_t_zero else a for a in system.matrix]
-    active = list(range(len(constraints)))
+    active = list(range(system.count))
     verdicts = []
-    for k in range(len(constraints)):
-        others = [
-            (vectors[i], ZERO) for i in active if i != k
-        ]
-        res = solve_lp(vectors[k], others + _box_rows(len(vectors[k])))
-        if res.status != "optimal":
-            raise RuntimeError(f"redundancy LP ended {res.status}")
-        essential = res.value > 0
-        verdicts.append(
-            RowVerdict(k, constraints[k].kind, essential, res.value)
-        )
-        if not essential:
+    for k in range(system.count):
+        verdict = _row_verdict(system, k, active, fix_t_zero)
+        verdicts.append(verdict)
+        if not verdict.essential:
             active.remove(k)
     retained = tuple(active)
-    dropped = tuple(i for i in range(len(constraints)) if i not in active)
+    dropped = tuple(i for i in range(system.count) if i not in active)
     return MinimizeResult(retained, dropped, tuple(verdicts))

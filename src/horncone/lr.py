@@ -6,9 +6,11 @@ coefficients, computed here by direct enumeration of skew tableaux with
 lattice-word pruning.  Coefficients are plain Python ints, so they never
 overflow.
 
-The main entry point is :func:`classify`, which decides whether the
-product of the Schubert classes of a subset tuple is zero, nonzero, a
-multiple of the point class, or the point class itself.
+:func:`point_coefficient` reads the point-class coefficient of a product
+without expanding it; level builds call it.  :func:`classify` expands the
+whole product of a subset tuple's classes and decides whether it is zero,
+nonzero, a multiple of the point class, or the point class itself; it is
+the independent backend of the cross-check and the tests.
 """
 
 from __future__ import annotations
@@ -160,6 +162,19 @@ def schubert_product(partitions, grassmannian):
         if not vec:
             return {}
     return vec
+
+
+def point_coefficient(partitions, r, n):
+    """Coefficient of the point class in the product of the Schubert
+    classes ``partitions`` (inside the r x (n-r) box) in H*(Gr(r, n)): the
+    first s - 2 classes are multiplied out, and each term c * sigma_nu adds
+    c * c(nu, lambda_{s-1}; lambda_s^vee), lambda_s^vee being the box
+    complement of the last class.  A lone class is paired with the unit."""
+    *head, lam, last = [()] * (2 - len(partitions)) + list(partitions)
+    last = tuple(last) + (0,) * (r - len(last))
+    dual = [n - r - x for x in reversed(last)]
+    return sum(c * lr_coefficient(nu, lam, dual)
+               for nu, c in schubert_product(head, (r, n)).items())
 
 
 def subset_to_schubert_partition(subset, n=None):

@@ -413,11 +413,6 @@ def stable_tuples(size, ambient, perm):
     return out
 
 
-def orbit(tup):
-    """The set of distinct coordinate permutations of a tuple."""
-    return {SubsetTuple(p) for p in itertools.permutations(tup.parts)}
-
-
 def orbit_representative(tup):
     """Lexicographically least coordinate permutation, comparing the
     element sequences componentwise."""

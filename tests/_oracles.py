@@ -4,10 +4,13 @@ These deliberately avoid the library's own algorithms: the tableau
 counter enumerates every filling with no pruning, and the invariant
 dimension comes from Gelfand-Tsetlin weight multiplicities plus the
 alternating Weyl-group sum, not from any Littlewood-Richardson rule.
+``orbit`` lists the coordinate permutations of a tuple.
 """
 
 import itertools
 from functools import lru_cache
+
+from horncone.subsets import SubsetTuple
 
 
 def naive_lr(lam, mu, nu):
@@ -125,3 +128,8 @@ def _perm_sign(perm):
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def orbit(tup):
+    """The set of distinct coordinate permutations of a tuple."""
+    return {SubsetTuple(p) for p in itertools.permutations(tup.parts)}

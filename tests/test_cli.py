@@ -2,6 +2,7 @@ import hashlib
 import json
 
 from horncone.cli import main
+from horncone.horn import HornStore
 
 
 def run(capsys, *argv):
@@ -246,6 +247,46 @@ class TestCache:
                          "--cache-dir", str(tmp_path), "--no-cache")
         assert code == 0
         assert not any(tmp_path.rglob("*.json"))
+
+
+class TestCacheIntegrity:
+    # a damaged cache file is a miss: the level is rebuilt, and the output
+    # equals a run without the cache
+    def check(self, capsys, tmp_path, argv, key, damage):
+        code, want, _ = run(capsys, *argv, "--no-cache")
+        assert code == 0
+        run(capsys, *argv, "--cache-dir", str(tmp_path))
+        store = HornStore(arity=3, cache_dir=str(tmp_path))
+        path = store._cache_path(key)
+        with open(path) as fh:
+            data = json.load(fh)
+        damage(data)
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert store._load_cached(key) is None
+        code, got, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, got, err) == (0, want, "")
+        assert store._load_cached(key) is not None
+
+    def test_null_rows(self, capsys, tmp_path):
+        def damage(data):
+            data["rows"] = None
+        self.check(capsys, tmp_path, ["tables", "--rmax", "2"], (1, 2, None),
+                   damage)
+
+    def test_short_flag_lists(self, capsys, tmp_path):
+        def damage(data):
+            data["zero_dim"] = data["zero_dim"][:-3]
+            data["point"] = data["point"][:-3]
+        self.check(capsys, tmp_path, ["system", "--r", "3"], (2, 3, None),
+                   damage)
+
+    def test_flipped_point_flag(self, capsys, tmp_path):
+        def damage(data):
+            i = data["point"].index(1)
+            data["point"][i] = 0
+        self.check(capsys, tmp_path, ["system", "--r", "3", "--level", "min00"],
+                   (1, 3, None), damage)
 
 
 class TestOutputFile:

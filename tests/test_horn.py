@@ -2,15 +2,17 @@ import json
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from _oracles import orbit
+from horncone import lr
 from horncone.horn import (
     HornStore,
     HornTable,
     MissingDependency,
     NotSigmaStable,
     _horn_survivors,
-    _index_rows,
     count_intersecting,
     cross_check,
     horn_check,
@@ -20,9 +22,9 @@ from horncone.lr import classify
 from horncone.subsets import (
     Permutation,
     SubsetTuple,
+    all_subsets,
     all_tuples,
     expected_dim,
-    orbit,
     stable_tuples,
 )
 
@@ -199,14 +201,15 @@ class TestAlternativeTestSets:
         # test sets; the resulting levels coincide
         for n in range(1, 6):
             for r in range(1, min(n, 4) + 1):
-                tests = [
-                    (d, _index_rows(store.table(d, r).point_members()))
-                    for d in range(1, r)
-                ]
-                rows = [tuple(row)
+                tests = []
+                for d in range(1, r):
+                    table = store.table(d, r)
+                    point = np.array(table.point, dtype=bool)
+                    tests.append((d, table.rows[point]))
+                rows = [row
                         for chunk in _horn_survivors(r, n, 3, None, tests)
                         for row in chunk.tolist()]
-                assert rows == _index_rows(store.table(r, n).members)
+                assert rows == store.table(r, n).rows.tolist()
 
 
 class TestKernelAgainstHornCheck:
@@ -240,8 +243,37 @@ class TestKernelAgainstHornCheck:
         chunks = list(_horn_survivors(3, 6, 3, None, tests))
         assert len(chunks) > 1
         assert max(len(c) for c in chunks) <= 100
-        rows = [tuple(row) for c in chunks for row in c.tolist()]
-        assert rows == _index_rows(store.table(3, 6).members)
+        rows = [row for c in chunks for row in c.tolist()]
+        assert rows == store.table(3, 6).rows.tolist()
+
+
+class TestTableRows:
+    def test_rows_are_read_only_positions(self, store):
+        table = store.table(3, 6)
+        assert table.rows.dtype == np.uint16
+        assert table.rows.shape == (len(table), 3)
+        subs = all_subsets(3, 6)
+        assert [SubsetTuple(subs[i] for i in row)
+                for row in table.rows.tolist()] == list(table.members)
+        with pytest.raises(ValueError):
+            table.rows[0, 0] = 1
+
+    def test_lookup_outside_the_level(self, store):
+        table = store.table(2, 4)
+        assert T([1, 2], [1, 2], [1, 2], ambient=4) not in table
+        assert table.flags(T([1], [2], [2], ambient=2)) == (False,) * 3
+        assert T([1, 2], [3, 4], [3, 4], ambient=5) not in table
+        assert "not a tuple" not in table
+
+    def test_building_makes_no_classify_calls(self, monkeypatch):
+        def refuse(tup):
+            raise AssertionError(f"classify({tup!r}) called by a build")
+
+        monkeypatch.setattr(lr, "classify", refuse)
+        for s, sigma, ambient in [(2, None, 6), (3, None, 6), (3, (3,), 7),
+                                  (3, (1, 2), 5), (4, None, 4)]:
+            built = HornStore(arity=s).build_through(ambient, ambient, sigma)
+            assert sum(any(t.point) for t in built.tables.values()) > 0
 
 
 class TestOtherArities:
@@ -344,7 +376,7 @@ class TestCache:
         path = first._cache_path((2, 3, None))
         # poison the cached file; use_cache=False must not read it
         data = json.loads(open(path).read())
-        data["members"] = data["members"][:1]
+        data["rows"] = data["rows"][:3]
         with open(path, "w") as fh:
             json.dump(data, fh)
         fresh = HornStore(arity=3, cache_dir=str(tmp_path), use_cache=False)
@@ -361,30 +393,29 @@ class TestCache:
         fresh.build_through(1, 3)
         assert len(fresh.table(1, 3)) > 0
 
-    def test_loads_files_that_carry_a_provenance_key(self, tmp_path, monkeypatch):
-        # schema-1 files written before the key was dropped still load as
-        # cache hits; the key is ignored and no longer written
+    def test_v1_directory_is_ignored(self, tmp_path):
+        # files of the first schema are never read: the level is rebuilt
+        # into the v2 directory and the old file is left as it was
+        old = tmp_path / "v1" / "int_d1_r2_s3_full.json"
+        old.parent.mkdir()
+        old.write_text('{"schema": 1, "size": 1, "ambient": 2, "arity": 3, '
+                       '"sigma": null, "members": [[[2], [2], [2]]], '
+                       '"zero_dim": [false], "point": [false]}')
         store = HornStore(arity=3, cache_dir=str(tmp_path))
+        store.build_through(1, 2)
+        assert store.table(1, 2).members == HornStore(arity=3).build_through(
+            1, 2).table(1, 2).members
         path = store._cache_path((1, 2, None))
-        os.makedirs(os.path.dirname(path))
-        with open(path, "w") as fh:
-            fh.write('{"schema": 1, "size": 1, "ambient": 2, "arity": 3, '
-                     '"sigma": null, "provenance": "recursion+lr", "members": '
-                     '[[[1], [2], [2]], [[2], [1], [2]], [[2], [2], [1]], '
-                     '[[2], [2], [2]]], "zero_dim": [true, true, true, false], '
-                     '"point": [true, true, true, false]}')
-        store.build_level(1, 1)
+        assert os.path.dirname(path) == str(tmp_path / "v2")
+        assert json.loads(open(path).read())["schema"] == 2
+        assert old.read_text().startswith('{"schema": 1,')
 
-        def no_build(*args):
-            raise AssertionError(f"level {args} rebuilt instead of loaded")
-
-        monkeypatch.setattr(store, "_compute_table", no_build)
-        store.build_level(1, 2)
-        table = store.table(1, 2)
-        assert [t.to_json() for t in table.members] == [
-            [[1], [2], [2]], [[2], [1], [2]], [[2], [2], [1]], [[2], [2], [2]]]
-        assert table.zero_dim == table.point == (True, True, True, False)
-        assert "provenance" not in table.to_json()
+    def test_file_of_another_level_is_a_miss(self, tmp_path):
+        store = HornStore(arity=3, cache_dir=str(tmp_path))
+        store.build_through(1, 3)
+        os.replace(store._cache_path((1, 3, None)),
+                   store._cache_path((1, 2, None)))
+        assert store._load_cached((1, 2, None)) is None
 
     def test_save_ignores_a_stale_fixed_tmp_path(self, tmp_path):
         # a leftover at the fixed name "<file>.tmp" must not break a

@@ -9,6 +9,7 @@ from horncone.lr import (
     fits_box,
     lr_coefficient,
     normalize_partition,
+    point_coefficient,
     schubert_product,
     subset_to_schubert_partition,
 )
@@ -181,3 +182,26 @@ class TestClassify:
                         assert expected_dim(t) == 0
                     if cls.is_intersecting:
                         assert expected_dim(t) >= 0
+
+
+class TestPointCoefficient:
+    @pytest.mark.parametrize("s, ambient", [(1, 5), (2, 6), (3, 6), (4, 4)])
+    def test_equals_the_full_product(self, s, ambient):
+        # the coefficient read from one LR coefficient per term equals the
+        # one read off the fully expanded product, on every zero-dim tuple
+        seen = set()
+        for n in range(1, ambient + 1):
+            for r in range(1, n + 1):
+                for t in all_tuples(r, n, s):
+                    if expected_dim(t) != 0:
+                        continue
+                    parts = [p.schubert_partition() for p in t.parts]
+                    c = point_coefficient(parts, r, n)
+                    assert c == classify(t).point_coefficient, t
+                    seen.add(c)
+        # s >= 3 reaches a coefficient above one: sigma_{2,1}^3 in Gr(3, 6)
+        # for s = 3, sigma_1^4 in Gr(2, 4) for s = 4
+        assert seen == ({0, 1, 2} if s >= 3 else {0, 1} if s == 2 else {1})
+
+    def test_wrong_degree_has_no_point_term(self):
+        assert point_coefficient([(1,), (1,), ()], 2, 4) == 0
