@@ -1,4 +1,4 @@
-"""Pruning redundant inequalities with an exact rational simplex.
+"""Pruning redundant inequalities with an exact integer simplex.
 
 Whether one row of a cone description is implied by the others is a
 linear program: maximize the row's functional over the region cut out by

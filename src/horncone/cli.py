@@ -30,8 +30,7 @@ def _parse_sigma(text):
 
 
 def _store(args, s):
-    return HornStore(arity=s, cache_dir=args.cache_dir,
-                     use_cache=not args.no_cache)
+    return HornStore(arity=s, cache_dir=args.cache_dir)
 
 
 def _emit(args, text):
@@ -256,7 +255,6 @@ def build_parser():
         if levels:
             p.add_argument("--sigma", help="cycle type, e.g. '3' or '1,1,1'")
             p.add_argument("--cache-dir")
-            p.add_argument("--no-cache", action="store_true")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("-o", "--output")

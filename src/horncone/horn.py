@@ -201,16 +201,14 @@ class HornTable:
 class HornStore:
     """Level tables for one arity, built bottom-up.
 
-    ``cache_dir`` enables JSON persistence (one file per table under a
-    schema-versioned directory); ``use_cache=False`` forces recomputation
-    even when a cache directory is configured.
+    ``cache_dir``, when given, enables JSON persistence (one file per
+    table under a schema-versioned directory).
     """
 
-    def __init__(self, arity=3, cache_dir=None, use_cache=True):
+    def __init__(self, arity=3, cache_dir=None):
         self.arity = arity
         self.tables = {}
         self.cache_dir = cache_dir
-        self.use_cache = use_cache and cache_dir is not None
 
     def _key(self, size, ambient, sigma):
         return (size, ambient, normalize_cycle_type(sigma))
@@ -241,7 +239,7 @@ class HornStore:
         return os.path.join(self.cache_dir, f"v{CACHE_SCHEMA}", name)
 
     def _load_cached(self, key):
-        if not self.use_cache:
+        if self.cache_dir is None:
             return None
         # an absent, unreadable, misshapen or altered file is a miss
         try:
@@ -254,7 +252,7 @@ class HornStore:
         return table
 
     def _save_cached(self, key, table):
-        if not self.use_cache:
+        if self.cache_dir is None:
             return
         path = self._cache_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)

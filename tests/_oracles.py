@@ -5,10 +5,14 @@ counter enumerates every filling with no pruning, and the invariant
 dimension comes from Gelfand-Tsetlin weight multiplicities plus the
 alternating Weyl-group sum, not from any Littlewood-Richardson rule.
 ``orbit`` lists the coordinate permutations of a tuple.
+``reference_lp`` is a general two-phase simplex over ``Fraction`` with
+Bland's rule, the reference for the library's integer box LP.
 """
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from horncone.subsets import SubsetTuple
 
@@ -133,3 +137,183 @@ def _perm_sign(perm):
 def orbit(tup):
     """The set of distinct coordinate permutations of a tuple."""
     return {SubsetTuple(p) for p in itertools.permutations(tup.parts)}
+
+
+# -- the reference LP -------------------------------------------------
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+class LpResult(NamedTuple):
+    status: str  # "optimal" | "unbounded" | "infeasible"
+    value: Optional[Fraction]
+    point: Optional[tuple]
+
+
+def reference_lp(objective, leq=(), eq=()):
+    """Maximize ``objective . x`` over free variables x subject to rows
+    ``a . x <= b`` and ``a . x == b``, everything exact rationals.
+
+    Free variables are split into positive parts internally; equality
+    rows become opposite inequality pairs.  Returns an LpResult whose
+    point (when optimal) is a tuple of Fractions.
+    """
+    objective = [Fraction(v) for v in objective]
+    n = len(objective)
+    rows = []
+    for a, b in leq:
+        rows.append(([Fraction(x) for x in a], Fraction(b)))
+    for a, b in eq:
+        a = [Fraction(x) for x in a]
+        rows.append((a, Fraction(b)))
+        rows.append(([-x for x in a], -Fraction(b)))
+    # split x = u - v with u, v >= 0
+    split_rows = [(a + [-x for x in a], b) for a, b in rows]
+    split_obj = objective + [-x for x in objective]
+    res = _simplex_standard(split_obj, split_rows)
+    if res.status != "optimal":
+        return res
+    point = tuple(res.point[i] - res.point[n + i] for i in range(n))
+    return LpResult("optimal", res.value, point)
+
+
+def _simplex_standard(c, rows):
+    """Maximize c.y s.t. A y <= b, y >= 0 via a dense tableau.
+
+    Phase one (driven by artificial variables) runs only when some b is
+    negative; Bland's smallest-index rule governs both phases.
+    """
+    m = len(rows)
+    n = len(c)
+    A = [list(a) for a, _ in rows]
+    b = [bb for _, bb in rows]
+    # normalize rows so every right-hand side is nonnegative; rows flipped
+    # this way get >= sense and need an artificial variable
+    need_artificial = []
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-x for x in A[i]]
+            b[i] = -b[i]
+            need_artificial.append(i)
+    n_art = len(need_artificial)
+    width = n + m + n_art
+    # tableau columns: structural | slack | artificial, one slack per row;
+    # flipped rows carry slack coefficient -1 (surplus) plus artificial +1
+    T = [[ZERO] * (width + 1) for _ in range(m)]
+    basis = [0] * m
+    art_cols = {}
+    for i in range(m):
+        for j in range(n):
+            T[i][j] = A[i][j]
+        T[i][width] = b[i]
+    art_k = 0
+    for i in range(m):
+        if i in need_artificial:
+            T[i][n + i] = -ONE
+            col = n + m + art_k
+            T[i][col] = ONE
+            art_cols[i] = col
+            basis[i] = col
+            art_k += 1
+        else:
+            T[i][n + i] = ONE
+            basis[i] = n + i
+
+    if n_art:
+        # phase one: minimize the artificial sum
+        obj = [ZERO] * (width + 1)
+        for i in need_artificial:
+            for j in range(width + 1):
+                obj[j] += T[i][j]
+        # maximize -(artificial sum): reduced costs of the aggregate row
+        phase_obj = [-x for x in obj]
+        for col in art_cols.values():
+            phase_obj[col] = ZERO
+        status = _pivot_loop(T, basis, phase_obj, width)
+        if status != "optimal" or -phase_obj[width] != 0:
+            return LpResult("infeasible", None, None)
+        # drive any artificial variable still basic out of the basis
+        art_set = set(art_cols.values())
+        for i in range(m):
+            if basis[i] in art_set:
+                for j in range(width):
+                    if j not in art_set and T[i][j] != 0:
+                        _pivot(T, basis, i, j, width)
+                        break
+        # forbid artificial columns from ever re-entering
+        for i in range(m):
+            for col in art_set:
+                T[i][col] = ZERO
+
+    # phase two objective row, priced out over the current basis
+    obj = [ZERO] * (width + 1)
+    for j in range(n):
+        obj[j] = -c[j]
+    for i in range(m):
+        coef = c[basis[i]] if basis[i] < n else ZERO
+        if coef != 0:
+            for j in range(width + 1):
+                obj[j] += coef * T[i][j]
+    # obj now holds reduced costs (entering candidates are negative)
+    status = _pivot_loop(T, basis, obj, width)
+    if status == "unbounded":
+        return LpResult("unbounded", None, None)
+    point = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            point[basis[i]] = T[i][width]
+    return LpResult("optimal", obj[width], tuple(point))
+
+
+def _pivot_loop(T, basis, obj, width):
+    """Bland's rule iteration on the tableau plus objective row; the
+    objective row stores reduced costs with the current value at the
+    end."""
+    m = len(T)
+    while True:
+        enter = -1
+        for j in range(width):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][width] / T[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _pivot(T, basis, leave, enter, width)
+        piv_obj = obj[enter]
+        if piv_obj != 0:
+            row = T[leave]
+            for j in range(width + 1):
+                if row[j] != 0:
+                    obj[j] -= piv_obj * row[j]
+
+
+def _pivot(T, basis, leave, enter, width):
+    row = T[leave]
+    inv = ONE / row[enter]
+    if inv != 1:
+        for j in range(width + 1):
+            if row[j] != 0:
+                row[j] *= inv
+    for i in range(len(T)):
+        if i == leave:
+            continue
+        f = T[i][enter]
+        if f != 0:
+            Ti = T[i]
+            for j in range(width + 1):
+                if row[j] != 0:
+                    Ti[j] -= f * row[j]
+    basis[leave] = enter

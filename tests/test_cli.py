@@ -242,10 +242,11 @@ class TestCache:
         assert code1 == code2 == 0 and out1 == out2
         assert any(tmp_path.rglob("*.json"))
 
-    def test_no_cache_flag(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "tables", "--rmax", "2",
-                         "--cache-dir", str(tmp_path), "--no-cache")
-        assert code == 0
+    def test_no_cache_is_not_an_option(self, capsys, tmp_path):
+        # the cache is on exactly when --cache-dir is given
+        code, out, _ = run(capsys, "system", "--r", "2",
+                           "--cache-dir", str(tmp_path), "--no-cache")
+        assert code == 2 and out == ""
         assert not any(tmp_path.rglob("*.json"))
 
 
@@ -253,7 +254,7 @@ class TestCacheIntegrity:
     # a damaged cache file is a miss: the level is rebuilt, and the output
     # equals a run without the cache
     def check(self, capsys, tmp_path, argv, key, damage):
-        code, want, _ = run(capsys, *argv, "--no-cache")
+        code, want, _ = run(capsys, *argv)
         assert code == 0
         run(capsys, *argv, "--cache-dir", str(tmp_path))
         store = HornStore(arity=3, cache_dir=str(tmp_path))

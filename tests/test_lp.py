@@ -12,53 +12,84 @@ from horncone.lp import (
     solve_lp,
 )
 
+from _oracles import reference_lp
+
+
+def reference_box_lp(objective, rows):
+    """The box LP as the general reference simplex states it: the rows
+    ``a . x <= 0``, then ``x_i <= 1`` and ``-x_i <= 1`` for each i."""
+    n = len(objective)
+    box = [([sign if j == i else 0 for j in range(n)], 1)
+           for i in range(n) for sign in (1, -1)]
+    return reference_lp(objective, [(a, 0) for a in rows] + box)
+
 
 class TestSolveLp:
     def test_bounded(self):
-        res = solve_lp([1], [([1], 1)])
-        assert res.status == "optimal" and res.value == 1
-
-    def test_unbounded(self):
-        assert solve_lp([1], [([-1], 0)]).status == "unbounded"
+        # the box alone bounds the program
+        res = solve_lp([1, -2], [])
+        assert res.value == 3 and res.point == (1, -1)
 
     def test_corner(self):
-        res = solve_lp(
-            [1, 1],
-            [([1, 0], 1), ([0, 1], 1), ([1, 1], Fraction(3, 2))],
-        )
+        # 2x <= y <= 1: the optimum sits at the corner (1/2, 1)
+        res = solve_lp([1, 1], [[2, -1]])
         assert res.value == Fraction(3, 2)
-        assert sum(res.point) == Fraction(3, 2)
-
-    def test_infeasible(self):
-        res = solve_lp([1], [([1], -1), ([-1], -1)])
-        assert res.status == "infeasible"
-
-    def test_equality_rows(self):
-        res = solve_lp([1, 0], leq=[([1, 1], 2)], eq=[([0, 1], 1)])
-        assert res.value == 1 and res.point == (1, 1)
+        assert res.point == (Fraction(1, 2), 1)
 
     def test_exact_fractions(self):
-        res = solve_lp(
-            [Fraction(1, 3), Fraction(1, 7)],
-            [([1, 0], Fraction(1, 2)), ([0, 1], Fraction(2, 5)), ([-1, 0], 0), ([0, -1], 0)],
-        )
-        assert res.value == Fraction(1, 6) + Fraction(2, 35)
+        # x <= y / 3 <= 1 / 3, returned as Fractions
+        res = solve_lp([1, 0], [[3, -1]])
+        assert res.value == Fraction(1, 3) and res.point == (Fraction(1, 3), 1)
+        assert all(type(x) is Fraction for x in (res.value, *res.point))
 
     def test_order_independence(self):
         rng = random.Random(61)
-        rows = [
-            ([Fraction(rng.randint(-4, 4)) for _ in range(3)], Fraction(rng.randint(0, 5)))
-            for _ in range(12)
-        ]
-        rows += [([1, 0, 0], 1), ([-1, 0, 0], 1), ([0, 1, 0], 1),
-                 ([0, -1, 0], 1), ([0, 0, 1], 1), ([0, 0, -1], 1)]
+        rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(12)]
         obj = [1, 2, -1]
         base = solve_lp(obj, rows)
         for _ in range(10):
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            res = solve_lp(obj, shuffled)
-            assert res.status == base.status and res.value == base.value
+            assert solve_lp(obj, shuffled).value == base.value
+
+
+class TestAgainstReference:
+    # the integer tableau pivots exactly as the general Fraction simplex
+    # does, so optimum and vertex agree row for row
+    def check_system(self, system, indices=None, fix_t_zero=False):
+        vectors = [a[:-1] if fix_t_zero else a for a in system.matrix]
+        if indices is None:
+            indices = range(system.count)
+        for k in indices:
+            others = vectors[:k] + vectors[k + 1:]
+            got = solve_lp(vectors[k], others)
+            want = reference_box_lp(vectors[k], others)
+            assert (got.value, got.point) == (want.value, want.point), k
+
+    @pytest.mark.parametrize("r, level", [(3, "full0"), (4, "full0"),
+                                          (3, "min00")])
+    def test_plain_systems(self, store, r, level):
+        self.check_system(generate_system(r, 3, None, level, store))
+
+    def test_rank6_sigma_slice(self, store):
+        system = generate_system(6, 3, (3,), "full0", store)
+        self.check_system(system, fix_t_zero=True)
+
+    def test_rank5_seeded_rows(self, store):
+        system = generate_system(5, 3, None, "full0", store)
+        rows = random.Random(71).sample(range(system.count), 3)
+        self.check_system(system, rows)
+
+    def test_random_homogeneous(self):
+        rng = random.Random(73)
+        for _ in range(50):
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(-4, 4) for _ in range(n)]
+                    for _ in range(rng.randint(0, 12))]
+            obj = [rng.randint(-4, 4) for _ in range(n)]
+            got = solve_lp(obj, rows)
+            want = reference_box_lp(obj, rows)
+            assert (got.value, got.point) == (want.value, want.point)
 
 
 class TestRedundancy:
@@ -90,7 +121,7 @@ class TestRedundancy:
         assert is_redundant(system, 1, fix_t_zero=True).essential
 
     @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
-                        reason="156 exact LPs (~3 min); set RUN_OPTIONAL=1")
+                        reason="156 exact LPs (~10 s); set RUN_OPTIONAL=1")
     def test_rank5_reduced_rows_all_essential(self, store):
         system = generate_system(5, 3, None, "min00", store)
         report = redundancy_report(system)
