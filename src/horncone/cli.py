@@ -118,8 +118,19 @@ def cmd_system(args):
 
 
 def _load_family(path):
+    """A spectrum family from a JSON object with "spectra", a list of
+    lists, and "t"; every value an integer or a rational string."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    spectra = data.get("spectra") if isinstance(data, dict) else None
+    if not (isinstance(spectra, list) and "t" in data
+            and all(isinstance(spec, list) for spec in spectra)):
+        raise UsageError(f"{path}: expected an object with 'spectra' "
+                         "(a list of lists) and 't'")
+    for x in [data["t"], *(x for spec in spectra for x in spec)]:
+        if isinstance(x, bool) or not isinstance(x, (int, str)):
+            raise UsageError(f"{path}: {x!r} is not an integer or a "
+                             "rational string")
     return cone.SpectrumFamily.from_json(data)
 
 

@@ -113,10 +113,7 @@ class SpectrumFamily:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            [[Fraction(x) for x in spec] for spec in data["spectra"]],
-            Fraction(data["t"]),
-        )
+        return cls(data["spectra"], data["t"])
 
 
 def shift_rescale(point, taus, c):

@@ -16,9 +16,11 @@ definitional one-tuple check the tests compare it against.
 
 A level table is the kernel's output: the index rows of its members,
 a zero-dim flag per row read off their dimension sums, and a point flag
-from one ``lr.point_coefficient`` per zero-dim row.  Tables are immutable
-once published and keyed by (size, ambient, cycle type-or-None); a store
-may persist them as JSON files (schema 2) that carry a sha256 digest.
+from one ``lr.point_coefficient`` per distinct multiset of parts among
+the zero-dim rows (the Schubert product is commutative).  Tables are
+immutable once published and keyed by (size, ambient, cycle
+type-or-None); a store may persist them as JSON files (schema 2) that
+carry a sha256 digest.
 """
 
 from __future__ import annotations
@@ -325,10 +327,15 @@ class HornStore:
                                                 self._test_sets(size, sigma))])
         dims = np.array([p.dim() for p in subs])
         zero_dim = dims[rows].sum(axis=1) == (s - 1) * size * (ambient - size)
+        # the product is commutative: one coefficient per multiset of parts
+        multisets, which = np.unique(np.sort(rows[zero_dim], axis=1), axis=0,
+                                     return_inverse=True)
         partitions = [p.schubert_partition() for p in subs]
-        point = [z and lr.point_coefficient([partitions[j] for j in row],
-                                            size, ambient) == 1
-                 for row, z in zip(rows.tolist(), zero_dim.tolist())]
+        is_point = np.array([lr.point_coefficient([partitions[j] for j in row],
+                                                  size, ambient) == 1
+                             for row in multisets.tolist()], dtype=bool)
+        point = np.zeros(len(rows), dtype=bool)
+        point[zero_dim] = is_point[which.reshape(-1)]
         return HornTable(size, ambient, s, sigma, rows, zero_dim, point)
 
 

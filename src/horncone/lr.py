@@ -1,10 +1,11 @@
 """Littlewood-Richardson rule and Schubert-class products on a Grassmannian.
 
 Schubert classes of Gr(r, n) are indexed by partitions inside the
-r x (n-r) box; products expand through integer Littlewood-Richardson
-coefficients, computed here by direct enumeration of skew tableaux with
-lattice-word pruning.  Coefficients are plain Python ints, so they never
-overflow.
+r x (n-r) box, the Schubert partitions of the r-subsets of [n] (the
+weight of one is the subset's codim()); products expand over those
+subsets through integer Littlewood-Richardson coefficients, computed
+here by direct enumeration of skew tableaux with lattice-word pruning.
+Coefficients are plain Python ints, so they never overflow.
 
 :func:`point_coefficient` reads the point-class coefficient of a product
 without expanding it; level builds call it.  :func:`classify` expands the
@@ -18,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .subsets import expected_dim
+from .subsets import all_subsets, expected_dim
 
 
 def normalize_partition(parts):
@@ -39,21 +40,13 @@ def fits_box(parts, rows, cols):
     return len(parts) <= rows and (not parts or parts[0] <= cols)
 
 
-def contains(outer, inner):
-    """Containment of Young diagrams."""
-    outer, inner = normalize_partition(outer), normalize_partition(inner)
-    if len(inner) > len(outer):
-        return False
-    return all(o >= i for o, i in zip(outer, inner))
-
-
 def lr_coefficient(lam, mu, nu):
     """The Littlewood-Richardson coefficient c(lam, mu; nu): the number
     of semistandard skew tableaux of shape nu/lam and content mu whose
     reverse reading word is a lattice word.  Zero when the shapes are
     incompatible."""
     lam, mu, nu = normalize_partition(lam), normalize_partition(mu), normalize_partition(nu)
-    if not contains(nu, lam):
+    if len(lam) > len(nu) or any(a < b for a, b in zip(nu, lam)):
         return 0
     if sum(nu) != sum(lam) + sum(mu):
         return 0
@@ -99,48 +92,25 @@ def _count_skew_lattice_fillings(nu, lam, mu):
     return total
 
 
-def _iter_partitions_over(lam, extra, rows, cols):
-    """Yield partitions nu in the rows x cols box with nu containing lam
-    and |nu| = |lam| + extra."""
-    lam_pad = list(lam) + [0] * (rows - len(lam))
-
-    def rec(i, prev, remaining, acc):
-        if i == rows:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        lo = lam_pad[i]
-        hi = min(prev, cols)
-        # parts below row i can absorb at most (rows - i - 1) * cols cells
-        for v in range(hi, lo - 1, -1):
-            used = v - lo
-            if used > remaining:
-                continue
-            rest = remaining - used
-            if rest > (rows - i - 1) * cols:
-                continue
-            acc.append(v)
-            yield from rec(i + 1, v, rest, acc)
-            acc.pop()
-
-    yield from rec(0, cols, extra, [])
-
-
 @lru_cache(maxsize=None)
 def schur_product_in_box(lam, mu, rows, cols):
     """Expansion of the product of two Schur/Schubert classes inside the
-    rows x cols box, as a tuple of (partition, coefficient) pairs.
-    Partitions outside the box are discarded; this is the multiplication
-    of the cohomology ring of Gr(rows, rows + cols)."""
+    rows x cols box, as a tuple of (partition, coefficient) pairs in
+    decreasing lexicographic order; this is the multiplication of the
+    cohomology ring of Gr(rows, rows + cols).  The candidate nu are the
+    Schubert partitions of all_subsets(rows, rows + cols) of the right
+    weight; a factor outside the box gives the empty product, since
+    c(lam, mu; nu) vanishes unless nu contains lam and mu."""
     lam, mu = normalize_partition(lam), normalize_partition(mu)
-    if not fits_box(lam, rows, cols) or not fits_box(mu, rows, cols):
-        return ()
+    weight = sum(lam) + sum(mu)
     out = []
-    for nu in _iter_partitions_over(lam, sum(mu), rows, cols):
-        c = lr_coefficient(lam, mu, normalize_partition(nu))
-        if c:
-            out.append((normalize_partition(nu), c))
-    return tuple(out)
+    for sub in all_subsets(rows, rows + cols):
+        if sub.codim() == weight:
+            nu = normalize_partition(sub.schubert_partition())
+            c = lr_coefficient(lam, mu, nu)
+            if c:
+                out.append((nu, c))
+    return tuple(sorted(out, reverse=True))
 
 
 def schubert_product(partitions, grassmannian):

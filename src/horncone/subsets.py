@@ -94,7 +94,8 @@ class Subset:
     def dim(self):
         """Dimension of the Schubert variety indexed by this subset:
         sum of ``j_k - k``."""
-        return sum(j - k for k, j in enumerate(self.elements, start=1))
+        d = len(self.elements)
+        return sum(self.elements) - d * (d + 1) // 2
 
     def codim(self):
         """Codimension of the Schubert variety inside Gr(size, ambient)."""

@@ -225,7 +225,11 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     residual stops improving over ``stall_window`` iterations while still
     far from ``tol``.  Each attempt is seeded deterministically from
     (seed, attempt index).  ``residual_log`` may be a writable text file
-    for per-iteration CSV diagnostics."""
+    for per-iteration CSV diagnostics.  ValueError unless restarts and
+    max_iters are at least 1 and tol is positive."""
+    if restarts < 1 or max_iters < 1 or not tol > 0:
+        raise ValueError(f"need restarts >= 1, max_iters >= 1 and tol > 0, "
+                         f"got {restarts}, {max_iters}, {tol}")
     spectra, t = _family(spectra, t)
     lams = [_check_spectrum(l) for l in spectra]
     r = lams[0].size
@@ -241,7 +245,7 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     best_result = None
     monotone = True
     total_iters = 0
-    for attempt in range(max(1, restarts)):
+    for attempt in range(restarts):
         rng_seed = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt])
         xs = np.stack([
             sample_orbit(lam, st)
@@ -283,5 +287,5 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
             )
     if log is not None:
         log.flush()
-    return best_result._replace(iterations=total_iters, attempts=max(1, restarts),
+    return best_result._replace(iterations=total_iters, attempts=restarts,
                                 monotone=monotone)

@@ -121,6 +121,41 @@ class TestSystemAndMember:
         code, _, err = run(capsys, "member", "--input", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def family_file(self, tmp_path, data):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_family_file_without_fields(self, capsys, tmp_path):
+        for command in ("member", "witness"):
+            code, out, err = run(capsys, command, "--input",
+                                 self.family_file(tmp_path, {}))
+            assert code == 2 and out == "" and "'spectra'" in err, command
+
+    def test_family_file_not_an_object(self, capsys, tmp_path):
+        for command in ("member", "witness"):
+            code, out, err = run(capsys, command, "--input",
+                                 self.family_file(tmp_path, [1, 2]))
+            assert code == 2 and out == "" and "'spectra'" in err, command
+
+    def test_family_file_with_strings_for_lists(self, capsys, tmp_path):
+        # a string is iterable, but "123" is not three spectra
+        for data in ({"spectra": "123", "t": "0"},
+                     {"spectra": ["10", "01", "00"], "t": "0"}):
+            code, out, err = run(capsys, "member", "--input",
+                                 self.family_file(tmp_path, data))
+            assert code == 2 and out == "" and "list of lists" in err, data
+
+    def test_family_file_with_floats_or_booleans(self, capsys, tmp_path):
+        # 0.1 is not an exact rational; it must not become 3602879701896397/2^55
+        for bad, data in (
+                ("0.1", {"spectra": [[0.1, 0], [0, 0], [0, 0]], "t": 0}),
+                ("True", {"spectra": [[1, 0], [0, 0], [0, 0]], "t": True})):
+            path = self.family_file(tmp_path, data)
+            for command in ("member", "witness"):
+                code, out, err = run(capsys, command, "--input", path)
+                assert code == 2 and out == "" and bad in err, command
+
 
 class TestRedundancyCommand:
     def test_sigma_rank6_slice(self, capsys):
@@ -213,6 +248,13 @@ class TestOptionsEachCommandReads:
             code, out, _ = run(capsys, "witness", "--input", path,
                                "--seed", "2", *extra)
             assert code == 2 and out == "", extra
+
+    def test_witness_out_of_range_values(self, capsys, tmp_path):
+        path = self.family(tmp_path)
+        for extra in (["--restarts", "0"], ["--restarts", "-3"],
+                      ["--max-iters", "0"], ["--tol", "0"], ["--tol", "-1"]):
+            code, out, err = run(capsys, "witness", "--input", path, *extra)
+            assert code == 2 and out == "" and "error:" in err, extra
 
     def test_member(self, capsys, tmp_path):
         code, out, _ = run(capsys, "member", "--input", self.family(tmp_path),

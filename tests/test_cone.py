@@ -68,6 +68,8 @@ class TestSpectrumFamily:
         f = fam([[Fraction(1, 2), Fraction(-1, 3)], [1, 0], [0, 0]], Fraction(7, 6))
         data = json.loads(json.dumps(f.to_json()))
         assert SpectrumFamily.from_json(data) == f
+        with pytest.raises(TypeError):
+            SpectrumFamily.from_json({"spectra": [[0.1, 0]], "t": 0})
         assert data["spectra"][0] == ["1/2", "-1/3"]
         assert data["t"] == "7/6"
 

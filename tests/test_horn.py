@@ -276,6 +276,29 @@ class TestTableRows:
             built = HornStore(arity=s).build_through(ambient, ambient, sigma)
             assert sum(any(t.point) for t in built.tables.values()) > 0
 
+    @pytest.mark.parametrize("s, sigma, size_max, ambient_max",
+                             [(3, None, 5, 6), (3, (1, 2), 4, 5),
+                              (4, None, 4, 5)])
+    def test_one_point_coefficient_per_multiset(self, monkeypatch, s, sigma,
+                                                size_max, ambient_max):
+        calls = {}
+        point_coefficient = lr.point_coefficient
+
+        def counted(partitions, r, n):
+            calls[r, n] = calls.get((r, n), 0) + 1
+            return point_coefficient(partitions, r, n)
+
+        monkeypatch.setattr(lr, "point_coefficient", counted)
+        built = HornStore(arity=s).build_through(size_max, ambient_max, sigma)
+        repeated = 0
+        for (r, n, _), table in built.tables.items():
+            rows = table.zero_dim_members()
+            distinct = {tuple(sorted(p.elements for p in t.parts)) for t in rows}
+            assert calls.get((r, n), 0) == len(distinct), (r, n)
+            repeated += len(rows) - len(distinct)
+        # a (1, 2)-stable row (a, b, b) is the only row of its multiset
+        assert (repeated > 0) == (sigma is None)
+
 
 class TestOtherArities:
     def test_two_factor_levels_match_classification(self):

@@ -11,6 +11,7 @@ from horncone.lr import (
     normalize_partition,
     point_coefficient,
     schubert_product,
+    schur_product_in_box,
     subset_to_schubert_partition,
 )
 from horncone.subsets import Subset, SubsetTuple, all_subsets, all_tuples, expected_dim
@@ -118,6 +119,28 @@ class TestSchubertProduct:
     def test_coefficients_can_exceed_one(self):
         vec = schubert_product([(2, 1), (2, 1), (2, 1)], (3, 6))
         assert vec == {(3, 3, 3): 2}
+
+    @pytest.mark.parametrize("r, n", [(1, 4), (2, 4), (2, 5), (3, 5), (2, 6),
+                                      (3, 6)])
+    def test_box_products_are_lr_coefficients(self, r, n):
+        # every pair of box partitions against every box partition nu
+        box = [p for p in partitions_up_to(r * (n - r), max_len=r)
+               if not p or p[0] <= n - r]
+        for lam in box:
+            for mu in box:
+                want = {}
+                for nu in sorted(box, reverse=True):
+                    c = lr_coefficient(lam, mu, nu)
+                    if c:
+                        want[nu] = c
+                got = schubert_product([lam, mu], (r, n))
+                assert got == want, (lam, mu)
+                assert list(got) == list(want), (lam, mu)
+
+    def test_factor_outside_the_box(self):
+        assert schur_product_in_box((4,), (1,), 2, 3) == ()
+        assert schur_product_in_box((1,), (1, 1, 1), 2, 3) == ()
+        assert schubert_product([(1,), (4,)], (2, 5)) == {}
 
 
 class TestSubsetPartitionBridge:

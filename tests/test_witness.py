@@ -235,6 +235,18 @@ class TestFindWitness:
         for m, seen in zip(res.matrices, eigh_inputs[-3:]):
             assert np.array_equal(m, seen)
 
+    @pytest.mark.parametrize("option", [{"restarts": 0}, {"restarts": -3},
+                                        {"max_iters": 0}, {"tol": 0.0},
+                                        {"tol": -1.0}, {"tol": float("nan")}])
+    def test_out_of_range_options_raise(self, option):
+        with pytest.raises(ValueError):
+            find_witness([[1, -1]] * 3, 0, seed=2, **option)
+
+    def test_attempts_are_the_restarts(self):
+        res = find_witness([[0, 0], [0, 0], [1, -1]], 0, seed=2, restarts=3,
+                           max_iters=40)
+        assert not res.converged and res.attempts == 3
+
     def test_residual_log(self):
         log = io.StringIO()
         find_witness([[1, -1]] * 3, 0, seed=2, residual_log=log)
