@@ -2,15 +2,15 @@
 
 A tuple is intersecting exactly when its expected dimension is
 nonnegative and it satisfies the Horn inequalities indexed by the
-zero-expected-dimension tuples of the lower levels.  The recursion
-therefore builds levels bottom-up, and every verdict can be cross-checked
-against the Littlewood-Richardson classification.
+zero-expected-dimension tuples of the lower levels.  A store therefore
+builds a level, and the lower levels it reads, when the level is first
+asked for, and every verdict can be cross-checked against the
+Littlewood-Richardson classification.
 """
 
 from horncone import HornStore, count_intersecting, cross_check, group_into_orbits
 
 store = HornStore(arity=3)
-store.build_through(4, 5)
 
 # The point-class tuples of each level, listed up to coordinate
 # permutation; the all-equal orbits (marked *) survive the restriction

@@ -35,7 +35,6 @@ from .lr import (
 from .horn import (
     HornStore,
     HornTable,
-    MissingDependency,
     NotSigmaStable,
     count_intersecting,
     cross_check,
@@ -73,7 +72,7 @@ __all__ = [
     "schubert_partitions", "slope", "stable_tuples",
     "IntersectionClass", "classify", "lr_coefficient", "schubert_product",
     "subset_to_schubert_partition",
-    "HornStore", "HornTable", "MissingDependency", "NotSigmaStable",
+    "HornStore", "HornTable", "NotSigmaStable",
     "count_intersecting", "cross_check", "horn_check",
     "InequalitySystem", "SpectrumFamily", "generate_system", "lr_membership",
     "member", "shift_rescale",

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 cross-check mismatch, 2 invalid options/input.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -51,11 +52,7 @@ def _fmt_tuple(tup):
 
 def cmd_tuples(args):
     sigma = _parse_sigma(args.sigma)
-    if not (1 <= args.d <= args.r):
-        raise UsageError("need 1 <= d <= r")
-    store = _store(args, args.s)
-    store.build_through(args.d, args.r, sigma)
-    table = store.table(args.d, args.r, sigma)
+    table = _store(args, args.s).table(args.d, args.r, sigma)
     flag = {"all": None, "0": "zero_dim", "00": "point"}[args.level]
     chosen = [tup for tup, _ in table.select(flag)]
     # without --sigma the mark is "all parts equal", which is being fixed
@@ -214,24 +211,22 @@ def cmd_redundancy(args):
 
 def cmd_witness(args):
     family = _load_family(args.input)
-    log = open(args.residual_csv, "w", encoding="utf-8") if args.residual_csv else None
-    try:
-        result = witness.find_witness(
-            family, max_iters=args.max_iters, tol=args.tol, seed=args.seed,
-            restarts=args.restarts, residual_log=log,
-        )
-    finally:
-        if log:
-            log.close()
+    # buffered, so that a search that fails leaves no file behind
+    log = io.StringIO() if args.residual_csv else None
+    result = witness.find_witness(
+        family, max_iters=args.max_iters, tol=args.tol, seed=args.seed,
+        restarts=args.restarts, residual_log=log,
+    )
+    if log:
+        with open(args.residual_csv, "w", encoding="utf-8") as fh:
+            fh.write(log.getvalue())
     _emit(args, result.to_json_str() + "\n")
     return 0
 
 
 def cmd_crosscheck(args):
     sigma = _parse_sigma(args.sigma)
-    store = _store(args, args.s)
-    store.build_through(args.r, args.n, sigma)
-    report = horn.cross_check(args.r, args.n, store, sigma)
+    report = horn.cross_check(args.r, args.n, _store(args, args.s), sigma)
     summary = {
         "size": args.r,
         "ambient": args.n,
@@ -290,7 +285,7 @@ def build_parser():
                    help="JSON file with spectra and t as p/q strings; "
                         "the arity is the number of spectra")
     p.add_argument("--level", choices=SYSTEM_LEVELS, default="full0")
-    common(p, arity=False)
+    common(p, arity=False, formats=("table", "json"))
     p.set_defaults(func=cmd_member)
 
     p = command("tables", "inequality count table by rank")

@@ -192,7 +192,7 @@ class InequalitySystem:
     def __init__(self, r, s, sigma, level, horn_rows):
         self.r = r
         self.s = s
-        self.sigma = normalize_cycle_type(sigma)
+        self.sigma = normalize_cycle_type(sigma, s)
         self.level = level
         if self.sigma is None:
             self.cycles = tuple((l,) for l in range(1, s + 1))
@@ -387,13 +387,17 @@ def generate_system(r, s=3, sigma=None, level="full0", store=None):
     table_flag = {"full0": "zero_dim", "min00": "point", "all": None}
     if level not in table_flag:
         raise ValueError(f"unknown level {level!r}")
-    sigma = normalize_cycle_type(sigma)
-    if sigma is not None and sum(sigma) != s:
-        raise ValueError(f"cycle type {sigma} is not a partition of s={s}")
+    if r < 1:
+        raise ValueError(f"rank {r} is not positive")
+    sigma = normalize_cycle_type(sigma, s)
     if store is None:
         store = HornStore(arity=s)
-    if not all(store.has(d, r, sigma) for d in range(1, r)):
-        store.build_through(r - 1, r, sigma)
+    elif store.arity != s:
+        raise ValueError(f"a store of arity {store.arity} has no levels "
+                         f"for s={s}")
+    # every level (d, n) with d < r and n <= r, not only the (d, r) the
+    # rows come from: readers of a cache directory expect them all
+    store.build_through(r - 1, r, sigma)
     flag = table_flag[level]
     rows = [HornRow(d, tup, sigma is not None, is_point)
             for d in range(1, r)

@@ -19,8 +19,11 @@ a zero-dim flag per row read off their dimension sums, and a point flag
 from one ``lr.point_coefficient`` per distinct multiset of parts among
 the zero-dim rows (the Schubert product is commutative).  Tables are
 immutable once published and keyed by (size, ambient, cycle
-type-or-None); a store may persist them as JSON files (schema 2) that
-carry a sha256 digest.
+type-or-None).  The key alone fixes the lower levels a build reads, so
+``HornStore.table`` hands out any level on first use: it builds those
+levels as it needs them, and nothing has to be built beforehand.  A
+store may persist the tables as JSON files (schema 2) that carry a
+sha256 digest.
 """
 
 from __future__ import annotations
@@ -50,24 +53,25 @@ _CHUNK_ROWS = 1 << 16
 _TEST_BATCH = 32
 
 
-class MissingDependency(RuntimeError):
-    """A required lower level is not present in the store."""
-
-
 class NotSigmaStable(ValueError):
     """A symmetry-restricted check received a tuple the permutation moves."""
 
 
-def normalize_cycle_type(sigma):
-    """Canonical form of a symmetry argument: None, a Permutation, or an
-    iterable of cycle lengths; returns None or a sorted tuple."""
+def normalize_cycle_type(sigma, s):
+    """Canonical form of a symmetry argument on s positions: None, a
+    Permutation, or an iterable of cycle lengths; returns None or a
+    sorted tuple.  ValueError unless the lengths are positive and sum
+    to s."""
     if sigma is None:
         return None
     if isinstance(sigma, Permutation):
-        return sigma.cycle_type()
-    if isinstance(sigma, int):
-        return (sigma,)
-    return tuple(sorted(int(x) for x in sigma))
+        sigma = sigma.cycle_type()
+    elif isinstance(sigma, int):
+        sigma = (sigma,)
+    sigma = tuple(sorted(int(x) for x in sigma))
+    if not sigma or sigma[0] < 1 or sum(sigma) != s:
+        raise ValueError(f"cycle type {sigma} is not a partition of s={s}")
+    return sigma
 
 
 class HornTable:
@@ -201,36 +205,37 @@ class HornTable:
 
 
 class HornStore:
-    """Level tables for one arity, built bottom-up.
+    """Level tables for one arity, each built on first use.
 
+    ``table(size, ambient, sigma)`` returns the published level, or else
+    reads it from the cache, or else builds it, together with the lower
+    levels (d, size), d < size, that its Horn tests read.
     ``cache_dir``, when given, enables JSON persistence (one file per
     table under a schema-versioned directory).
     """
 
     def __init__(self, arity=3, cache_dir=None):
+        if arity < 1:
+            raise ValueError(f"arity {arity} is not positive")
         self.arity = arity
         self.tables = {}
         self.cache_dir = cache_dir
 
-    def _key(self, size, ambient, sigma):
-        return (size, ambient, normalize_cycle_type(sigma))
-
-    def has(self, size, ambient, sigma=None):
-        return self._key(size, ambient, sigma) in self.tables
-
     def table(self, size, ambient, sigma=None):
-        key = self._key(size, ambient, sigma)
-        try:
-            return self.tables[key]
-        except KeyError:
-            raise MissingDependency(
-                f"level table (size={size}, ambient={ambient}, sigma={key[2]})"
-                " has not been built"
-            ) from None
-
-    def discard(self, size, ambient, sigma=None):
-        """Drop a table (testing hook for the dependency discipline)."""
-        self.tables.pop(self._key(size, ambient, sigma), None)
+        """The level (size, ambient, sigma), built on first use."""
+        if not 1 <= size <= ambient:
+            raise ValueError(f"level (size={size}, ambient={ambient}) needs "
+                             "1 <= size <= ambient")
+        key = (size, ambient, normalize_cycle_type(sigma, self.arity))
+        table = self.tables.get(key)
+        if table is None:
+            table = self._load_cached(key)
+            if table is None:
+                table = self._compute_table(*key)
+                self._save_cached(key, table)
+            # publication is a single atomic assignment
+            self.tables[key] = table
+        return table
 
     # -- persistence -------------------------------------------------
 
@@ -275,33 +280,9 @@ class HornStore:
     # -- building ----------------------------------------------------
 
     def build_level(self, size, ambient_max, sigma=None):
-        """Build the tables (size, n) for every n in [size..ambient_max].
-
-        All lower levels (d, size) for d < size must already be present;
-        otherwise MissingDependency is raised.  A cycle type that is not a
-        partition of the store's arity raises ValueError.
-        """
-        sigma = normalize_cycle_type(sigma)
-        if sigma is not None and sum(sigma) != self.arity:
-            raise ValueError(
-                f"cycle type {sigma} is not a partition of s={self.arity}"
-            )
-        for d in range(1, size):
-            if not self.has(d, size, sigma):
-                raise MissingDependency(
-                    f"building size {size} needs level (size={d}, ambient={size},"
-                    f" sigma={sigma}) first"
-                )
+        """Build the tables (size, n) for every n in [size..ambient_max]."""
         for n in range(size, ambient_max + 1):
-            key = self._key(size, n, sigma)
-            if key in self.tables:
-                continue
-            table = self._load_cached(key)
-            if table is None:
-                table = self._compute_table(size, n, sigma)
-                self._save_cached(key, table)
-            # publication is a single atomic assignment
-            self.tables[key] = table
+            self.table(size, n, sigma)
         return self
 
     def build_through(self, size_max, ambient_max, sigma=None):
@@ -408,14 +389,10 @@ def horn_check(tup, store, sigma=None):
     against the store's lower levels (the symmetry-restricted ones when a
     cycle type is given, in which case the tuple itself must be fixed by
     the permutation)."""
-    sigma = normalize_cycle_type(sigma)
-    if sigma is not None:
-        if sum(sigma) != tup.arity:
-            raise NotSigmaStable(
-                f"cycle type {sigma} does not act on {tup.arity} positions"
-            )
-        if not tup.is_stable(Permutation.from_cycle_type(sigma)):
-            raise NotSigmaStable(f"{tup!r} is moved by the cycle type {sigma}")
+    sigma = normalize_cycle_type(sigma, store.arity)
+    if sigma is not None and not tup.is_stable(
+            Permutation.from_cycle_type(sigma)):
+        raise NotSigmaStable(f"{tup!r} is moved by the cycle type {sigma}")
     if expected_dim(tup) < 0:
         return False
     r = tup.size
@@ -468,7 +445,7 @@ def cross_check(size, ambient, store, sigma=None):
     """Compare the recursion's verdicts against the Littlewood-Richardson
     classification for every tuple of the level; mismatches are returned,
     never raised.  Checks membership and both refinement flags."""
-    sigma = normalize_cycle_type(sigma)
+    sigma = normalize_cycle_type(sigma, store.arity)
     table = store.table(size, ambient, sigma)
     perm = Permutation.from_cycle_type(sigma or (1,) * store.arity)
     candidates = stable_tuples(size, ambient, perm)

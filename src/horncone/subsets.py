@@ -231,8 +231,9 @@ class SubsetTuple:
         return SubsetTuple(perm.act(self.parts))
 
     def is_stable(self, perm):
-        """True when the tuple is fixed by the position permutation."""
-        return self.permuted(perm) == self
+        """True when the tuple is fixed by the position permutation; a
+        permutation of another number of positions fixes no tuple."""
+        return perm.degree == self.arity and self.permuted(perm) == self
 
     def to_json(self):
         return [p.to_json() for p in self.parts]

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from horncone.cli import main
 from horncone.horn import HornStore
 
@@ -231,6 +233,16 @@ class TestCycleTypeCheck:
         assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv, word", [
+    (["system", "--r", "0"], "rank"),
+    (["tables", "--rmax", "3", "--s", "0"], "arity"),
+    (["crosscheck", "--r", "0", "--n", "3"], "size"),
+])
+def test_rank_arity_or_size_out_of_range(capsys, argv, word):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and word in err
+
+
 class TestOptionsEachCommandReads:
     # an option a subcommand would not read is rejected, not ignored
 
@@ -256,9 +268,20 @@ class TestOptionsEachCommandReads:
             code, out, err = run(capsys, "witness", "--input", path, *extra)
             assert code == 2 and out == "" and "error:" in err, extra
 
+    def test_failed_search_writes_no_residual_csv(self, capsys, tmp_path):
+        log = tmp_path / "out.csv"
+        code, out, _ = run(capsys, "witness", "--input", self.family(tmp_path),
+                           "--restarts", "0", "--residual-csv", str(log))
+        assert code == 2 and out == "" and not log.exists()
+
     def test_member(self, capsys, tmp_path):
         code, out, _ = run(capsys, "member", "--input", self.family(tmp_path),
                            "--s", "5")
+        assert code == 2 and out == ""
+
+    def test_member_has_no_csv_format(self, capsys, tmp_path):
+        path = self.family(tmp_path)
+        code, out, _ = run(capsys, "member", "--input", path, "--format", "csv")
         assert code == 2 and out == ""
 
     def test_redundancy_has_no_table_format(self, capsys):

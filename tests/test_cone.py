@@ -15,7 +15,7 @@ from horncone.cone import (
     member,
     shift_rescale,
 )
-from horncone.horn import NotSigmaStable
+from horncone.horn import HornStore, NotSigmaStable
 from horncone.subsets import (
     Permutation,
     all_tuples,
@@ -115,6 +115,15 @@ class TestGenerateSystem:
     def test_sigma_partition_check(self, store):
         with pytest.raises(ValueError):
             generate_system(2, 3, (2, 2), "full0", store)
+
+    def test_rank_must_be_positive(self, store):
+        for r in (0, -1):
+            with pytest.raises(ValueError, match="rank"):
+                generate_system(r, 3, None, "full0", store)
+
+    def test_store_of_another_arity(self):
+        with pytest.raises(ValueError, match="arity 4"):
+            generate_system(3, 3, store=HornStore(arity=4))
 
     def test_json_roundtrip(self, store):
         system = generate_system(4, 3, (3,), "full0", store)

@@ -10,7 +10,6 @@ from horncone import lr
 from horncone.horn import (
     HornStore,
     HornTable,
-    MissingDependency,
     NotSigmaStable,
     _horn_survivors,
     count_intersecting,
@@ -35,29 +34,23 @@ def T(*lists, ambient):
 
 class TestNormalizeCycleType:
     def test_forms(self):
-        assert normalize_cycle_type(None) is None
-        assert normalize_cycle_type(3) == (3,)
-        assert normalize_cycle_type([2, 1]) == (1, 2)
-        assert normalize_cycle_type(Permutation([2, 3, 1])) == (3,)
+        assert normalize_cycle_type(None, 3) is None
+        assert normalize_cycle_type(3, 3) == (3,)
+        assert normalize_cycle_type([2, 1], 3) == (1, 2)
+        assert normalize_cycle_type(Permutation([2, 3, 1]), 3) == (3,)
+
+    @pytest.mark.parametrize("sigma", [(0, 3), (1, -1, 3), (), (2,), (1, 3),
+                                       4, Permutation([2, 1])])
+    def test_rejects_what_is_not_a_partition_of_s(self, sigma):
+        with pytest.raises(ValueError, match="partition"):
+            normalize_cycle_type(sigma, 3)
 
 
 class TestBuildDiscipline:
-    def test_missing_dependency_is_deterministic(self):
-        store = HornStore(arity=3)
-        store.build_through(2, 4)
-        store.discard(1, 3)
-        with pytest.raises(MissingDependency):
-            store.build_level(3, 4)
-
     def test_base_level_needs_nothing(self):
         store = HornStore(arity=3)
         store.build_level(1, 5)
-        assert store.has(1, 3)
-
-    def test_table_lookup_raises_when_absent(self):
-        store = HornStore(arity=3)
-        with pytest.raises(MissingDependency):
-            store.table(2, 3)
+        assert set(store.tables) == {(1, n, None) for n in range(1, 6)}
 
     def test_ambient_bound(self):
         store = HornStore(arity=3)
@@ -70,6 +63,85 @@ class TestBuildDiscipline:
             with pytest.raises(ValueError, match="partition"):
                 store.build_level(1, 3, sigma=sigma)
         assert not store.tables
+
+
+class TestTableOnFirstUse:
+    # a fresh store builds a level, and the lower levels its Horn tests
+    # read, when it is first asked for
+
+    def test_table_on_an_empty_store(self, store):
+        fresh = HornStore(arity=3)
+        assert fresh.table(3, 6).rows.tolist() == store.table(3, 6).rows.tolist()
+        assert fresh.table(3, 6).point == store.table(3, 6).point
+        assert set(fresh.tables) == {(3, 6, None), (1, 2, None), (1, 3, None),
+                                     (2, 3, None)}
+
+    @pytest.mark.parametrize("size, ambient",
+                             [(0, 3), (-1, 2), (3, 2), (1, 0)])
+    def test_key_outside_the_levels(self, size, ambient):
+        fresh = HornStore(arity=3)
+        with pytest.raises(ValueError, match="1 <= size <= ambient"):
+            fresh.table(size, ambient)
+        assert not fresh.tables
+
+    def test_arity_must_be_positive(self):
+        for arity in (0, -2):
+            with pytest.raises(ValueError, match="arity"):
+                HornStore(arity=arity)
+
+    def test_horn_check_on_an_empty_store(self, store):
+        fresh = HornStore(arity=3)
+        for n in range(1, 5):
+            for r in range(1, n + 1):
+                for tup in all_tuples(r, n, 3):
+                    assert horn_check(tup, fresh) == horn_check(tup, store)
+
+    def test_census_on_an_empty_store(self, store):
+        assert count_intersecting(4, 8, HornStore(arity=3)) == \
+            count_intersecting(4, 8, store)
+
+    def test_cross_check_on_an_empty_store(self):
+        built = HornStore(arity=3).build_through(3, 6, sigma=(1, 2))
+        want = cross_check(3, 6, built, sigma=(1, 2))
+        got = cross_check(3, 6, HornStore(arity=3), sigma=(1, 2))
+        assert got.clean and got == want
+
+    @staticmethod
+    def counted(monkeypatch):
+        from horncone import horn as horn_mod
+
+        calls = []
+        compute = horn_mod.HornStore._compute_table
+
+        def wrapper(self, size, ambient, sigma):
+            calls.append((size, ambient, sigma))
+            return compute(self, size, ambient, sigma)
+
+        monkeypatch.setattr(horn_mod.HornStore, "_compute_table", wrapper)
+        return calls
+
+    def test_each_level_is_computed_once(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        fresh = HornStore(arity=3)
+        for size, ambient in [(4, 7), (2, 7), (4, 7), (3, 4), (5, 7)]:
+            fresh.table(size, ambient)
+        horn_check(T([1, 2, 3], [1, 2, 3], [1, 2, 3], ambient=3), fresh)
+        count_intersecting(4, 8, fresh)
+        assert len(calls) == len(set(calls)) == len(fresh.tables)
+
+    def test_build_through_computes_in_level_order(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        HornStore(arity=3).build_through(7, 8)
+        assert calls == [(size, n, None) for size in range(1, 8)
+                         for n in range(size, 9)]
+
+    def test_a_cached_level_reads_no_lower_level(self, monkeypatch,
+                                                 tmp_path):
+        want = HornStore(arity=3, cache_dir=str(tmp_path)).table(3, 5)
+        calls = self.counted(monkeypatch)
+        again = HornStore(arity=3, cache_dir=str(tmp_path))
+        assert again.table(3, 5).members == want.members
+        assert calls == [] and set(again.tables) == {(3, 5, None)}
 
 
 class TestLevelsAgainstClassification:

@@ -235,6 +235,8 @@ class TestPermutation:
         t = T([3], [3], [3], ambient=4)
         assert t.is_stable(sigma)
         assert not T([3], [3], [4], ambient=4).is_stable(sigma)
+        # a permutation of three positions fixes no pair
+        assert not T([3], [3], ambient=4).is_stable(sigma)
 
     def test_stability_matches_partitions(self):
         # a tuple is fixed by the permutation exactly when its partition
