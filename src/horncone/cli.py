@@ -158,6 +158,8 @@ def cmd_member(args):
 
 def cmd_tables(args):
     sigma = _parse_sigma(args.sigma)
+    if args.rmax < 1:
+        raise ValueError(f"rank bound --rmax {args.rmax} is not positive")
     store = _store(args, args.s)
     rows = []
     for r in range(1, args.rmax + 1):

@@ -12,12 +12,16 @@ the Littlewood-Richardson backend.
 One numpy kernel, ``_horn_survivors``, applies that test for every
 arity and cycle type, in chunks of bounded size; it serves the level
 tables and the census ``count_intersecting``.  ``horn_check`` is the
-definitional one-tuple check the tests compare it against.
+definitional one-tuple check the tests compare it against.  Swaps of
+equal-length cycles change neither a tuple's verdict nor the test sets
+(the Schubert product is commutative), so the kernel tests one sorted
+representative per orbit of them: the census weights it by its orbit
+size, and a level build expands the orbits once.
 
-A level table is the kernel's output: the index rows of its members,
-a zero-dim flag per row read off their dimension sums, and a point flag
-from one ``lr.point_coefficient`` per distinct multiset of parts among
-the zero-dim rows (the Schubert product is commutative).  Tables are
+A level table is the kernel's output, its orbits expanded: the index
+rows of its members in mask-key order, a zero-dim flag per row read off
+their dimension sums, and a point flag from one ``lr.point_coefficient``
+per distinct multiset of parts among the zero-dim rows.  Tables are
 immutable once published and keyed by (size, ambient, cycle
 type-or-None).  The key alone fixes the lower levels a build reads, so
 ``HornStore.table`` hands out any level on first use: it builds those
@@ -28,10 +32,11 @@ sha256 digest.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import uuid
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -303,9 +308,23 @@ class HornStore:
     def _compute_table(self, size, ambient, sigma):
         s = self.arity
         subs = all_subsets(size, ambient)
-        rows = np.concatenate([np.zeros((0, s), dtype=np.intp),
+        reps = np.concatenate([np.zeros((0, s), dtype=np.intp),
                                *_horn_survivors(size, ambient, s, sigma,
                                                 self._test_sets(size, sigma))])
+        # expand each orbit: apply every permutation of the cycles that
+        # keeps their lengths to one index per cycle, then sort and dedupe
+        # the rows as integer keys (in mask-key order).  np.unique would
+        # import numpy.ma for its hash path, about 0.5 MB resident.
+        lengths = (1,) * s if sigma is None else sigma
+        free = reps[:, np.cumsum((0,) + lengths[:-1])].T
+        shape = (len(subs),) * len(lengths)
+        keys = np.sort(np.concatenate([
+            np.ravel_multi_index(free[list(p)], shape)
+            for p in itertools.permutations(range(len(lengths)))
+            if [lengths[i] for i in p] == list(lengths)]))
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        rows = np.stack(np.unravel_index(keys, shape), axis=1)[
+            :, np.repeat(np.arange(len(lengths)), lengths)]
         dims = np.array([p.dim() for p in subs])
         zero_dim = dims[rows].sum(axis=1) == (s - 1) * size * (ambient - size)
         # the product is commutative: one coefficient per multiset of parts
@@ -330,17 +349,23 @@ def _composition_sums(size, ambient, d):
 
 def _horn_survivors(size, ambient, s, sigma, tests):
     """Yield, in mask-key order, chunks of the (M, s) index rows into
-    all_subsets(size, ambient) of the tuples that are fixed by the cycle
-    type ``sigma`` (None: every tuple), have nonnegative expected
-    dimension and satisfy ``edim(tup o test) >= 0`` for every test tuple
-    in ``tests``: pairs (d, rows) of zero-expected-dimension tuples given
-    as (K, s) arrays of index rows into all_subsets(d, size).
+    all_subsets(size, ambient) of one representative per orbit of the
+    tuples that are fixed by the cycle type ``sigma`` (None: every
+    tuple), have nonnegative expected dimension and satisfy
+    ``edim(tup o test) >= 0`` for every test tuple in ``tests``: pairs
+    (d, rows) of zero-expected-dimension tuples given as (K, s) arrays of
+    index rows into all_subsets(d, size), each closed under the swaps
+    below, as the rows of every level are.
 
-    Candidates grow by one free index per cycle, weighted by its length;
-    a prefix is dropped once its dimension sum can no longer reach the
-    threshold, and each growth step is split to hold about _CHUNK_ROWS
-    rows.  The Horn inequality of one test tuple is a sum of per-part
-    gathers from the transposed composition sums.
+    The orbits are those of the swaps of cycles of equal length (for
+    None, all s! permutations of the parts), which leave each of these
+    conditions unchanged; a representative's indices do not decrease
+    within each run of equal cycle lengths.  Candidates grow by one free
+    index per cycle, weighted by its length, and never below the previous
+    index of their run; a prefix is dropped once its dimension sum can no
+    longer reach the threshold, and each growth step is split to hold
+    about _CHUNK_ROWS rows.  The Horn inequality of one test tuple is a
+    sum of per-part gathers from the transposed composition sums.
     """
     lengths = (1,) * s if sigma is None else sigma
     column = np.repeat(np.arange(len(lengths)), lengths)
@@ -375,8 +400,10 @@ def _horn_survivors(size, ambient, s, sigma, tests):
             return
         gain = lengths[k] * dims
         for lo in range(0, len(sums), step):
-            i, j = np.nonzero(sums[lo:lo + step, None] + gain
-                              >= threshold - reach[k + 1])
+            keep = sums[lo:lo + step, None] + gain >= threshold - reach[k + 1]
+            if k and lengths[k] == lengths[k - 1]:
+                keep &= np.arange(len(dims)) >= free[k - 1, lo:lo + step, None]
+            i, j = np.nonzero(keep)
             i += lo
             yield from grow(np.vstack((free[:, i], j)), sums[i] + gain[j],
                             k + 1)
@@ -416,13 +443,20 @@ class IntersectingCount(NamedTuple):
 
 def count_intersecting(size, ambient, store):
     """Count the intersecting tuples of Subsets(size, ambient, s) without
-    materializing them, using the store's lower levels."""
+    materializing them, using the store's lower levels.  Each sorted
+    representative the kernel yields stands for its s!/prod(m!)
+    orderings, m running over the multiplicities of its parts."""
     s = store.arity
     dims = np.array([p.dim() for p in all_subsets(size, ambient)])
     total = diagonal = diagonal_zero = 0
     for rows in _horn_survivors(size, ambient, s, None,
                                 store._test_sets(size, None)):
-        total += len(rows)
+        # run: how many parts so far equal this one; ties: prod(m!)
+        run = ties = np.ones(len(rows), dtype=np.int64)
+        for k in range(1, s):
+            run = np.where(rows[:, k] == rows[:, k - 1], run + 1, 1)
+            ties = ties * run
+        total += int((factorial(s) // ties).sum())
         diag = rows[(rows == rows[:, :1]).all(axis=1), 0]
         diagonal += len(diag)
         diagonal_zero += int(np.sum(s * dims[diag]

@@ -203,6 +203,23 @@ def test_4_intersecting_census_5_10():
             f"total={cnt.total} fixed={cnt.diagonal} zero-dim fixed=0")
 
 
+@pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                    reason="(5,11) census check is optional; set RUN_OPTIONAL=1")
+def test_4b_intersecting_census_5_11():
+    # no total is frozen: the census is checked against Grassmann duality
+    # Gr(5, 11) = Gr(6, 11) and its diagonal against the restricted level
+    t0 = time.monotonic()
+    store = HornStore(arity=3)
+    cnt = count_intersecting(5, 11, store)
+    assert cnt == count_intersecting(6, 11, store)
+    table = store.table(5, 11, (3,))
+    assert cnt.diagonal == len(table)
+    assert cnt.diagonal_zero_dim == len(table.zero_dim_members())
+    _report("4b census at (5,11)", time.monotonic() - t0, 1800,
+            f"total={cnt.total} fixed={cnt.diagonal} "
+            f"zero-dim fixed={cnt.diagonal_zero_dim}")
+
+
 # -- 5: the rank-6 repeated-spectrum system and its redundant row -------
 
 def test_5_rank6_repeated_spectrum_system(store):

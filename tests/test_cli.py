@@ -237,6 +237,8 @@ class TestCycleTypeCheck:
     (["system", "--r", "0"], "rank"),
     (["tables", "--rmax", "3", "--s", "0"], "arity"),
     (["crosscheck", "--r", "0", "--n", "3"], "size"),
+    (["tables", "--rmax", "0"], "rank"),
+    (["tables", "--rmax", "-1"], "rank"),
 ])
 def test_rank_arity_or_size_out_of_range(capsys, argv, word):
     code, out, err = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import tracemalloc
@@ -30,6 +31,22 @@ from horncone.subsets import (
 
 def T(*lists, ambient):
     return SubsetTuple.of(*lists, ambient=ambient)
+
+
+def orbits(reps, s, sigma=None):
+    """The orbit of each kernel representative under the swaps of
+    equal-length cycles, as a set of index-row tuples."""
+    lengths = sigma or (1,) * s
+    starts = [sum(lengths[:k]) for k in range(len(lengths))]
+    swaps = [p for p in itertools.permutations(range(len(lengths)))
+             if all(lengths[i] == lengths[k] for k, i in enumerate(p))]
+    return [{tuple(row[starts[i]] for k, i in enumerate(p)
+                   for _ in range(lengths[k])) for p in swaps}
+            for row in reps]
+
+
+def expanded(reps, s, sigma=None):
+    return sorted(set().union(*orbits(reps, s, sigma)))
 
 
 class TestNormalizeCycleType:
@@ -279,10 +296,11 @@ class TestAlternativeTestSets:
                     table = store.table(d, r)
                     point = np.array(table.point, dtype=bool)
                     tests.append((d, table.rows[point]))
-                rows = [row
+                reps = [row
                         for chunk in _horn_survivors(r, n, 3, None, tests)
                         for row in chunk.tolist()]
-                assert rows == store.table(r, n).rows.tolist()
+                assert expanded(reps, 3) == \
+                    list(map(tuple, store.table(r, n).rows.tolist()))
 
 
 class TestKernelAgainstHornCheck:
@@ -316,8 +334,34 @@ class TestKernelAgainstHornCheck:
         chunks = list(_horn_survivors(3, 6, 3, None, tests))
         assert len(chunks) > 1
         assert max(len(c) for c in chunks) <= 100
-        rows = [row for c in chunks for row in c.tolist()]
-        assert rows == store.table(3, 6).rows.tolist()
+        reps = [row for c in chunks for row in c.tolist()]
+        assert expanded(reps, 3) == \
+            list(map(tuple, store.table(3, 6).rows.tolist()))
+
+    @pytest.mark.parametrize("s, sigma", [
+        (s, sigma) for s in (2, 3, 4)
+        for sigma in (None, (1, 2), (3,), (2, 2), (1, 3), (1, 1, 2))
+        if sigma is None or sum(sigma) == s
+    ])
+    def test_one_representative_per_orbit(self, s, sigma):
+        store = HornStore(arity=s)
+        lengths = sigma or (1,) * s
+        starts = [sum(lengths[:k]) for k in range(len(lengths))]
+        for n in range(1, 6):
+            for r in range(1, n + 1):
+                reps = [row for chunk in _horn_survivors(
+                            r, n, s, sigma, store._test_sets(r, sigma))
+                        for row in chunk.tolist()]
+                # indices do not decrease within a run of equal lengths
+                for row in reps:
+                    for k in range(1, len(lengths)):
+                        if lengths[k] == lengths[k - 1]:
+                            assert row[starts[k]] >= row[starts[k - 1]], row
+                # the orbits are disjoint and make up the level
+                found = orbits(reps, s, sigma)
+                members = set(map(tuple, store.table(r, n, sigma).rows.tolist()))
+                assert sum(map(len, found)) == len(members)
+                assert set().union(*found) == members
 
 
 class TestTableRows:
@@ -413,9 +457,14 @@ class TestOtherArities:
 
 class TestCountIntersecting:
     def test_matches_tables_small(self, store):
-        for (r, n) in [(1, 4), (2, 4), (2, 5), (3, 5)]:
-            cnt = count_intersecting(r, n, store)
-            table = store.table(r, n)
+        # every orbit-weight pattern: a sorted row of s parts stands for
+        # s!/prod(m!) tuples
+        stores = {3: store}
+        for s, r, n in [(3, 1, 4), (3, 2, 4), (3, 2, 5), (3, 3, 5),
+                        (1, 2, 4), (2, 3, 7), (4, 2, 5), (4, 3, 6)]:
+            level_store = stores.setdefault(s, HornStore(arity=s))
+            cnt = count_intersecting(r, n, level_store)
+            table = level_store.table(r, n)
             assert cnt.total == len(table)
             diag = [t for t in table.members if all(p == t.parts[0] for p in t.parts)]
             assert cnt.diagonal == len(diag)
