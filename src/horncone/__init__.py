@@ -30,7 +30,6 @@ from .lr import (
     classify,
     lr_coefficient,
     schubert_product,
-    subset_to_schubert_partition,
 )
 from .horn import (
     HornStore,
@@ -38,7 +37,6 @@ from .horn import (
     NotSigmaStable,
     count_intersecting,
     cross_check,
-    horn_check,
 )
 from .cone import (
     InequalitySystem,
@@ -71,9 +69,8 @@ __all__ = [
     "gap_partition", "group_into_orbits", "orbit_representative",
     "schubert_partitions", "slope", "stable_tuples",
     "IntersectionClass", "classify", "lr_coefficient", "schubert_product",
-    "subset_to_schubert_partition",
     "HornStore", "HornTable", "NotSigmaStable",
-    "count_intersecting", "cross_check", "horn_check",
+    "count_intersecting", "cross_check",
     "InequalitySystem", "SpectrumFamily", "generate_system", "lr_membership",
     "member", "shift_rescale",
     "is_redundant", "minimize_system", "redundancy_report", "solve_lp",

@@ -53,8 +53,8 @@ def _fmt_tuple(tup):
 def cmd_tuples(args):
     sigma = _parse_sigma(args.sigma)
     table = _store(args, args.s).table(args.d, args.r, sigma)
-    flag = {"all": None, "0": "zero_dim", "00": "point"}[args.level]
-    chosen = [tup for tup, _ in table.select(flag)]
+    chosen = {"all": lambda: table.members, "0": table.zero_dim_members,
+              "00": table.point_members}[args.level]()
     # without --sigma the mark is "all parts equal", which is being fixed
     # by the full s-cycle
     perm = Permutation.from_cycle_type(sigma or (args.s,))
@@ -106,7 +106,7 @@ def cmd_system(args):
             f"cone rank {args.r}, arity {args.s}, "
             f"sigma {sigma if sigma else 'none'}, level {args.level}",
             f"counts: total {system.count} = equality 2 + chamber "
-            f"{system.chamber_count} + horn {len(system.horn)}",
+            f"{system.chamber_count} + horn {system.count - 2 - system.chamber_count}",
         ]
         for con in system.constraints():
             lines.append(f"  [{con.index:>3}] {con.describe()}")

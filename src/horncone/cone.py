@@ -9,9 +9,9 @@ intersecting tuple of each level d < r.  When the family is required to
 be fixed by a coordinate permutation, the Horn rows shrink to the tuples
 fixed by it and the chamber rows to one run per cycle.
 
-Each system is one exact integer matrix, built on first use from its
-constraint list; membership decisions, the CSV output and the redundancy
-LPs all read it.
+A system keeps its Horn rows as index arrays and builds one exact
+integer matrix from them on first use, which membership decisions, the
+CSV output and the LPs read; row objects are built only where read.
 
 All arithmetic is exact: spectra and t are `fractions.Fraction` values,
 serialized as "p/q" strings.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from fractions import Fraction
 from functools import cached_property
@@ -28,8 +29,10 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .horn import HornStore, NotSigmaStable, normalize_cycle_type
-from .subsets import Permutation, Subset, SubsetTuple
+from .subsets import Permutation, Subset, SubsetTuple, all_subsets
 
 
 def _frac(x):
@@ -186,21 +189,19 @@ class InequalitySystem:
     t; without a symmetry restriction every spectrum is its own cycle.
     The advertised ``count`` follows the convention that the trace
     equality contributes two inequalities and the chamber rows are
-    included.
+    included.  ``levels`` holds the Horn rows in order as (d, rows,
+    point) triples: (K, s) positions in all_subsets(d, r), K flags.
     """
 
-    def __init__(self, r, s, sigma, level, horn_rows):
+    def __init__(self, r, s, sigma, level, levels):
         self.r = r
         self.s = s
         self.sigma = normalize_cycle_type(sigma, s)
         self.level = level
-        if self.sigma is None:
-            self.cycles = tuple((l,) for l in range(1, s + 1))
-        else:
-            self.cycles = tuple(
-                Permutation.from_cycle_type(self.sigma).cycles()
-            )
-        self.horn = tuple(horn_rows)
+        self.cycles = tuple(
+            Permutation.from_cycle_type(self.sigma or (1,) * s).cycles())
+        self.levels = tuple((d, np.asarray(rows, dtype=np.intp).reshape(len(point), s),
+                             np.asarray(point, dtype=bool)) for d, rows, point in levels)
         # at rank 2 (plain, three summands) the reduced system drops the
         # chamber rows: the trace equality plus the Horn rows imply them
         self._chamber_on = not (
@@ -213,27 +214,38 @@ class InequalitySystem:
 
     @property
     def count(self):
-        return 2 + self.chamber_count + len(self.horn)
+        return 2 + self.chamber_count + sum(len(p) for _, _, p in self.levels)
 
     @property
     def num_vars(self):
         return len(self.cycles) * self.r + 1
 
+    def constraint(self, k):
+        """Row k in canonical order, built alone: the two trace directions,
+        chamber rows by (cycle, position), Horn rows by (level, mask key)."""
+        if not 0 <= k < self.count:
+            raise IndexError(f"row {k} of a system of {self.count} rows")
+        if k < 2:
+            return Constraint(("trace_le", "trace_ge")[k], k, None)
+        if k < 2 + self.chamber_count:
+            c, i = divmod(k - 2, self.r - 1)
+            return Constraint("chamber", k, (c, i + 1))
+        j = k - 2 - self.chamber_count
+        for d, rows, point in self.levels:
+            if j < len(rows):
+                tup = SubsetTuple(all_subsets(d, self.r)[i] for i in rows[j].tolist())
+                return Constraint("horn", k, HornRow(
+                    d, tup, self.sigma is not None, bool(point[j])))
+            j -= len(rows)
+
     def constraints(self):
-        """All rows in canonical order: the two trace directions, the
-        chamber rows by (cycle, position), then the Horn rows by
-        (level, mask key)."""
-        rows = [Constraint("trace_le", 0, None), Constraint("trace_ge", 1, None)]
-        k = 2
-        if self._chamber_on:
-            for c in range(len(self.cycles)):
-                for i in range(1, self.r):
-                    rows.append(Constraint("chamber", k, (c, i)))
-                    k += 1
-        for row in self.horn:
-            rows.append(Constraint("horn", k, row))
-            k += 1
-        return rows
+        """All rows in canonical order."""
+        return [self.constraint(k) for k in range(self.count)]
+
+    @cached_property
+    def horn(self):
+        """The HornRow of every Horn row, in order."""
+        return tuple(con.meta for con in self.constraints()[2 + self.chamber_count:])
 
     # -- the coefficient matrix -----------------------------------------
 
@@ -249,31 +261,24 @@ class InequalitySystem:
     def matrix(self):
         """Exact integer coefficients, one row per constraint in canonical
         order: row a means ``a . x <= 0``, where x holds the spectrum of
-        each cycle (columns ``c*r`` to ``c*r + r - 1``) followed by t."""
+        each cycle (columns ``c*r`` to ``c*r + r - 1``) followed by t; a
+        Horn row sums the incidence rows of its parts over each cycle."""
         r = self.r
-        cycle_of = {l: c for c, cyc in enumerate(self.cycles) for l in cyc}
-        weights = [len(cyc) for cyc in self.cycles for _ in range(r)]
-        rows = []
-        for con in self.constraints():
-            if con.kind == "trace_le":
-                rows.append((*weights, -r))
-                continue
-            if con.kind == "trace_ge":
-                rows.append((*(-w for w in weights), r))
-                continue
-            vec = [0] * self.num_vars
-            if con.kind == "chamber":
-                c, i = con.meta
-                vec[c * r + i] = 1
-                vec[c * r + i - 1] = -1
-            else:
-                row = con.meta
-                for l, part in enumerate(row.tup.parts, start=1):
-                    for j in part.elements:
-                        vec[cycle_of[l] * r + j - 1] += 1
-                vec[-1] = -row.d
-            rows.append(tuple(vec))
-        return tuple(rows)
+        trace = [len(cyc) for cyc in self.cycles for _ in range(r)] + [-r]
+        # entry i + 1 minus entry i, for each cycle in turn; t is not read
+        step = np.eye(r - 1, r, 1, dtype=np.int64) - np.eye(r - 1, r, dtype=np.int64)
+        chamber = np.kron(np.eye(len(self.cycles), dtype=np.int64), step)
+
+        def blocks():  # one level at a time, so only one is held as int64
+            yield np.array([trace, [-w for w in trace]])
+            yield np.pad(chamber, ((0, 0), (0, 1)))[:self.chamber_count]
+            for d, rows, _ in self.levels:
+                incidence = np.array([[j in sub for j in range(1, r + 1)]
+                                      for sub in all_subsets(d, r)], dtype=np.int64)
+                sums = [incidence[rows[:, [l - 1 for l in cyc]]].sum(axis=1)
+                        for cyc in self.cycles]
+                yield np.hstack(sums + [np.full((len(rows), 1), -d)])
+        return tuple(tuple(row) for block in blocks() for row in block.tolist())
 
     # -- membership -----------------------------------------------------
 
@@ -311,7 +316,7 @@ class InequalitySystem:
         numerators, denom = self.excesses(point)
         for k, num in enumerate(numerators):
             if num > 0:
-                violation = Violation(self.constraints()[k], Fraction(num, denom))
+                violation = Violation(self.constraint(k), Fraction(num, denom))
                 return MembershipVerdict(False, violation)
         return MembershipVerdict(True, None)
 
@@ -345,31 +350,32 @@ class InequalitySystem:
     def from_json(cls, data):
         if data.get("schema") != 1:
             raise ValueError("unsupported system schema")
-        rows = [
-            HornRow(
-                h["d"],
-                SubsetTuple(Subset(e, data["r"]) for e in h["tuple"]),
-                h["sigma_stable"],
-                h["is00"],
-            )
-            for h in data["horn"]
-        ]
-        return cls(data["r"], data["s"], data["sigma"], data["level"], rows)
+        levels = []
+        for d, group in itertools.groupby(data["horn"], key=lambda h: h["d"]):
+            group = list(group)
+            tuples = [SubsetTuple(Subset(e, data["r"]) for e in h["tuple"])
+                      for h in group]
+            if any((t.size, t.arity) != (d, data["s"]) for t in tuples):
+                raise ValueError(f"a level-{d} row has another shape")
+            levels.append((d, [[p.rank() for p in t] for t in tuples],
+                           [h["is00"] for h in group]))
+        return cls(data["r"], data["s"], data["sigma"], data["level"], levels)
 
     def to_csv(self):
-        """One row per constraint with the coefficient columns."""
-        names = self._variable_names()
+        """One row per constraint with the coefficient columns; a Horn
+        row's tuple text joins the JSON text of its parts' subsets."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["kind", "d", "tuple", *names])
-        for con, vec in zip(self.constraints(), self.matrix):
-            if con.kind == "horn":
-                d = con.meta.d
-                tup = json.dumps(con.meta.tup.to_json())
-            else:
-                d = ""
-                tup = ""
-            writer.writerow([con.kind, d, tup, *[str(x) for x in vec]])
+        writer.writerow(["kind", "d", "tuple", *self._variable_names()])
+
+        def heads():  # streamed, as the rows are written
+            for kind in ["trace_le", "trace_ge"] + ["chamber"] * self.chamber_count:
+                yield [kind, "", ""]
+            for d, rows, _ in self.levels:
+                text = [json.dumps(sub.to_json()) for sub in all_subsets(d, self.r)]
+                for row in rows.tolist():
+                    yield ["horn", d, "[" + ", ".join(text[i] for i in row) + "]"]
+        writer.writerows(head + list(vec) for head, vec in zip(heads(), self.matrix))
         return buf.getvalue()
 
 
@@ -398,11 +404,9 @@ def generate_system(r, s=3, sigma=None, level="full0", store=None):
     # every level (d, n) with d < r and n <= r, not only the (d, r) the
     # rows come from: readers of a cache directory expect them all
     store.build_through(r - 1, r, sigma)
-    flag = table_flag[level]
-    rows = [HornRow(d, tup, sigma is not None, is_point)
-            for d in range(1, r)
-            for tup, is_point in store.table(d, r, sigma).select(flag)]
-    return InequalitySystem(r, s, sigma, level, rows)
+    levels = [(d, *store.table(d, r, sigma).select(table_flag[level]))
+              for d in range(1, r)]
+    return InequalitySystem(r, s, sigma, level, levels)
 
 
 def member(point, system):

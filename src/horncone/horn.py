@@ -10,24 +10,26 @@ likewise-restricted test sets), and cross-checks the recursion against
 the Littlewood-Richardson backend.
 
 One numpy kernel, ``_horn_survivors``, applies that test for every
-arity and cycle type, in chunks of bounded size; it serves the level
-tables and the census ``count_intersecting``.  ``horn_check`` is the
-definitional one-tuple check the tests compare it against.  Swaps of
-equal-length cycles change neither a tuple's verdict nor the test sets
+arity and cycle type, in chunks of bounded size; it serves the lower
+half of the level tables and the census ``count_intersecting``.  Swaps
+of equal-length cycles change neither a tuple's verdict nor the test sets
 (the Schubert product is commutative), so the kernel tests one sorted
 representative per orbit of them: the census weights it by its orbit
 size, and a level build expands the orbits once.
 
-A level table is the kernel's output, its orbits expanded: the index
-rows of its members in mask-key order, a zero-dim flag per row read off
-their dimension sums, and a point flag from one ``lr.point_coefficient``
-per distinct multiset of parts among the zero-dim rows.  Tables are
-immutable once published and keyed by (size, ambient, cycle
-type-or-None).  The key alone fixes the lower levels a build reads, so
-``HornStore.table`` hands out any level on first use: it builds those
-levels as it needs them, and nothing has to be built beforehand.  A
-store may persist the tables as JSON files (schema 2) that carry a
-sha256 digest.
+A level (d, n) with d <= n/2 or d = n is the kernel's output, its
+orbits expanded: the index rows of its members in mask-key order, a
+zero-dim flag per row read off their dimension sums, and a point flag
+from one ``lr.point_coefficient`` per distinct multiset of parts among
+the zero-dim rows.  Every other level is read off its Grassmann dual
+(n - d, n): Gr(d, n) = Gr(n - d, n) sends each part I to
+{n + 1 - j : j not in I} and keeps expected dimensions and LR
+coefficients, so the dual's rows are mapped and re-sorted with their
+flags, and no kernel or LR call runs.  Tables are immutable once
+published and keyed by (size, ambient, cycle type-or-None).  The key
+alone fixes the levels a build reads, so ``HornStore.table`` hands out
+any level on first use, building those levels as it needs them.  A
+store may persist the tables as JSON files (schema 2) with a sha256.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lr
-from .subsets import (
+from .subsets import (  # noqa: F401  (perfbench traces horn.expected_dim)
     Permutation,
+    Subset,
     SubsetTuple,
     all_subsets,
     expected_dim,
@@ -126,8 +129,7 @@ class HornTable:
             return (False, False, False)
         lo, hi = 0, len(self.rows)
         for k, part in enumerate(tup.parts):
-            # mask order is colex order, in which this is a subset's rank
-            i = sum(comb(j - 1, c) for c, j in enumerate(part.elements, 1))
+            i = part.rank()
             a, b = self.rows[lo:hi, k].searchsorted((i, i + 1)).tolist()
             lo, hi = lo + a, lo + b
         if lo == hi:
@@ -158,11 +160,11 @@ class HornTable:
         return self._tuples(self._point)
 
     def select(self, flag=None):
-        """(tuple, point flag) pairs of every member, or of the members
+        """The index rows and point flags of every member, or of those
         whose ``flag`` ("zero_dim" or "point") is set, in mask order."""
         keep = {None: slice(None), "zero_dim": self._zero_dim,
                 "point": self._point}[flag]
-        return list(zip(self._tuples(keep), self._point[keep].tolist()))
+        return self.rows[keep], self._point[keep]
 
     @property
     def key(self):
@@ -213,8 +215,9 @@ class HornStore:
     """Level tables for one arity, each built on first use.
 
     ``table(size, ambient, sigma)`` returns the published level, or else
-    reads it from the cache, or else builds it, together with the lower
-    levels (d, size), d < size, that its Horn tests read.
+    reads it from the cache, or else builds it from the lower levels
+    (d, size), d < size, that its Horn tests read, or, above the middle,
+    from its dual level (ambient - size, ambient).
     ``cache_dir``, when given, enables JSON persistence (one file per
     table under a schema-versioned directory).
     """
@@ -306,6 +309,17 @@ class HornStore:
         return [(t.size, t.rows[t._zero_dim]) for t in tables]
 
     def _compute_table(self, size, ambient, sigma):
+        if not size < ambient < 2 * size:
+            return self._kernel_table(size, ambient, sigma)
+        # above the middle: read off the Grassmann dual (module docstring)
+        low = self.table(ambient - size, ambient, sigma)
+        rows = _dual_positions(ambient - size, ambient)[low.rows]
+        order = np.lexsort(rows.T[::-1])
+        return HornTable(size, ambient, self.arity, sigma, rows[order],
+                         low._zero_dim[order], low._point[order])
+
+    def _kernel_table(self, size, ambient, sigma):
+        """The level as the Horn filter and the LR backend build it."""
         s = self.arity
         subs = all_subsets(size, ambient)
         reps = np.concatenate([np.zeros((0, s), dtype=np.intp),
@@ -337,6 +351,14 @@ class HornStore:
         point = np.zeros(len(rows), dtype=bool)
         point[zero_dim] = is_point[which.reshape(-1)]
         return HornTable(size, ambient, s, sigma, rows, zero_dim, point)
+
+
+def _dual_positions(size, ambient):
+    """Position in all_subsets(ambient - size, ambient) of the dual
+    {ambient + 1 - j : j not in I} of each I in all_subsets(size, ambient)."""
+    return np.array([Subset([ambient + 1 - j for j in range(ambient, 0, -1)
+                             if j not in p], ambient).rank()
+                     for p in all_subsets(size, ambient)])
 
 
 def _composition_sums(size, ambient, d):
@@ -409,26 +431,6 @@ def _horn_survivors(size, ambient, s, sigma, tests):
                             k + 1)
 
     yield from grow(np.zeros((0, 1), dtype=np.intp), np.zeros(1, np.int64), 0)
-
-
-def horn_check(tup, store, sigma=None):
-    """Decide whether a tuple is intersecting from the Horn inequalities
-    against the store's lower levels (the symmetry-restricted ones when a
-    cycle type is given, in which case the tuple itself must be fixed by
-    the permutation)."""
-    sigma = normalize_cycle_type(sigma, store.arity)
-    if sigma is not None and not tup.is_stable(
-            Permutation.from_cycle_type(sigma)):
-        raise NotSigmaStable(f"{tup!r} is moved by the cycle type {sigma}")
-    if expected_dim(tup) < 0:
-        return False
-    r = tup.size
-    for d in range(1, r):
-        table = store.table(d, r, sigma)
-        for test in table.zero_dim_members():
-            if expected_dim(tup.compose(test)) < expected_dim(test):
-                return False
-    return True
 
 
 class IntersectingCount(NamedTuple):

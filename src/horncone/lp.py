@@ -144,7 +144,7 @@ def _row_verdict(system, index, others, fix_t_zero):
     vectors = [a[:-1] if fix_t_zero else a for a in system.matrix]
     value = solve_lp(vectors[index],
                      [vectors[k] for k in others if k != index]).value
-    kind = system.constraints()[index].kind
+    kind = system.constraint(index).kind
     return RowVerdict(index, kind, value > 0, value)
 
 

@@ -116,43 +116,35 @@ def schur_product_in_box(lam, mu, rows, cols):
 def schubert_product(partitions, grassmannian):
     """Product of Schubert classes in H*(Gr(r, n)), as a dict mapping box
     partitions to positive integer coefficients.  Empty dict means the
-    product is zero.  The fold truncates to the box after every step."""
+    product is zero.  The fold starts at the first class (the unit when
+    there is none) and truncates to the box after every product."""
     r, n = grassmannian
     rows, cols = r, n - r
-    vec = {(): 1}
-    for lam in partitions:
-        lam = normalize_partition(lam)
-        if not fits_box(lam, rows, cols):
-            return {}
+    lams = [normalize_partition(lam) for lam in partitions]
+    if not all(fits_box(lam, rows, cols) for lam in lams):
+        return {}
+    vec = {lams.pop(0) if lams else (): 1}
+    for lam in lams:
         new = {}
         for key, coeff in vec.items():
             for nu, c in schur_product_in_box(key, lam, rows, cols):
                 new[nu] = new.get(nu, 0) + coeff * c
         vec = new
-        if not vec:
-            return {}
     return vec
 
 
 def point_coefficient(partitions, r, n):
     """Coefficient of the point class in the product of the Schubert
     classes ``partitions`` (inside the r x (n-r) box) in H*(Gr(r, n)): the
-    first s - 2 classes are multiplied out, and each term c * sigma_nu adds
-    c * c(nu, lambda_{s-1}; lambda_s^vee), lambda_s^vee being the box
-    complement of the last class.  A lone class is paired with the unit."""
+    first s - 2 classes are multiplied out (for s = 3, the first class),
+    and each term c * sigma_nu adds c * c(nu, lambda_{s-1}; lambda_s^vee),
+    lambda_s^vee being the box complement of the last class.  A lone class
+    is paired with the unit.  Level builds call it below the middle only."""
     *head, lam, last = [()] * (2 - len(partitions)) + list(partitions)
     last = tuple(last) + (0,) * (r - len(last))
     dual = [n - r - x for x in reversed(last)]
     return sum(c * lr_coefficient(nu, lam, dual)
                for nu, c in schubert_product(head, (r, n)).items())
-
-
-def subset_to_schubert_partition(subset, n=None):
-    """Partition of the Schubert class of a subset of [1..n]; the weight
-    of the result is the codimension of the class in Gr(size, n)."""
-    if n is not None and n != subset.ambient:
-        raise ValueError(f"subset lives in [1..{subset.ambient}], not [1..{n}]")
-    return subset.schubert_partition()
 
 
 KIND_ZERO = "zero"

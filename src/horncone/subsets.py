@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 
 class InvalidShift(ValueError):
@@ -90,6 +91,10 @@ class Subset:
 
     def __repr__(self):
         return f"Subset({list(self.elements)}, {self.ambient})"
+
+    def rank(self):
+        """Position in all_subsets(size, ambient): the colex rank."""
+        return sum(comb(j - 1, c) for c, j in enumerate(self.elements, 1))
 
     def dim(self):
         """Dimension of the Schubert variety indexed by this subset:

@@ -5,6 +5,9 @@ counter enumerates every filling with no pruning, and the invariant
 dimension comes from Gelfand-Tsetlin weight multiplicities plus the
 alternating Weyl-group sum, not from any Littlewood-Richardson rule.
 ``orbit`` lists the coordinate permutations of a tuple.
+``horn_check`` is the definitional one-tuple Horn check that the level
+tables are compared against, and ``subset_to_schubert_partition`` the
+checked form of a subset's Schubert partition.
 ``reference_lp`` is a general two-phase simplex over ``Fraction`` with
 Bland's rule, the reference for the library's integer box LP.
 """
@@ -14,7 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from horncone.subsets import SubsetTuple
+from horncone.horn import NotSigmaStable, normalize_cycle_type
+from horncone.subsets import Permutation, SubsetTuple, expected_dim
 
 
 def naive_lr(lam, mu, nu):
@@ -137,6 +141,34 @@ def _perm_sign(perm):
 def orbit(tup):
     """The set of distinct coordinate permutations of a tuple."""
     return {SubsetTuple(p) for p in itertools.permutations(tup.parts)}
+
+
+def horn_check(tup, store, sigma=None):
+    """Decide whether a tuple is intersecting from the Horn inequalities
+    against the store's lower levels (the symmetry-restricted ones when a
+    cycle type is given, in which case the tuple itself must be fixed by
+    the permutation)."""
+    sigma = normalize_cycle_type(sigma, store.arity)
+    if sigma is not None and not tup.is_stable(
+            Permutation.from_cycle_type(sigma)):
+        raise NotSigmaStable(f"{tup!r} is moved by the cycle type {sigma}")
+    if expected_dim(tup) < 0:
+        return False
+    r = tup.size
+    for d in range(1, r):
+        table = store.table(d, r, sigma)
+        for test in table.zero_dim_members():
+            if expected_dim(tup.compose(test)) < expected_dim(test):
+                return False
+    return True
+
+
+def subset_to_schubert_partition(subset, n=None):
+    """Partition of the Schubert class of a subset of [1..n]; the weight
+    of the result is the codimension of the class in Gr(size, n)."""
+    if n is not None and n != subset.ambient:
+        raise ValueError(f"subset lives in [1..{subset.ambient}], not [1..{n}]")
+    return subset.schubert_partition()
 
 
 # -- the reference LP -------------------------------------------------

@@ -132,6 +132,24 @@ class TestGenerateSystem:
         assert [r.tup for r in back.horn] == [r.tup for r in system.horn]
         assert [r.is_point for r in back.horn] == [r.is_point for r in system.horn]
 
+    def test_json_row_of_another_shape(self, store):
+        data = generate_system(3, 3, None, "full0", store).to_json()
+        assert data["horn"][0]["d"] == 1
+        for tup in ([[1, 2], [1, 2], [2, 3]], [[1], [2]]):
+            data["horn"][0]["tuple"] = tup
+            with pytest.raises(ValueError, match="another shape"):
+                InequalitySystem.from_json(data)
+
+    def test_one_row_at_a_time(self, store):
+        system = generate_system(4, 3, (1, 2), "full0", store)
+        assert [system.constraint(k) for k in range(system.count)] == \
+            system.constraints()
+        assert system.horn == tuple(c.meta for c in system.constraints()
+                                    if c.kind == "horn")
+        for k in (-1, system.count):
+            with pytest.raises(IndexError):
+                system.constraint(k)
+
     def test_csv_shape(self, store):
         system = generate_system(2, 3, None, "full0", store)
         lines = system.to_csv().strip().split("\n")

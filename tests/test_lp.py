@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from horncone.cone import SpectrumFamily, generate_system, member
+from horncone.cone import InequalitySystem, SpectrumFamily, generate_system, member
 from horncone.lp import (
     is_redundant,
     minimize_system,
@@ -95,8 +95,11 @@ class TestAgainstReference:
 class TestRedundancy:
     def test_duplicate_row_is_redundant(self, store):
         # a literal copy of a row is always implied by its twin
-        doubled = generate_system(2, 3, None, "full0", store)
-        doubled.horn = doubled.horn + (doubled.horn[0],)
+        system = generate_system(2, 3, None, "full0", store)
+        d, rows, point = system.levels[0]
+        doubled = InequalitySystem(2, 3, None, "full0",
+                                   [*system.levels, (d, rows[:1], point[:1])])
+        assert doubled.horn == system.horn + (system.horn[0],)
         dup_idx = doubled.constraints()[-1].index
         assert not is_redundant(doubled, dup_idx).essential
 

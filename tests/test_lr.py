@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from _oracles import naive_lr
+from _oracles import naive_lr, subset_to_schubert_partition
 from horncone.lr import (
     classify,
     fits_box,
@@ -12,7 +12,6 @@ from horncone.lr import (
     point_coefficient,
     schubert_product,
     schur_product_in_box,
-    subset_to_schubert_partition,
 )
 from horncone.subsets import Subset, SubsetTuple, all_subsets, all_tuples, expected_dim
 
