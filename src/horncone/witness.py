@@ -9,12 +9,16 @@ positive level is the numerical signature of an infeasible family.  The
 result is advisory only -- exact membership always comes from the cone
 description.
 
-Each projection step moves the whole family at once: the s matrices form
-one (s, r, r) array and LAPACK (``numpy.linalg.eigh``) diagonalizes the
-stack in a single call.  A candidate witness is then confirmed by a
-second, independent eigensolver: ``hermitian_eigh``, a self-contained
-cyclic Jacobi iteration for complex Hermitian matrices of small order,
-recomputes every spectrum in ``verify_witness``.
+Each projection step moves whole families at once: the s matrices of a
+family form one (s, r, r) array, the restarts that run together stack
+their families into one (k, s, r, r) array, and LAPACK
+(``numpy.linalg.eigh``) diagonalizes the stack in a single call.  A
+candidate witness is then confirmed by a second, independent
+eigensolver: ``hermitian_eigh``, a self-contained cyclic Jacobi
+iteration for complex Hermitian matrices of small order, recomputes
+every spectrum of a family in one call in ``verify_witness``.  Stacking
+changes no result: each attempt and each Jacobi diagonalization comes
+out bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -46,85 +50,125 @@ def hermitian_eigh(a, tol=1e-13, max_sweeps=60):
     rotations.  Returns (eigenvalues sorted decreasing, unitary V) with
     ``a ~= V diag(w) V*``.  Raises NumericalFailure if the off-diagonal
     norm does not fall below ``tol`` (scaled by the matrix norm) within
-    ``max_sweeps`` sweeps."""
-    a = _hermitize(np.asarray(a, dtype=complex).copy())
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-    scale = max(1.0, float(np.linalg.norm(a)))
-    threshold = tol * scale
+    ``max_sweeps`` sweeps, and ValueError on a non-square matrix or a
+    non-finite entry.
+
+    ``a`` may also be a stack (k, n, n); then w is (k, n) and V is
+    (k, n, n).  Each rotation runs on the matrices a solo call would
+    rotate and leaves the others untouched, so every matrix of the stack
+    gets exactly the result of a call on it alone."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[-1] if a.ndim else 0
+    if a.ndim not in (2, 3) or a.shape[-2] != n:
+        raise ValueError("matrix must be square, or a stack of square matrices")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    stack = _hermitize(a if a.ndim == 3 else a[None])
+    v = np.tile(np.eye(n, dtype=complex), (len(stack), 1, 1))
+    if n > 1:
+        _jacobi(stack, v, tol, max_sweeps)
+    w = stack.diagonal(axis1=-2, axis2=-1).real
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, -1)
+    v = np.take_along_axis(v, order[:, None, :], -1)
+    return (w, v) if a.ndim == 3 else (w[0], v[0])
+
+
+def _jacobi(a, v, tol, max_sweeps):
+    """Cyclic Jacobi sweeps on the stack ``a`` in place, accumulating
+    the rotations in ``v``.  A matrix stops sweeping once its
+    off-diagonal norm is below its threshold."""
+    n = a.shape[-1]
+    thresholds = np.array(
+        [tol * max(1.0, float(np.linalg.norm(m))) for m in a])
+    running = range(len(a))
     for _ in range(max_sweeps):
-        if _off_norm(a) <= threshold:
-            break
+        running = [i for i in running if _off_norm(a[i]) > thresholds[i]]
+        if not running:
+            return
+        idx = np.array(running)
+        small = thresholds[idx] / (n * n)
         for p in range(n - 1):
             for q in range(p + 1, n):
-                g = a[p, q]
-                if abs(g) <= threshold / (n * n):
-                    continue
-                _rotate(a, v, p, q)
-    else:
-        if _off_norm(a) > threshold:
-            raise NumericalFailure(
-                f"Jacobi sweep limit reached, off-diagonal norm {_off_norm(a):.3e}"
-            )
-    w = np.real(np.diag(a))
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+                g = a[idx, p, q]
+                rot = idx[np.hypot(g.real, g.imag) > small]
+                if rot.size:
+                    a[rot], v[rot] = _rotate(a[rot], v[rot], p, q)
+    off = [_off_norm(a[i]) for i in running]
+    if any(o > thresholds[i] for o, i in zip(off, running)):
+        raise NumericalFailure(
+            f"Jacobi sweep limit reached, off-diagonal norm {max(off):.3e}"
+        )
 
 
 def _rotate(a, v, p, q):
-    """Zero out a[p, q] by a unitary similarity: a phase on column q that
-    makes the entry real, followed by a real Givens rotation."""
-    g = a[p, q]
-    u = g / abs(g)
+    """Zero out a[:, p, q] by a unitary similarity on each matrix of the
+    stack: a phase on column q that makes the entry real, followed by a
+    real Givens rotation.  Returns the rotated a and v.
+
+    ``np.abs`` of a complex array (a vectorized path) and ``np.hypot``
+    of a tangent (the C library's) can differ from ``abs`` of one complex
+    number and ``math.hypot`` in the last bit.  The forms below round as
+    those do, so every eigenvalue equals that of the scalar Jacobi step
+    written with them."""
+    g = a[:, p, q]
+    u = (g / np.hypot(g.real, g.imag))[:, None]
     # phase: column q scaled by conj(u), row q by u
-    a[:, q] *= np.conj(u)
-    a[q, :] *= u
-    v[:, q] *= np.conj(u)
-    app = a[p, p].real
-    aqq = a[q, q].real
-    apq = a[p, q].real  # now real by construction
+    a[:, :, q] *= np.conj(u)
+    a[:, q, :] *= u
+    v[:, :, q] *= np.conj(u)
+    app = a[:, p, p].real
+    aqq = a[:, q, q].real
+    apq = a[:, p, q].real  # now real by construction
     tau = (aqq - app) / (2.0 * apq)
-    if tau >= 0:
-        t = 1.0 / (tau + math.hypot(1.0, tau))
-    else:
-        t = -1.0 / (-tau + math.hypot(1.0, tau))
-    c = 1.0 / math.hypot(1.0, t)
-    s = t * c
+    root = np.array([math.hypot(1.0, x) for x in tau.tolist()])
+    # the smaller root of t^2 + 2 tau t = 1; (-tau + root) would be 0 for
+    # a large positive tau, so the sign is applied after the division
+    t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + root)
+    c = 1.0 / np.array([math.hypot(1.0, x) for x in t.tolist()])
+    s = (t * c)[:, None]
+    c = c[:, None]
     # columns, then rows (the rotation is real so the adjoint is the
     # transpose)
-    colp = a[:, p].copy()
-    colq = a[:, q].copy()
-    a[:, p] = c * colp - s * colq
-    a[:, q] = s * colp + c * colq
-    rowp = a[p, :].copy()
-    rowq = a[q, :].copy()
-    a[p, :] = c * rowp - s * rowq
-    a[q, :] = s * rowp + c * rowq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
+    colp = a[:, :, p].copy()
+    colq = a[:, :, q].copy()
+    a[:, :, p] = c * colp - s * colq
+    a[:, :, q] = s * colp + c * colq
+    rowp = a[:, p, :].copy()
+    rowq = a[:, q, :].copy()
+    a[:, p, :] = c * rowp - s * rowq
+    a[:, q, :] = s * rowp + c * rowq
+    a[:, p, q] = 0.0
+    a[:, q, p] = 0.0
+    a[:, p, p] = a[:, p, p].real
+    a[:, q, q] = a[:, q, q].real
+    vp = v[:, :, p].copy()
+    vq = v[:, :, q].copy()
+    v[:, :, p] = c * vp - s * vq
+    v[:, :, q] = s * vp + c * vq
+    return a, v
 
 
 def _check_spectrum(lam, stack=False):
     """One spectrum, or with ``stack`` an array of them along the last
-    axis."""
+    axis.  ValueError unless nonempty, finite and weakly decreasing."""
     lam = np.asarray(lam, dtype=float)
     if lam.ndim == 0 or lam.shape[-1] == 0 or (lam.ndim > 1 and not stack):
         raise ValueError("spectrum must be a nonempty sequence")
     if lam.shape[-1] > MAX_ORDER:
         raise ValueError(f"orders above {MAX_ORDER} are not supported")
-    if np.any(lam[..., :-1] < lam[..., 1:]):
+    if not np.isfinite(lam).all():
+        raise ValueError("spectrum entries must be finite")
+    if (lam[..., :-1] < lam[..., 1:]).any():
         raise ValueError("spectrum must be weakly decreasing")
     return lam
+
+
+def _check_t(t):
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    return t
 
 
 def sample_orbit(lam, seed=0):
@@ -196,96 +240,165 @@ def _family(spectra, t):
     if hasattr(spectra, "spectra"):
         if t is not None:
             raise TypeError("t is taken from the family when one is given")
-        return spectra.spectra, float(spectra.t)
+        return spectra.spectra, _check_t(spectra.t)
     if t is None:
         raise TypeError("t is required when passing raw spectra")
-    return spectra, float(t)
+    return spectra, _check_t(t)
 
 
 def verify_witness(matrices, spectra, t):
-    """Recompute the residual of a candidate witness from scratch."""
-    lams = [_check_spectrum(l) for l in spectra]
-    r = lams[0].size
-    total = sum(matrices) - float(t) * np.eye(r)
-    sum_res = float(np.linalg.norm(total))
-    spec_res = 0.0
-    for m, lam in zip(matrices, lams):
-        w, _ = hermitian_eigh(m)
-        spec_res = max(spec_res, float(np.max(np.abs(w - lam))))
-    return max(sum_res, spec_res)
+    """Recompute the residual of a candidate witness from scratch: the
+    larger of the Frobenius norm of (sum - t*I) and the sup-norm distance
+    of each spectrum, recomputed by Jacobi, to its target.
+
+    ``matrices`` is one family (s, r, r), which gives a float, or a stack
+    of families (k, s, r, r), which gives an array of k residuals.  One
+    ``hermitian_eigh`` call recomputes every spectrum."""
+    lams = _check_spectrum(spectra, stack=True)
+    t = _check_t(t)
+    families = np.asarray(matrices)
+    r = lams.shape[-1]
+    if (lams.ndim != 2 or families.ndim not in (3, 4)
+            or families.shape[-3:] != (len(lams), r, r)):
+        raise ValueError("matrices must be a family, or a stack of families, "
+                         "of one (r, r) matrix per spectrum")
+    flat = families.reshape((-1,) + families.shape[-3:])
+    sums = flat.sum(axis=1) - t * np.eye(r)
+    w, _ = hermitian_eigh(flat.reshape(-1, r, r))
+    spec = np.abs(w.reshape(flat.shape[:-1]) - lams).max(axis=(1, 2))
+    res = np.array([max(float(np.linalg.norm(d)), float(e))
+                    for d, e in zip(sums, spec)])
+    return float(res[0]) if families.ndim == 3 else res
+
+
+class _Attempt:
+    """One restart of a search: its stall and monotonicity bookkeeping
+    while it runs, then its outcome."""
+
+    def __init__(self, index):
+        self.index = index
+        self.lines = []
+        self.prev = self.best = math.inf
+        self.since_best = 0
+        self.monotone = True
+        self.iterations = 0
+        self.matrices = None
+        self.converged = False
+        self.residual = None
+
+    def step(self, it, res, logging):
+        self.iterations = it
+        if logging:
+            self.lines.append(f"{self.index},{it},{res:.16e}\n")
+        if res > self.prev * (1 + 1e-9) + 1e-13:
+            self.monotone = False
+        self.prev = res
+        if res < self.best * (1 - 1e-2):
+            self.best = res
+            self.since_best = 0
+        else:
+            self.since_best += 1
+
+
+def _start(stacked, seed, attempt):
+    """The starting family of an attempt, seeded from (seed, attempt)."""
+    rng_seed = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt])
+    return np.stack([sample_orbit(lam, st)
+                     for lam, st in zip(stacked, rng_seed.spawn(len(stacked)))])
+
+
+def _wave(indices, stacked, t, seed, max_iters, tol, stall_window, logging):
+    """Run the attempts ``indices`` (increasing) together as one
+    (k, s, r, r) stack.  Returns, in attempt order, the attempts a search
+    running them one after another would have run: those up to the
+    lowest one that converged, or all of them."""
+    s, r = stacked.shape
+    target = t * np.eye(r)
+    live = [_Attempt(i) for i in indices]
+    xs = np.stack([_start(stacked, seed, i) for i in indices])
+    diffs = xs.sum(axis=1) - target
+    done = []
+    for it in range(1, max_iters + 1):
+        xs = project_to_orbit(xs - diffs[:, None] / s, stacked)
+        diffs = xs.sum(axis=1) - target
+        keep = []
+        for j, attempt in enumerate(live):
+            res = float(np.linalg.norm(diffs[j]))
+            attempt.step(it, res, logging)
+            if res <= tol * 0.9:
+                full = verify_witness(xs[j], stacked, t)
+                if full <= tol:
+                    # the attempts above this one would never have run
+                    attempt.matrices, attempt.residual = xs[j], full
+                    attempt.converged = True
+                    done.append(attempt)
+                    break
+            if (attempt.since_best >= stall_window and attempt.best > 10 * tol
+                    or it == max_iters):
+                attempt.matrices = xs[j]
+                done.append(attempt)
+            else:
+                keep.append(j)
+        if len(keep) < len(live):
+            live = [live[j] for j in keep]
+            if not live:
+                break
+            xs, diffs = xs[keep], diffs[keep]
+    done.sort(key=lambda a: a.index)
+    last = next((a.index for a in done if a.converged), indices[-1])
+    return [a for a in done if a.index <= last]
 
 
 def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
                  restarts=20, stall_window=150, residual_log=None):
-    """Search for Hermitian matrices with the prescribed spectra summing
-    to t*I, by alternating projections with random restarts.
+    """Search for Hermitian matrices with given spectra summing to t*I.
 
-    Non-convergence is data, not an error: for families outside the cone
-    the distance stalls at a positive level, detected when the best
-    residual stops improving over ``stall_window`` iterations while still
-    far from ``tol``.  Each attempt is seeded deterministically from
-    (seed, attempt index).  ``residual_log`` may be a writable text file
-    for per-iteration CSV diagnostics.  ValueError unless restarts and
-    max_iters are at least 1 and tol is positive."""
+    Alternating projections from random starting points, one attempt
+    per restart.  Each attempt is seeded deterministically from (seed,
+    attempt index).  Non-convergence is data, not an error: for families
+    outside the cone the distance stalls at a positive level, detected
+    when the best residual stops improving over ``stall_window``
+    iterations while still far from ``tol``.
+
+    The attempts run in two waves.  Attempt 0 runs alone, since interior
+    members nearly always converge there.  If it does not, attempts 1 to
+    restarts-1 run together as one (k, s, r, r) stack, projected by one
+    ``project_to_orbit`` call per iteration.  An attempt leaves the stack
+    when it converges or stalls, and the wave ends once the lowest
+    converged attempt has no lower-numbered attempt still running.  The
+    outcome is assembled in attempt order, so the result and the log are
+    those of running the attempts one after another.
+
+    ``residual_log`` may be a writable text file for per-iteration CSV
+    diagnostics.  ValueError unless restarts and max_iters are at least
+    1, tol is positive and the spectra and t are finite."""
     if restarts < 1 or max_iters < 1 or not tol > 0:
         raise ValueError(f"need restarts >= 1, max_iters >= 1 and tol > 0, "
                          f"got {restarts}, {max_iters}, {tol}")
     spectra, t = _family(spectra, t)
     lams = [_check_spectrum(l) for l in spectra]
-    r = lams[0].size
-    if any(l.size != r for l in lams):
-        raise ValueError("all spectra must have the same length")
-    s = len(lams)
+    if not lams or any(l.size != lams[0].size for l in lams):
+        raise ValueError("need one or more spectra, all of the same length")
     stacked = np.stack(lams)
-    target = t * np.eye(r)
     log = residual_log
     if log is not None:
         log.write("attempt,iteration,residual\n")
-
-    best_result = None
-    monotone = True
-    total_iters = 0
-    for attempt in range(restarts):
-        rng_seed = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt])
-        xs = np.stack([
-            sample_orbit(lam, st)
-            for lam, st in zip(lams, rng_seed.spawn(s))
-        ])
-        prev = math.inf
-        best = math.inf
-        since_best = 0
-        for it in range(1, max_iters + 1):
-            total_iters += 1
-            defect = (xs.sum(axis=0) - target) / s
-            xs = project_to_orbit(xs - defect, stacked)
-            res = float(np.linalg.norm(xs.sum(axis=0) - target))
-            if log is not None:
-                log.write(f"{attempt},{it},{res:.16e}\n")
-            if res > prev * (1 + 1e-9) + 1e-13:
-                monotone = False
-            prev = res
-            if res < best * (1 - 1e-2):
-                best = res
-                since_best = 0
-            else:
-                since_best += 1
-            if res <= tol * 0.9:
-                full = verify_witness(xs, lams, t)
-                if full <= tol:
-                    if log is not None:
-                        log.flush()
-                    return WitnessResult(
-                        tuple(xs), full, total_iters, True, attempt + 1,
-                        monotone,
-                    )
-            if since_best >= stall_window and best > 10 * tol:
-                break
-        full = verify_witness(xs, lams, t)
-        if best_result is None or full < best_result.residual:
-            best_result = WitnessResult(
-                tuple(xs), full, total_iters, False, attempt + 1, monotone
-            )
+    options = (stacked, t, seed, max_iters, tol, stall_window, log is not None)
+    attempts = _wave([0], *options)
+    if not attempts[-1].converged and restarts > 1:
+        attempts += _wave(range(1, restarts), *options)
     if log is not None:
+        log.writelines(line for a in attempts for line in a.lines)
         log.flush()
-    return best_result._replace(iterations=total_iters, attempts=restarts,
-                                monotone=monotone)
+    iterations = sum(a.iterations for a in attempts)
+    monotone = all(a.monotone for a in attempts)
+    last = attempts[-1]
+    if last.converged:
+        return WitnessResult(tuple(last.matrices), last.residual, iterations,
+                             True, last.index + 1, monotone)
+    residuals = verify_witness(np.stack([a.matrices for a in attempts]),
+                               stacked, t)
+    best = int(np.argmin(residuals))
+    return WitnessResult(tuple(attempts[best].matrices),
+                         float(residuals[best]), iterations, False, restarts,
+                         monotone)

@@ -10,15 +10,26 @@ tables are compared against, and ``subset_to_schubert_partition`` the
 checked form of a subset's Schubert partition.
 ``reference_lp`` is a general two-phase simplex over ``Fraction`` with
 Bland's rule, the reference for the library's integer box LP.
+``serial_find_witness`` runs the restarts of a witness search one after
+another, the reference for the library's stacked search.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from horncone.horn import NotSigmaStable, normalize_cycle_type
 from horncone.subsets import Permutation, SubsetTuple, expected_dim
+from horncone.witness import (
+    WitnessResult,
+    project_to_orbit,
+    sample_orbit,
+    verify_witness,
+)
 
 
 def naive_lr(lam, mu, nu):
@@ -349,3 +360,68 @@ def _pivot(T, basis, leave, enter, width):
                 if row[j] != 0:
                     Ti[j] -= f * row[j]
     basis[leave] = enter
+
+
+def serial_find_witness(spectra, t, max_iters=5000, tol=1e-8, seed=0,
+                        restarts=20, stall_window=150, residual_log=None):
+    """``find_witness`` on explicit spectra, with its attempts run one
+    after another: each projects its own (s, r, r) family until it
+    converges, stalls or reaches ``max_iters``, and the first attempt
+    that converges ends the search."""
+    lams = [np.asarray(l, dtype=float) for l in spectra]
+    t = float(t)
+    r = lams[0].size
+    s = len(lams)
+    stacked = np.stack(lams)
+    target = t * np.eye(r)
+    log = residual_log
+    if log is not None:
+        log.write("attempt,iteration,residual\n")
+
+    best_result = None
+    monotone = True
+    total_iters = 0
+    for attempt in range(restarts):
+        rng_seed = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt])
+        xs = np.stack([
+            sample_orbit(lam, st)
+            for lam, st in zip(lams, rng_seed.spawn(s))
+        ])
+        prev = math.inf
+        best = math.inf
+        since_best = 0
+        for it in range(1, max_iters + 1):
+            total_iters += 1
+            defect = (xs.sum(axis=0) - target) / s
+            xs = project_to_orbit(xs - defect, stacked)
+            res = float(np.linalg.norm(xs.sum(axis=0) - target))
+            if log is not None:
+                log.write(f"{attempt},{it},{res:.16e}\n")
+            if res > prev * (1 + 1e-9) + 1e-13:
+                monotone = False
+            prev = res
+            if res < best * (1 - 1e-2):
+                best = res
+                since_best = 0
+            else:
+                since_best += 1
+            if res <= tol * 0.9:
+                full = verify_witness(xs, lams, t)
+                if full <= tol:
+                    if log is not None:
+                        log.flush()
+                    return WitnessResult(
+                        tuple(xs), full, total_iters, True, attempt + 1,
+                        monotone,
+                    )
+            if since_best >= stall_window and best > 10 * tol:
+                break
+        full = verify_witness(xs, lams, t)
+        if best_result is None or full < best_result.residual:
+            best_result = WitnessResult(
+                tuple(xs), full, total_iters, False, attempt + 1, monotone
+            )
+    if log is not None:
+        log.flush()
+    return best_result._replace(iterations=total_iters, attempts=restarts,
+                                monotone=monotone)

@@ -1,8 +1,10 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from _oracles import serial_find_witness
 
 from horncone import witness
 from horncone.cone import SpectrumFamily
@@ -51,6 +53,37 @@ class TestJacobi:
         rng = np.random.default_rng(3)
         with pytest.raises(NumericalFailure):
             hermitian_eigh(random_hermitian(rng, 4), max_sweeps=0)
+        with pytest.raises(NumericalFailure):
+            hermitian_eigh(np.stack([np.eye(4), random_hermitian(rng, 4)]),
+                           max_sweeps=0)
+
+    def test_stack_equals_solo_calls_bit_for_bit(self):
+        # a dense matrix, nearly diagonal ones (fewer sweeps, and tangents
+        # so large that 1 + tau^2 rounds to tau^2), a block-diagonal one
+        # whose cross-block rotations are all skipped, and a diagonal one
+        # that is never rotated
+        rng = np.random.default_rng(29)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n in range(1, 13):
+                dense = random_hermitian(rng, n)
+                near = (np.diag(rng.standard_normal(n))
+                        + 1e-9 * random_hermitian(rng, n))
+                block = random_hermitian(rng, n)
+                block[: n // 2, n // 2:] = 0
+                block[n // 2:, : n // 2] = 0
+                stack = np.stack([near, dense, block, 1e6 * near,
+                                  np.diag(np.arange(n, 0, -1.0))])
+                w, v = hermitian_eigh(stack)
+                assert w.shape == (5, n) and v.shape == (5, n, n)
+                for m, wm, vm in zip(stack, w, v):
+                    ws, vs = hermitian_eigh(m)
+                    assert wm.tobytes() == ws.tobytes()
+                    assert vm.tobytes() == vs.tobytes()
+        # the dense matrix needs more sweeps than the nearly diagonal one
+        hermitian_eigh(near, max_sweeps=2)
+        with pytest.raises(NumericalFailure):
+            hermitian_eigh(dense, max_sweeps=2)
 
 
 class TestSampleOrbit:
@@ -214,17 +247,19 @@ class TestFindWitness:
 
     def test_converged_result_confirmed_by_jacobi(self, monkeypatch):
         # the projections run on LAPACK; every spectrum a verification
-        # recomputes goes through the independent Jacobi solver
+        # recomputes goes through the independent Jacobi solver, counted
+        # in matrices, since one call takes a whole family
         eigh_inputs = []
         verifications = []
         jacobi, verify = witness.hermitian_eigh, witness.verify_witness
 
         def counting_eigh(a, *args, **kwargs):
-            eigh_inputs.append(np.array(a))
+            a = np.array(a)
+            eigh_inputs.extend(a.reshape((-1,) + a.shape[-2:]))
             return jacobi(a, *args, **kwargs)
 
         def counting_verify(matrices, *args):
-            verifications.append(len(matrices))
+            verifications.append(np.asarray(matrices)[..., 0, 0].size)
             return verify(matrices, *args)
 
         monkeypatch.setattr(witness, "hermitian_eigh", counting_eigh)
@@ -241,6 +276,11 @@ class TestFindWitness:
     def test_out_of_range_options_raise(self, option):
         with pytest.raises(ValueError):
             find_witness([[1, -1]] * 3, 0, seed=2, **option)
+
+    @pytest.mark.parametrize("spectra", [[], [[1, -1], [1, 0, -1]]])
+    def test_empty_or_ragged_family_raises(self, spectra):
+        with pytest.raises(ValueError):
+            find_witness(spectra, 0)
 
     def test_attempts_are_the_restarts(self):
         res = find_witness([[0, 0], [0, 0], [1, -1]], 0, seed=2, restarts=3,
@@ -262,3 +302,93 @@ class TestFindWitness:
         assert data["converged"] is True
         entry = data["matrices"][0][0][0]
         assert isinstance(entry, list) and len(entry) == 2
+
+
+class TestStackedSearch:
+    """The search runs attempts 1.. as one stack; it returns bit for bit
+    what running the attempts one after another returns."""
+
+    # a member whose attempt 0 reaches max_iters: in the stack attempt 2
+    # converges at iteration 36 while attempt 1 runs on to the cap
+    LATE = [[5.089, 0.304, -3.393], [3.36, 0.355, -6.715],
+            [6.21, -0.384, -4.826]]
+    CASES = {
+        "member": ([[1, -1]] * 3, 0, {"seed": 2}),
+        "non_member": ([[0, 0, 0], [0, 0, 0], [1, 0, -1]], 0,
+                       {"seed": 2, "restarts": 8}),
+        "member_one_restart": ([[2, 1, -1]] * 3, 2,
+                               {"seed": 6, "restarts": 1}),
+        "non_member_one_restart": ([[0, 0], [0, 0], [1, -1]], 0,
+                                   {"seed": 2, "restarts": 1}),
+        "facet_two_restarts": ([[2.25, 2.0, -1.8], [2.5, -1.0, -1.5],
+                                [0.8, -1.0, -1.5]], 0.25,
+                               {"seed": 2, "max_iters": 600, "restarts": 2}),
+        "capped_two_restarts": (LATE, 0, {"max_iters": 60, "restarts": 2}),
+        "later_attempt": (LATE, 0, {"max_iters": 60, "restarts": 6}),
+        # a boundary member: attempt 1 converges after attempts above it
+        # have stalled and left the stack
+        "higher_attempts_stall_first": ([[4, -1, -2], [1, -3, -4],
+                                         [4, 2, -4]], -1,
+                                        {"seed": 83, "stall_window": 30,
+                                         "max_iters": 3000,
+                                         "restarts": 10}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_serial_search(self, case):
+        spectra, t, options = self.CASES[case]
+        log, serial_log = io.StringIO(), io.StringIO()
+        res = find_witness(spectra, t, residual_log=log, **options)
+        ref = serial_find_witness(spectra, t, residual_log=serial_log,
+                                  **options)
+        assert len(res.matrices) == len(ref.matrices)
+        for m, m_ref in zip(res.matrices, ref.matrices):
+            assert np.array_equal(m, m_ref)
+        assert res.residual == ref.residual
+        assert (res.iterations, res.attempts, res.converged, res.monotone) \
+            == (ref.iterations, ref.attempts, ref.converged, ref.monotone)
+        assert log.getvalue() == serial_log.getvalue()
+
+    def test_later_attempt_converges_while_a_lower_one_runs(self):
+        log = io.StringIO()
+        res = find_witness(self.LATE, 0, residual_log=log, max_iters=60,
+                           restarts=6)
+        runs = {}
+        for line in log.getvalue().split()[1:]:
+            attempt = int(line.split(",")[0])
+            runs[attempt] = runs.get(attempt, 0) + 1
+        assert res.converged and res.attempts == 3
+        assert runs == {0: 60, 1: 60, 2: 36}
+        assert res.iterations == 156
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_spectrum(self, bad):
+        spectrum = [bad, 0.0] if bad != -math.inf else [0.0, bad]
+        with pytest.raises(ValueError):
+            find_witness([spectrum] * 3, 0)
+        with pytest.raises(ValueError):
+            sample_orbit(spectrum)
+        with pytest.raises(ValueError):
+            project_to_orbit(np.eye(2), spectrum)
+        with pytest.raises(ValueError):
+            verify_witness([np.eye(2)] * 3, [spectrum] * 3, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_t(self, bad):
+        with pytest.raises(ValueError):
+            find_witness([[1, -1]] * 3, bad)
+        with pytest.raises(ValueError):
+            verify_witness([np.eye(2)] * 3, [[1, -1]] * 3, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_matrix(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[0, 2] = bad
+        with pytest.raises(ValueError):
+            hermitian_eigh(a)
+        with pytest.raises(ValueError):
+            hermitian_eigh(np.stack([np.eye(3), a]))
+        with pytest.raises(ValueError):
+            hermitian_eigh(np.diag([1.0, bad]))
