@@ -29,15 +29,16 @@ flags, and no kernel or LR call runs.  Tables are immutable once
 published and keyed by (size, ambient, cycle type-or-None).  The key
 alone fixes the levels a build reads, so ``HornStore.table`` hands out
 any level on first use, building those levels as it needs them.  A
-store may persist the tables as JSON files (schema 2) with a sha256.
+store may persist each table as one numpy ``.npz`` file (schema 3) of
+its index rows, both flags and a sha256 of them and the key.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import uuid
+import zipfile
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -53,7 +54,7 @@ from .subsets import (  # noqa: F401  (perfbench traces horn.expected_dim)
     stable_tuples,
 )
 
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 # The Horn filter holds about this many candidate rows at once, and
 # compacts its survivors after each batch of this many test tuples.
@@ -180,36 +181,6 @@ class HornTable:
             h.update(a.tobytes())
         return h.hexdigest()
 
-    def to_json(self):
-        return {
-            "schema": CACHE_SCHEMA,
-            "size": self.size,
-            "ambient": self.ambient,
-            "arity": self.arity,
-            "sigma": list(self.sigma) if self.sigma is not None else None,
-            "sha256": self._digest(),
-            "rows": self.rows.ravel().tolist(),
-            "zero_dim": self._zero_dim.view(np.uint8).tolist(),
-            "point": self._point.view(np.uint8).tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        """Inverse of to_json; ValueError on a wrong schema, shape or
-        digest, KeyError or TypeError on a missing or mistyped field."""
-        if data["schema"] != CACHE_SCHEMA:
-            raise ValueError(f"unsupported cache schema {data['schema']}")
-        sigma, arity = data["sigma"], data["arity"]
-        table = cls(
-            data["size"], data["ambient"], arity,
-            tuple(sigma) if sigma is not None else None,
-            np.reshape(data["rows"], (-1, arity)),
-            data["zero_dim"], data["point"],
-        )
-        if table._digest() != data["sha256"]:
-            raise ValueError("cache file does not match its sha256")
-        return table
-
 
 class HornStore:
     """Level tables for one arity, each built on first use.
@@ -217,9 +188,12 @@ class HornStore:
     ``table(size, ambient, sigma)`` returns the published level, or else
     reads it from the cache, or else builds it from the lower levels
     (d, size), d < size, that its Horn tests read, or, above the middle,
-    from its dual level (ambient - size, ambient).
-    ``cache_dir``, when given, enables JSON persistence (one file per
-    table under a schema-versioned directory).
+    from its dual level (ambient - size, ambient).  An all-ones cycle
+    type fixes every tuple, so it names the plain level.
+    ``cache_dir``, when given, keeps one ``.npz`` file per level under
+    ``v3/``: its ``rows``, ``zero_dim`` and ``point`` arrays and their
+    ``sha256``.  A file that is absent, unreadable, misshapen or does not
+    match its digest is a miss, and the level is built again.
     """
 
     def __init__(self, arity=3, cache_dir=None):
@@ -234,7 +208,8 @@ class HornStore:
         if not 1 <= size <= ambient:
             raise ValueError(f"level (size={size}, ambient={ambient}) needs "
                              "1 <= size <= ambient")
-        key = (size, ambient, normalize_cycle_type(sigma, self.arity))
+        sigma = normalize_cycle_type(sigma, self.arity)
+        key = (size, ambient, None if sigma == (1,) * self.arity else sigma)
         table = self.tables.get(key)
         if table is None:
             table = self._load_cached(key)
@@ -250,21 +225,25 @@ class HornStore:
     def _cache_path(self, key):
         size, ambient, sigma = key
         tag = "full" if sigma is None else "c" + "_".join(map(str, sigma))
-        name = f"int_d{size}_r{ambient}_s{self.arity}_{tag}.json"
+        name = f"int_d{size}_r{ambient}_s{self.arity}_{tag}.npz"
         return os.path.join(self.cache_dir, f"v{CACHE_SCHEMA}", name)
 
     def _load_cached(self, key):
         if self.cache_dir is None:
             return None
-        # an absent, unreadable, misshapen or altered file is a miss
+        # an absent, unreadable, misshapen or altered file is a miss (a plain
+        # .npy fails `with`: AttributeError on Python 3.10, TypeError on 3.11)
         try:
-            with open(self._cache_path(key), "r", encoding="utf-8") as fh:
-                table = HornTable.from_json(json.load(fh))
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            with (open(self._cache_path(key), "rb") as fh,
+                  np.load(fh, allow_pickle=False) as data):
+                table = HornTable(*key[:2], self.arity, key[2], data["rows"],
+                                  data["zero_dim"], data["point"])
+                digest = str(data["sha256"])
+        except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
+                TypeError, AttributeError):
             return None
-        if (table.size, table.ambient, table.sigma) != key or table.arity != self.arity:
-            return None
-        return table
+        # the digest hashes the key too, so a file of another level misses
+        return table if table._digest() == digest else None
 
     def _save_cached(self, key, table):
         if self.cache_dir is None:
@@ -276,10 +255,11 @@ class HornStore:
         # plain exclusive open keeps the umask's permissions, which
         # tempfile.mkstemp would narrow to the owner.
         tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-        fh = open(tmp, "x", encoding="utf-8")
+        fh = open(tmp, "xb")
         try:
             with fh:
-                fh.write(json.dumps(table.to_json(), separators=(",", ":")))
+                np.savez(fh, rows=table.rows, zero_dim=table._zero_dim,
+                         point=table._point, sha256=table._digest())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -422,12 +422,8 @@ def stable_tuples(size, ambient, perm):
 
 def orbit_representative(tup):
     """Lexicographically least coordinate permutation, comparing the
-    element sequences componentwise."""
-    best = min(
-        itertools.permutations(tup.parts),
-        key=lambda parts: tuple(p.elements for p in parts),
-    )
-    return SubsetTuple(best)
+    element sequences componentwise: the parts sorted by them."""
+    return SubsetTuple(sorted(tup.parts, key=lambda p: p.elements))
 
 
 def group_into_orbits(tuples):

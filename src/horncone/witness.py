@@ -31,6 +31,10 @@ import numpy as np
 
 MAX_ORDER = 12
 
+# After attempt 0, a search runs its restarts in waves of at most this
+# many, so its memory does not grow with ``restarts``.
+_WAVE = 32
+
 
 class NumericalFailure(RuntimeError):
     """The eigensolver failed to reach its off-diagonal threshold."""
@@ -311,7 +315,8 @@ def _wave(indices, stacked, t, seed, max_iters, tol, stall_window, logging):
     """Run the attempts ``indices`` (increasing) together as one
     (k, s, r, r) stack.  Returns, in attempt order, the attempts a search
     running them one after another would have run: those up to the
-    lowest one that converged, or all of them."""
+    lowest one that converged, or all of them.  Each keeps a copy of its
+    last family, not a view of the stack."""
     s, r = stacked.shape
     target = t * np.eye(r)
     live = [_Attempt(i) for i in indices]
@@ -328,15 +333,14 @@ def _wave(indices, stacked, t, seed, max_iters, tol, stall_window, logging):
             if res <= tol * 0.9:
                 full = verify_witness(xs[j], stacked, t)
                 if full <= tol:
-                    # the attempts above this one would never have run
-                    attempt.matrices, attempt.residual = xs[j], full
-                    attempt.converged = True
-                    done.append(attempt)
-                    break
-            if (attempt.since_best >= stall_window and attempt.best > 10 * tol
-                    or it == max_iters):
-                attempt.matrices = xs[j]
+                    attempt.residual, attempt.converged = full, True
+            if (attempt.converged or attempt.since_best >= stall_window
+                    and attempt.best > 10 * tol or it == max_iters):
+                attempt.matrices = xs[j].copy()
                 done.append(attempt)
+                if attempt.converged:
+                    # the attempts above this one would never have run
+                    break
             else:
                 keep.append(j)
         if len(keep) < len(live):
@@ -360,14 +364,17 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     when the best residual stops improving over ``stall_window``
     iterations while still far from ``tol``.
 
-    The attempts run in two waves.  Attempt 0 runs alone, since interior
-    members nearly always converge there.  If it does not, attempts 1 to
-    restarts-1 run together as one (k, s, r, r) stack, projected by one
+    Attempt 0 runs alone, since interior members nearly always converge
+    there.  If it does not, attempts 1 to restarts-1 run in waves of up
+    to _WAVE attempts, each wave one (k, s, r, r) stack projected by one
     ``project_to_orbit`` call per iteration.  An attempt leaves the stack
-    when it converges or stalls, and the wave ends once the lowest
-    converged attempt has no lower-numbered attempt still running.  The
-    outcome is assembled in attempt order, so the result and the log are
-    those of running the attempts one after another.
+    when it converges or stalls, and a wave ends once its lowest
+    converged attempt has no lower-numbered attempt still running.  Each
+    wave's outcome is assembled in attempt order and its log lines are
+    written when it ends, so the result and the log are those of running
+    the attempts one after another.  Jacobi verifies the attempts that
+    did not converge once per wave (attempt 0 with the first wave), and
+    only the best of them is kept; on a tie the lower attempt wins.
 
     ``residual_log`` may be a writable text file for per-iteration CSV
     diagnostics.  ValueError unless restarts and max_iters are at least
@@ -384,21 +391,32 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     if log is not None:
         log.write("attempt,iteration,residual\n")
     options = (stacked, t, seed, max_iters, tol, stall_window, log is not None)
-    attempts = _wave([0], *options)
-    if not attempts[-1].converged and restarts > 1:
-        attempts += _wave(range(1, restarts), *options)
+    iterations, monotone, best, pending = 0, True, None, []
+    lo = 0
+    while lo < restarts:
+        hi = min(lo + _WAVE, restarts) if lo else 1
+        attempts = _wave(range(lo, hi), *options)
+        if log is not None:
+            log.writelines(line for a in attempts for line in a.lines)
+        iterations += sum(a.iterations for a in attempts)
+        monotone = monotone and all(a.monotone for a in attempts)
+        last = attempts[-1]
+        if last.converged:
+            break
+        pending += attempts
+        # attempt 0 is verified together with the first wave
+        if lo or restarts == 1:
+            residuals = verify_witness(np.stack([a.matrices for a in pending]),
+                                       stacked, t)
+            i = int(np.argmin(residuals))
+            if best is None or residuals[i] < best[0]:
+                best = (float(residuals[i]), pending[i].matrices)
+            pending = []
+        lo = hi
     if log is not None:
-        log.writelines(line for a in attempts for line in a.lines)
         log.flush()
-    iterations = sum(a.iterations for a in attempts)
-    monotone = all(a.monotone for a in attempts)
-    last = attempts[-1]
     if last.converged:
         return WitnessResult(tuple(last.matrices), last.residual, iterations,
                              True, last.index + 1, monotone)
-    residuals = verify_witness(np.stack([a.matrices for a in attempts]),
-                               stacked, t)
-    best = int(np.argmin(residuals))
-    return WitnessResult(tuple(attempts[best].matrices),
-                         float(residuals[best]), iterations, False, restarts,
+    return WitnessResult(tuple(best[1]), best[0], iterations, False, restarts,
                          monotone)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from horncone.cli import main
@@ -227,7 +228,7 @@ class TestCycleTypeCheck:
         code, out, err = run(capsys, "tuples", "--d", "1", "--r", "3",
                              "--sigma", "2", "--cache-dir", str(tmp_path))
         assert code == 2 and out == "" and "partition" in err
-        assert not any(tmp_path.rglob("*.json"))
+        assert not any(tmp_path.rglob("*.npz"))
         code, out, _ = run(capsys, "crosscheck", "--r", "1", "--n", "3",
                            "--sigma", "2")
         assert code == 2 and out == ""
@@ -307,14 +308,14 @@ class TestCache:
         code2, out2, _ = run(capsys, "tables", "--rmax", "3",
                              "--cache-dir", str(tmp_path))
         assert code1 == code2 == 0 and out1 == out2
-        assert any(tmp_path.rglob("*.json"))
+        assert any(tmp_path.rglob("*.npz"))
 
     def test_no_cache_is_not_an_option(self, capsys, tmp_path):
         # the cache is on exactly when --cache-dir is given
         code, out, _ = run(capsys, "system", "--r", "2",
                            "--cache-dir", str(tmp_path), "--no-cache")
         assert code == 2 and out == ""
-        assert not any(tmp_path.rglob("*.json"))
+        assert not any(tmp_path.rglob("*.npz"))
 
 
 class TestCacheIntegrity:
@@ -326,11 +327,12 @@ class TestCacheIntegrity:
         run(capsys, *argv, "--cache-dir", str(tmp_path))
         store = HornStore(arity=3, cache_dir=str(tmp_path))
         path = store._cache_path(key)
-        with open(path) as fh:
-            data = json.load(fh)
+        # damage an array, then save the file again under its old digest
+        with np.load(path) as archive:
+            data = dict(archive)
         damage(data)
-        with open(path, "w") as fh:
-            json.dump(data, fh)
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
         assert store._load_cached(key) is None
         code, got, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert (code, got, err) == (0, want, "")
@@ -351,8 +353,8 @@ class TestCacheIntegrity:
 
     def test_flipped_point_flag(self, capsys, tmp_path):
         def damage(data):
-            i = data["point"].index(1)
-            data["point"][i] = 0
+            data["point"] = data["point"].copy()
+            data["point"][data["point"].argmax()] = False
         self.check(capsys, tmp_path, ["system", "--r", "3", "--level", "min00"],
                    (1, 3, None), damage)
 

@@ -1,16 +1,15 @@
 import itertools
-import json
 import os
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from _oracles import horn_check, orbit
-from horncone import lr
+from horncone import horn, lr
 from horncone.horn import (
     HornStore,
-    HornTable,
     NotSigmaStable,
     _horn_survivors,
     count_intersecting,
@@ -265,16 +264,16 @@ class TestSigmaRefinement:
                 want00 = [t for t in full.point_members() if t.is_stable(sigma)]
                 assert restricted.point_members() == want00
 
-    def test_identity_type_equals_full(self):
-        store = HornStore(arity=3)
+    def test_identity_type_equals_full(self, tmp_path):
+        store = HornStore(arity=3, cache_dir=str(tmp_path))
         store.build_through(4, 4)
         store.build_through(4, 4, sigma=(1, 1, 1))
         for n in range(1, 5):
             for r in range(1, n + 1):
-                assert (
-                    store.table(r, n).members
-                    == store.table(r, n, (1, 1, 1)).members
-                )
+                # the all-ones type names the plain level itself
+                assert store.table(r, n) is store.table(r, n, (1, 1, 1))
+        assert all(k[2] is None for k in store.tables)
+        assert not any(tmp_path.rglob("*c1_1_1*"))
 
     def test_two_cycle_type(self):
         store = HornStore(arity=3)
@@ -536,32 +535,44 @@ class TestCache:
         assert again.table(2, 4).zero_dim == table.zero_dim
         assert again.table(2, 4).point == table.point
 
-    def test_bad_schema_rebuilds(self, tmp_path):
+    def test_bad_schema_rebuilds(self, tmp_path, monkeypatch):
+        # a file whose digest was taken under another schema is a miss
         store = HornStore(arity=3, cache_dir=str(tmp_path))
-        store.build_through(1, 3)
+        table = store.table(1, 3)
+        monkeypatch.setattr(horn, "CACHE_SCHEMA", 999)
+        stale = table._digest()
+        monkeypatch.undo()
         path = store._cache_path((1, 3, None))
-        with open(path, "w") as fh:
-            fh.write('{"schema": 999}')
+        resave(path, **dict(members(path), sha256=stale))
+        assert store._load_cached((1, 3, None)) is None
         fresh = HornStore(arity=3, cache_dir=str(tmp_path))
-        fresh.build_through(1, 3)
-        assert len(fresh.table(1, 3)) > 0
+        assert fresh.table(1, 3).members == table.members
+        assert str(members(path)["sha256"]) == table._digest()
 
     def test_v1_directory_is_ignored(self, tmp_path):
-        # files of the first schema are never read: the level is rebuilt
-        # into the v2 directory and the old file is left as it was
+        # files of earlier schemas are never read: the level is rebuilt
+        # into the v3 directory and the old files are left as they were
         old = tmp_path / "v1" / "int_d1_r2_s3_full.json"
         old.parent.mkdir()
         old.write_text('{"schema": 1, "size": 1, "ambient": 2, "arity": 3, '
                        '"sigma": null, "members": [[[2], [2], [2]]], '
                        '"zero_dim": [false], "point": [false]}')
+        json2 = tmp_path / "v2" / "int_d1_r2_s3_full.json"
+        json2.parent.mkdir()
+        json2.write_text('{"schema": 2, "rows": [1, 1, 1]}')
         store = HornStore(arity=3, cache_dir=str(tmp_path))
         store.build_through(1, 2)
-        assert store.table(1, 2).members == HornStore(arity=3).build_through(
-            1, 2).table(1, 2).members
+        want = HornStore(arity=3).table(1, 2)
+        assert store.table(1, 2).members == want.members
         path = store._cache_path((1, 2, None))
-        assert os.path.dirname(path) == str(tmp_path / "v2")
-        assert json.loads(open(path).read())["schema"] == 2
+        assert path == str(tmp_path / "v3" / "int_d1_r2_s3_full.npz")
+        with np.load(path, allow_pickle=False) as data:
+            assert sorted(data.files) == ["point", "rows", "sha256",
+                                          "zero_dim"]
+            assert np.array_equal(data["rows"], want.rows)
+            assert data["rows"].dtype == np.uint16
         assert old.read_text().startswith('{"schema": 1,')
+        assert json2.read_text() == '{"schema": 2, "rows": [1, 1, 1]}'
 
     def test_file_of_another_level_is_a_miss(self, tmp_path):
         store = HornStore(arity=3, cache_dir=str(tmp_path))
@@ -587,13 +598,69 @@ class TestCache:
         os.umask(mask)
         assert os.stat(path).st_mode & 0o777 == 0o666 & ~mask
 
-    def test_table_json_roundtrip(self, store):
-        table = store.table(2, 4, (3,))
-        back = HornTable.from_json(
-            json.loads(json.dumps(table.to_json()))
-        )
-        assert back.members == table.members
-        assert back.key == table.key
+    def test_sigma_table_roundtrip(self, tmp_path, monkeypatch):
+        table = HornStore(arity=3, cache_dir=str(tmp_path)).table(4, 7, (3,))
+        # a fresh store reads the level back and builds nothing
+        monkeypatch.setattr(HornStore, "_compute_table", None)
+        back = HornStore(arity=3, cache_dir=str(tmp_path)).table(4, 7, (3,))
+        assert back.key == table.key == (4, 7, 3, (3,))
+        assert np.array_equal(back.rows, table.rows)
+        assert back.zero_dim == table.zero_dim and back.point == table.point
+        assert back.members == table.members and any(back.point)
+
+
+def members(path):
+    with np.load(path) as data:
+        return dict(data)
+
+
+def resave(path, **arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _truncate(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+
+
+def _drop_member(path):
+    resave(path, **{k: v for k, v in members(path).items() if k != "point"})
+
+
+def _zero_d_rows(path):
+    resave(path, **dict(members(path), rows=np.uint16(0)))
+
+
+def _plain_npy(path):
+    rows = members(path)["rows"]
+    with open(path, "wb") as fh:
+        np.save(fh, rows)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda path: pathlib.Path(path).write_bytes(b"not a zip archive"),
+    lambda path: pathlib.Path(path).write_bytes(b""),
+    _truncate,
+    _drop_member,
+    _zero_d_rows,
+    _plain_npy,
+], ids=["non_zip", "empty", "truncated", "missing_member", "zero_d_rows",
+        "plain_npy"])
+def test_damaged_cache_file_is_a_miss(tmp_path, damage):
+    key = (2, 4, None)
+    want = HornStore(arity=3, cache_dir=str(tmp_path)).table(*key)
+    store = HornStore(arity=3, cache_dir=str(tmp_path))
+    path = store._cache_path(key)
+    damage(path)
+    assert store._load_cached(key) is None
+    # the level is rebuilt, and the rebuilt file replaces the damaged one
+    got = store.table(*key)
+    assert np.array_equal(got.rows, want.rows) and got.point == want.point
+    assert HornStore(arity=3, cache_dir=str(tmp_path))._load_cached(key) \
+        is not None
 
 
 class TestImmutability:

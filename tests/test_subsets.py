@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from _oracles import orbit
 
 from horncone.subsets import (
     CompositionError,
@@ -359,3 +360,13 @@ class TestEnumeration:
         for rep, members in orbits:
             assert rep in members
             assert all(orbit_representative(m) == rep for m in members)
+
+    @pytest.mark.parametrize("size, ambient, s", [(1, 3, 3), (2, 4, 2),
+                                                  (1, 3, 4)])
+    def test_representative_is_least_of_the_orbit(self, size, ambient, s):
+        def elements(tup):
+            return tuple(p.elements for p in tup.parts)
+
+        for tup in all_tuples(size, ambient, s):
+            want = min(orbit(tup), key=elements)
+            assert orbit_representative(tup) == want

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -334,9 +335,29 @@ class TestStackedSearch:
                                          "restarts": 10}),
     }
 
+    # with waves of two: attempts 0 | 1 2 | 3 4 | 5 6 | 7 8 | ...
+    WAVE_CASES = {
+        "non_member": ([[0, 0, 0], [0, 0, 0], [1, 0, -1]], 0,
+                       {"seed": 2, "restarts": 7}),
+        # attempt 8 converges, the last of the fifth wave
+        "member_last_of_a_wave": (LATE, 0, {"seed": 4, "max_iters": 40,
+                                            "restarts": 12}),
+        # attempt 5 converges, the first of the fourth wave
+        "member_first_of_a_wave": (LATE, 0, {"seed": 5, "max_iters": 40,
+                                             "restarts": 9}),
+    }
+    STALL = [[3, 0, -3], [1, 0, -1], [1, 0, -1]]
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_serial_search(self, case):
-        spectra, t, options = self.CASES[case]
+        self.check_serial(*self.CASES[case])
+
+    @pytest.mark.parametrize("case", sorted(WAVE_CASES))
+    def test_waves_equal_serial_search(self, case, monkeypatch):
+        monkeypatch.setattr(witness, "_WAVE", 2)
+        self.check_serial(*self.WAVE_CASES[case])
+
+    def check_serial(self, spectra, t, options):
         log, serial_log = io.StringIO(), io.StringIO()
         res = find_witness(spectra, t, residual_log=log, **options)
         ref = serial_find_witness(spectra, t, residual_log=serial_log,
@@ -348,6 +369,36 @@ class TestStackedSearch:
         assert (res.iterations, res.attempts, res.converged, res.monotone) \
             == (ref.iterations, ref.attempts, ref.converged, ref.monotone)
         assert log.getvalue() == serial_log.getvalue()
+
+    def test_memory_does_not_grow_with_restarts(self, monkeypatch):
+        monkeypatch.setattr(witness, "_WAVE", 2)
+
+        def peak(restarts):
+            tracemalloc.start()
+            try:
+                res = find_witness(self.STALL, 3, seed=1, max_iters=40,
+                                   restarts=restarts)
+                assert not res.converged
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # lazy imports and first-use caches
+        # each restart held at once would add about 5 KB
+        assert peak(81) < peak(5) + 4096
+
+    def test_twenty_restarts_verify_in_one_call(self, monkeypatch):
+        # the CLI default runs as one wave, as before waves were bounded
+        shapes = []
+        verify = witness.verify_witness
+
+        def counting_verify(matrices, *args):
+            shapes.append(np.shape(matrices))
+            return verify(matrices, *args)
+
+        monkeypatch.setattr(witness, "verify_witness", counting_verify)
+        res = find_witness(self.STALL, 3, seed=1, max_iters=40, restarts=20)
+        assert not res.converged and shapes == [(20, 3, 3, 3)]
 
     def test_later_attempt_converges_while_a_lower_one_runs(self):
         log = io.StringIO()
