@@ -34,12 +34,24 @@ def _store(args, s):
     return HornStore(arity=s, cache_dir=args.cache_dir)
 
 
-def _emit(args, text):
+def _emit(args, **formats):
+    """Write the text of the renderer ``formats[args.format]``, or of
+    ``formats["json"]`` for a command without --format; only the chosen
+    renderer runs."""
+    text = formats[getattr(args, "format", "json")]()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv(rows):
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _fmt_subset(sub):
@@ -59,37 +71,21 @@ def cmd_tuples(args):
     # by the full s-cycle
     perm = Permutation.from_cycle_type(sigma or (args.s,))
     if args.orbits:
-        listed = [
-            (rep, len(members), rep.is_stable(perm))
-            for rep, members in group_into_orbits(chosen)
-        ]
+        listed = [(rep, (len(members),), rep.is_stable(perm))
+                  for rep, members in group_into_orbits(chosen)]
     else:
-        listed = [(t, None, t.is_stable(perm)) for t in chosen]
-    if args.format == "json":
-        rows = []
-        for tup, size, stable in listed:
-            row = {"tuple": tup.to_json(), "sigma_stable": stable}
-            if size is not None:
-                row["orbit_size"] = size
-            rows.append(row)
-        _emit(args, json.dumps(rows, indent=2) + "\n")
-    elif args.format == "csv":
-        head = "tuple,orbit_size,sigma_stable\n" if args.orbits else "tuple,sigma_stable\n"
-        out = [head]
-        for tup, size, stable in listed:
-            cells = [json.dumps(tup.to_json()).replace(",", ";")]
-            if args.orbits:
-                cells.append(str(size))
-            cells.append(str(stable).lower())
-            out.append(",".join(cells) + "\n")
-        _emit(args, "".join(out))
-    else:
-        lines = []
-        for tup, size, stable in listed:
-            extra = f"  x{size}" if size is not None else ""
-            mark = " *" if stable else ""
-            lines.append(f"{_fmt_tuple(tup)}{extra}{mark}")
-        _emit(args, "\n".join(lines) + ("\n" if lines else ""))
+        listed = [(t, (), t.is_stable(perm)) for t in chosen]
+    orbit = ("orbit_size",) if args.orbits else ()
+    _emit(args,
+          table=lambda: "".join(
+              f"{_fmt_tuple(tup)}{'  x%d' % size if size else ''}"
+              f"{' *' if stable else ''}\n" for tup, size, stable in listed),
+          json=lambda: _json([
+              {"tuple": tup.to_json(), "sigma_stable": stable,
+               **dict(zip(orbit, size))} for tup, size, stable in listed]),
+          csv=lambda: _csv([("tuple", *orbit, "sigma_stable")] + [
+              (json.dumps(tup.to_json()).replace(",", ";"), *size,
+               str(stable).lower()) for tup, size, stable in listed]))
     return 0
 
 
@@ -97,20 +93,20 @@ def cmd_system(args):
     sigma = _parse_sigma(args.sigma)
     system = cone.generate_system(args.r, args.s, sigma, args.level,
                                   _store(args, args.s))
-    if args.format == "json":
-        _emit(args, json.dumps(system.to_json(), indent=2) + "\n")
-    elif args.format == "csv":
-        _emit(args, system.to_csv())
-    else:
+
+    def table():
         lines = [
             f"cone rank {args.r}, arity {args.s}, "
             f"sigma {sigma if sigma else 'none'}, level {args.level}",
             f"counts: total {system.count} = equality 2 + chamber "
             f"{system.chamber_count} + horn {system.count - 2 - system.chamber_count}",
         ]
-        for con in system.constraints():
-            lines.append(f"  [{con.index:>3}] {con.describe()}")
-        _emit(args, "\n".join(lines) + "\n")
+        lines += [f"  [{con.index:>3}] {con.describe()}"
+                  for con in system.constraints()]
+        return "\n".join(lines) + "\n"
+
+    _emit(args, table=table, json=lambda: _json(system.to_json()),
+          csv=system.to_csv)
     return 0
 
 
@@ -137,22 +133,13 @@ def cmd_member(args):
     system = cone.generate_system(family.length, family.arity, sigma,
                                   args.level, _store(args, family.arity))
     verdict = system.decide(family)
-    if args.format == "json":
-        payload = {"member": verdict.is_member}
-        if not verdict.is_member:
-            payload["violated"] = verdict.violation.constraint.describe()
-            payload["excess"] = str(verdict.violation.amount)
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        if verdict.is_member:
-            _emit(args, "member\n")
-        else:
-            _emit(
-                args,
-                "not a member\nviolated: "
-                f"{verdict.violation.constraint.describe()} "
-                f"(excess {verdict.violation.amount})\n",
-            )
+    payload = {"member": verdict.is_member}
+    if not verdict.is_member:
+        payload["violated"] = verdict.violation.constraint.describe()
+        payload["excess"] = str(verdict.violation.amount)
+    text = "member\n" if verdict.is_member else (
+        "not a member\nviolated: {violated} (excess {excess})\n".format(**payload))
+    _emit(args, json=lambda: _json(payload), table=lambda: text)
     return 0
 
 
@@ -170,19 +157,12 @@ def cmd_tables(args):
         headers = ("r", "l0", "l_min")
     else:
         headers = ("r", "l_sigma0", "l_sigma00")
-    if args.format == "json":
-        _emit(args, json.dumps(
-            [dict(zip(headers, row)) for row in rows], indent=2) + "\n")
-    elif args.format == "csv":
-        out = [",".join(headers) + "\n"]
-        out += [",".join(str(x) for x in row) + "\n" for row in rows]
-        _emit(args, "".join(out))
-    else:
-        widths = [max(len(h), 6) for h in headers]
-        fmt = "  ".join("{:>%d}" % w for w in widths)
-        lines = [fmt.format(*headers)]
-        lines += [fmt.format(*row) for row in rows]
-        _emit(args, "\n".join(lines) + "\n")
+    fmt = "  ".join("{:>%d}" % max(len(h), 6) for h in headers)
+    _emit(args,
+          table=lambda: "".join(fmt.format(*row) + "\n"
+                                for row in [headers, *rows]),
+          json=lambda: _json([dict(zip(headers, row)) for row in rows]),
+          csv=lambda: _csv([headers, *rows]))
     return 0
 
 
@@ -200,14 +180,10 @@ def cmd_redundancy(args):
     else:
         report = lp.redundancy_report(system, fix_t_zero=args.slice_t)
         payload = report.to_json()
-    if args.format == "csv":
-        out = ["index,kind,verdict,optimum\n"]
-        for row in payload["rows"]:
-            out.append(f"{row['index']},{row['kind']},{row['verdict']},"
-                       f"{row['optimum']}\n")
-        _emit(args, "".join(out))
-    else:
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+    columns = ("index", "kind", "verdict", "optimum")
+    _emit(args, json=lambda: _json(payload),
+          csv=lambda: _csv([columns] + [[row[c] for c in columns]
+                                        for row in payload["rows"]]))
     return 0
 
 
@@ -222,7 +198,7 @@ def cmd_witness(args):
     if log:
         with open(args.residual_csv, "w", encoding="utf-8") as fh:
             fh.write(log.getvalue())
-    _emit(args, result.to_json_str() + "\n")
+    _emit(args, json=lambda: json.dumps(result.to_json()) + "\n")
     return 0
 
 
@@ -235,7 +211,7 @@ def cmd_crosscheck(args):
         "tuples": report.total,
         "mismatches": len(report.mismatches),
     }
-    _emit(args, json.dumps(summary, indent=2) + "\n")
+    _emit(args, json=lambda: _json(summary))
     return 0 if report.clean else 1
 
 

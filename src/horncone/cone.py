@@ -23,6 +23,7 @@ import csv
 import io
 import itertools
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -41,6 +42,7 @@ def _frac(x):
     return Fraction(x)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class SpectrumFamily:
     """s spectra of length r plus the scalar t, all exact rationals.
 
@@ -50,6 +52,8 @@ class SpectrumFamily:
     """
 
     __slots__ = ("spectra", "t")
+    spectra: tuple
+    t: Fraction
 
     def __init__(self, spectra, t):
         spectra = tuple(tuple(_frac(x) for x in spec) for spec in spectra)
@@ -62,9 +66,6 @@ class SpectrumFamily:
             raise ValueError("spectra must be nonempty")
         object.__setattr__(self, "spectra", spectra)
         object.__setattr__(self, "t", _frac(t))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectrumFamily is immutable")
 
     @property
     def arity(self):
@@ -94,16 +95,6 @@ class SpectrumFamily:
 
     def permuted(self, perm):
         return SpectrumFamily(perm.act(self.spectra), self.t)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpectrumFamily)
-            and self.spectra == other.spectra
-            and self.t == other.t
-        )
-
-    def __hash__(self):
-        return hash((self.spectra, self.t))
 
     def __repr__(self):
         return f"SpectrumFamily({[[str(x) for x in s] for s in self.spectra]}, t={self.t})"

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import itertools
 import os
-import uuid
 import zipfile
+from dataclasses import dataclass
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -56,10 +56,8 @@ from .subsets import (  # noqa: F401  (perfbench traces horn.expected_dim)
 
 CACHE_SCHEMA = 3
 
-# The Horn filter holds about this many candidate rows at once, and
-# compacts its survivors after each batch of this many test tuples.
+# The Horn filter holds about this many candidate rows at once.
 _CHUNK_ROWS = 1 << 16
-_TEST_BATCH = 32
 
 
 class NotSigmaStable(ValueError):
@@ -83,14 +81,17 @@ def normalize_cycle_type(sigma, s):
     return sigma
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class HornTable:
     """The intersecting tuples of one (size, ambient) level, with flags.
 
     ``rows`` is a read-only (M, s) uint16 array, one row per member in
     mask-key order: the positions of its parts in all_subsets(size,
-    ambient).  ``zero_dim`` marks the members of expected dimension zero,
-    ``point`` those whose Schubert product is the point class.
-    SubsetTuples are built only when a caller asks for them.
+    ambient), so C(ambient, size) may not exceed 65,536.  ``zero_dim``
+    marks the members of expected dimension zero, ``point`` those whose
+    Schubert product is the point class.  A table is frozen: assigning
+    or deleting an attribute raises AttributeError, and tables compare by
+    identity.  SubsetTuples are built only when a caller asks for them.
     """
 
     __slots__ = ("size", "ambient", "arity", "sigma", "rows", "_zero_dim",
@@ -112,9 +113,6 @@ class HornTable:
         for name, value in zip(self.__slots__, (size, ambient, arity, sigma,
                                                 rows, zero_dim, point)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HornTable is immutable once published")
 
     def __len__(self):
         return len(self.rows)
@@ -208,6 +206,9 @@ class HornStore:
         if not 1 <= size <= ambient:
             raise ValueError(f"level (size={size}, ambient={ambient}) needs "
                              "1 <= size <= ambient")
+        if comb(ambient, size) > 1 << 16:
+            raise ValueError(f"level (size={size}, ambient={ambient}) needs "
+                             f"C({ambient}, {size}) <= 65536 uint16 positions")
         sigma = normalize_cycle_type(sigma, self.arity)
         key = (size, ambient, None if sigma == (1,) * self.arity else sigma)
         table = self.tables.get(key)
@@ -254,7 +255,7 @@ class HornStore:
         # same level never share one; the rename publishes it whole.  A
         # plain exclusive open keeps the umask's permissions, which
         # tempfile.mkstemp would narrow to the owner.
-        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        tmp = f"{path}.{os.urandom(16).hex()}.tmp"
         fh = open(tmp, "xb")
         try:
             with fh:
@@ -367,7 +368,8 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     index of their run; a prefix is dropped once its dimension sum can no
     longer reach the threshold, and each growth step is split to hold
     about _CHUNK_ROWS rows.  The Horn inequality of one test tuple is a
-    sum of per-part gathers from the transposed composition sums.
+    sum of per-part gathers from the transposed composition sums; the
+    survivors are compacted once per test level d.
     """
     lengths = (1,) * s if sigma is None else sigma
     column = np.repeat(np.arange(len(lengths)), lengths)
@@ -386,12 +388,11 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     def passing(free):
         # free holds one row of indices per cycle
         for FT, base, rows in horn:
-            for lo in range(0, len(rows), _TEST_BATCH):
-                ok = np.ones(free.shape[1], dtype=bool)
-                for row in rows[lo:lo + _TEST_BATCH]:
-                    total = sum(FT[j][free[c]] for j, c in zip(row, column))
-                    ok &= total >= base
-                free = free[:, ok]
+            ok = np.ones(free.shape[1], dtype=bool)
+            for row in rows:
+                total = sum(FT[j][free[c]] for j, c in zip(row, column))
+                ok &= total >= base
+            free = free[:, ok]
         return free
 
     def grow(free, sums, k):

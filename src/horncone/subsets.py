@@ -14,6 +14,7 @@ concurrently.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -27,15 +28,19 @@ class CompositionError(ValueError):
     """Subset composition with incompatible size/ambient."""
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Subset:
     """A nonempty subset of [1..ambient], stored strictly increasing.
 
     The canonical encoding is the bit mask with bit ``j-1`` set iff ``j``
     is in the subset; it round-trips losslessly with the sequence form
-    and is the hash/sort key everywhere.
+    and is the sort key everywhere.  Equality and hashing read the
+    elements and the ambient, which the mask determines.
     """
 
     __slots__ = ("elements", "ambient", "mask")
+    elements: tuple
+    ambient: int
 
     def __init__(self, elements, ambient):
         elements = tuple(int(j) for j in elements)
@@ -52,9 +57,6 @@ class Subset:
         for j in elements:
             mask |= 1 << (j - 1)
         object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subset is immutable")
 
     @classmethod
     def from_mask(cls, mask, ambient):
@@ -78,16 +80,6 @@ class Subset:
     def __call__(self, k):
         """The k-th element (1-indexed), i.e. the value of the increasing map."""
         return self.elements[k - 1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subset)
-            and self.mask == other.mask
-            and self.ambient == other.ambient
-        )
-
-    def __hash__(self):
-        return hash((self.mask, self.ambient))
 
     def __repr__(self):
         return f"Subset({list(self.elements)}, {self.ambient})"
@@ -157,10 +149,12 @@ class Subset:
         return list(self.elements)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class SubsetTuple:
     """An s-tuple of subsets of common size and ambient."""
 
     __slots__ = ("parts",)
+    parts: tuple
 
     def __init__(self, parts):
         parts = tuple(parts)
@@ -173,9 +167,6 @@ class SubsetTuple:
             if p.size != first.size or p.ambient != first.ambient:
                 raise ValueError("all components must share size and ambient")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubsetTuple is immutable")
 
     @classmethod
     def of(cls, *element_lists, ambient):
@@ -208,12 +199,6 @@ class SubsetTuple:
     def __getitem__(self, l):
         return self.parts[l]
 
-    def __eq__(self, other):
-        return isinstance(other, SubsetTuple) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
     def __repr__(self):
         inner = ", ".join(str(set(p.elements)) for p in self.parts)
         return f"SubsetTuple[{inner} in [{self.ambient}]]"
@@ -244,19 +229,18 @@ class SubsetTuple:
         return [p.to_json() for p in self.parts]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Permutation:
     """A permutation of [1..s], stored by its image sequence."""
 
     __slots__ = ("images",)
+    images: tuple
 
     def __init__(self, images):
         images = tuple(int(i) for i in images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of [1..{len(images)}]: {images}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @classmethod
     def identity(cls, s):
@@ -301,12 +285,6 @@ class Permutation:
         for l, i in enumerate(self.images, start=1):
             inv[i - 1] = l
         return Permutation(inv)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     def __repr__(self):
         return f"Permutation({list(self.images)})"

@@ -23,7 +23,6 @@ out bit for bit as it would alone.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
@@ -235,9 +234,6 @@ class WitnessResult(NamedTuple):
             "monotone": self.monotone,
         }
 
-    def to_json_str(self):
-        return json.dumps(self.to_json())
-
 
 def _family(spectra, t):
     """Accept a SpectrumFamily-like object or an explicit (spectra, t)."""
@@ -378,10 +374,10 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
 
     ``residual_log`` may be a writable text file for per-iteration CSV
     diagnostics.  ValueError unless restarts and max_iters are at least
-    1, tol is positive and the spectra and t are finite."""
-    if restarts < 1 or max_iters < 1 or not tol > 0:
-        raise ValueError(f"need restarts >= 1, max_iters >= 1 and tol > 0, "
-                         f"got {restarts}, {max_iters}, {tol}")
+    1, tol is positive and finite, and the spectra and t are finite."""
+    if restarts < 1 or max_iters < 1 or not 0 < tol < math.inf:
+        raise ValueError(f"need restarts >= 1, max_iters >= 1 and a finite "
+                         f"tol > 0, got {restarts}, {max_iters}, {tol}")
     spectra, t = _family(spectra, t)
     lams = [_check_spectrum(l) for l in spectra]
     if not lams or any(l.size != lams[0].size for l in lams):

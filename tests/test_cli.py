@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,13 @@ def test_rank_arity_or_size_out_of_range(capsys, argv, word):
     assert code == 2 and out == "" and word in err
 
 
+def test_level_too_wide_exits_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tuples", "--d", "1", "--r", "70000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.count("\n") == 1 and "65536" in err
+
+
 class TestOptionsEachCommandReads:
     # an option a subcommand would not read is rejected, not ignored
 
@@ -267,15 +275,18 @@ class TestOptionsEachCommandReads:
     def test_witness_out_of_range_values(self, capsys, tmp_path):
         path = self.family(tmp_path)
         for extra in (["--restarts", "0"], ["--restarts", "-3"],
-                      ["--max-iters", "0"], ["--tol", "0"], ["--tol", "-1"]):
+                      ["--max-iters", "0"], ["--tol", "0"], ["--tol", "-1"],
+                      ["--tol", "inf"]):
             code, out, err = run(capsys, "witness", "--input", path, *extra)
             assert code == 2 and out == "" and "error:" in err, extra
 
     def test_failed_search_writes_no_residual_csv(self, capsys, tmp_path):
         log = tmp_path / "out.csv"
-        code, out, _ = run(capsys, "witness", "--input", self.family(tmp_path),
-                           "--restarts", "0", "--residual-csv", str(log))
-        assert code == 2 and out == "" and not log.exists()
+        for extra in (["--restarts", "0"], ["--tol", "inf"]):
+            code, out, _ = run(capsys, "witness", "--input",
+                               self.family(tmp_path), *extra,
+                               "--residual-csv", str(log))
+            assert code == 2 and out == "" and not log.exists(), extra
 
     def test_member(self, capsys, tmp_path):
         code, out, _ = run(capsys, "member", "--input", self.family(tmp_path),
@@ -380,6 +391,28 @@ class TestGoldenBytes:
             "40200c8638abc7f6d34510336524d8de9cf11e6614bf68ac285fc548523404b1",
         ("redundancy", "--r", "2", "--minimize"):
             "bc775ad50c6cae5577743eb3f82f54f263ffc5ee8012aae0ec8e2d9b8acbd825",
+        ("redundancy", "--r", "4", "--sigma", "3", "--format", "csv"):
+            "76fa42a0357e54197b964043663dede1359ad7a2aa7859a06b31a3dbe22e8ba8",
+        ("crosscheck", "--r", "2", "--n", "5"):
+            "678d9d1f6d7fa8058c1879101d344d4b8f7cecdace263c1d57242f043a17876b",
+    }
+    # every format of the listings
+    LISTINGS = {
+        ("tuples", "--d", "2", "--r", "5", "--level", "0", "--orbits",
+         "--sigma", "1,2"): {
+            "table": "32d90bc15cbc553cf0debea956c323dde3f86f45b348f83f648d95ad53da507b",
+            "json": "ed18d6e1e061c735c153c8333226829221503ef58e7b602b8ea449902a5b3200",
+            "csv": "5e47b9da3092e29d0144720fabb8489a14ec95c6019188e9aa4688661f75f5f4",
+        },
+        ("tables", "--rmax", "6"): {
+            "table": "35ec851069fc2b62fbeddfa04c778041e99e8351e5d39ac2ca7dc4cb2b6bcbc5",
+            "json": "765d9837b7d79045ffeaa65f006fe5c73a6c00966ac63b03d8340c6437e8e174",
+            "csv": "c7c83018c1c7182dd1c194b314c10c720493c46afb28f0922a9082d82342b8d0",
+        },
+    }
+    MEMBER = {
+        "table": "9a630df58958568e214bea0bee4c5cf47a6a0d1a509980956bdd214c0b7ccdb2",
+        "json": "9469cab82b79236abfc44a4d4ef8518a872d48404e169f24158af485672938f1",
     }
     NON_MEMBER = {
         "table": "c51bcd712739ed1f462839be428ecff10ae198caa21d6641cdf07aea4d50e90e",
@@ -391,6 +424,24 @@ class TestGoldenBytes:
             code, out, _ = run(capsys, *argv)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+    def test_listings_in_every_format(self, capsys):
+        for argv, digests in self.LISTINGS.items():
+            for fmt, digest in digests.items():
+                code, out, _ = run(capsys, *argv, "--format", fmt)
+                assert code == 0
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+                    (argv, fmt)
+
+    def test_member(self, capsys, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"spectra": [["2", "1", "-1"]] * 3,
+                                    "t": "2"}))
+        for fmt, digest in self.MEMBER.items():
+            code, out, _ = run(capsys, "member", "--input", str(path),
+                               "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
     def test_member_violation(self, capsys, tmp_path):
         # violates a level-2 Horn row by exactly 1/11

@@ -1,6 +1,7 @@
 import itertools
 import os
 import pathlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from _oracles import horn_check, orbit
 from horncone import horn, lr
+from horncone.cone import SpectrumFamily
 from horncone.horn import (
     HornStore,
     NotSigmaStable,
@@ -19,6 +21,7 @@ from horncone.horn import (
 from horncone.lr import classify
 from horncone.subsets import (
     Permutation,
+    Subset,
     SubsetTuple,
     all_subsets,
     all_tuples,
@@ -99,6 +102,15 @@ class TestTableOnFirstUse:
         with pytest.raises(ValueError, match="1 <= size <= ambient"):
             fresh.table(size, ambient)
         assert not fresh.tables
+
+    @pytest.mark.parametrize("size, ambient", [(1, 70000), (2, 363)])
+    def test_level_too_wide_for_uint16_positions(self, size, ambient):
+        # refused before any lower level or candidate is built
+        fresh = HornStore(arity=3)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="65536"):
+            fresh.table(size, ambient)
+        assert time.perf_counter() - start < 0.5 and not fresh.tables
 
     def test_arity_must_be_positive(self):
         for arity in (0, -2):
@@ -668,3 +680,43 @@ class TestImmutability:
         table = store.table(1, 2)
         with pytest.raises(AttributeError):
             table.members = ()
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: HornStore(arity=3).table(1, 2), "rows"),
+        (lambda: Subset([1, 3], 4), "elements"),
+        (lambda: Subset([1, 3], 4), "mask"),
+        (lambda: T([1], [2], [2], ambient=2), "parts"),
+        (lambda: Permutation([2, 1, 3]), "images"),
+        (lambda: SpectrumFamily([[1, 0]] * 3, 1), "t"),
+    ], ids=["HornTable", "Subset", "Subset.mask", "SubsetTuple", "Permutation",
+            "SpectrumFamily"])
+    def test_assignment_and_del_raise(self, make, name):
+        value = make()
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+
+    def test_value_equality_and_hashing(self):
+        # subsets compare as their bit masks do; the mask is not a field
+        subs = all_subsets(2, 4) + all_subsets(2, 5) + all_subsets(3, 5)
+        for a, b in itertools.product(subs, repeat=2):
+            assert (a == b) == ((a.mask, a.ambient) == (b.mask, b.ambient))
+        pairs = [
+            (Subset([1, 3], 4), Subset((1, 3), 4)),
+            (T([1], [2], [2], ambient=2), T([1], [2], [2], ambient=2)),
+            (Permutation([2, 1, 3]), Permutation.from_cycles([(1, 2)], 3)),
+            (SpectrumFamily([[1, 0]] * 3, 1),
+             SpectrumFamily([["2/2", "0"]] * 3, "1")),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and a is not b
+        assert Subset([1], 2) != Subset([1], 3)
+        assert Subset([1], 2) != T([1], ambient=2)
+        # level tables compare by identity
+        table, twin = (HornStore(arity=3).table(1, 2) for _ in range(2))
+        assert table == table and table != twin and len({table, twin}) == 2

@@ -273,7 +273,8 @@ class TestFindWitness:
 
     @pytest.mark.parametrize("option", [{"restarts": 0}, {"restarts": -3},
                                         {"max_iters": 0}, {"tol": 0.0},
-                                        {"tol": -1.0}, {"tol": float("nan")}])
+                                        {"tol": -1.0}, {"tol": float("nan")},
+                                        {"tol": float("inf")}])
     def test_out_of_range_options_raise(self, option):
         with pytest.raises(ValueError):
             find_witness([[1, -1]] * 3, 0, seed=2, **option)
