@@ -9,17 +9,24 @@ and bounded.
 
 The solver is the simplex method with Bland's smallest-index rule on a
 fraction-free tableau (Edmonds 1967, Bareiss 1968): the entries are
-Python ints over one common denominator D, the previous pivot, and each
-pivot divides every row exactly by the old D.  No Fraction arises before
-the returned optimum and point.  A tableau row keeps only its nonzero
-entries: a pivot row of a Horn system has about a dozen of them, out of
-hundreds of columns.
+integers over one common denominator D, the previous pivot, and each
+pivot divides every entry exactly by the old D.  No Fraction arises
+before the returned optimum and point.  The tableau is condensed, as in
+Avis' lrs: one numpy array holds only the nonbasic columns, so a pivot
+is one vectorised update.  It is ``int64`` while every entry is below
+2**31 in absolute value, where no product or difference can wrap, and
+``object`` (Python ints) from the first entry that is not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Integral
 from typing import NamedTuple
+
+import numpy as np
+
+_INT64_SAFE = 2 ** 31
 
 
 class LpResult(NamedTuple):
@@ -33,73 +40,59 @@ def solve_lp(objective, rows):
 
     The tableau splits x = u - v with u, v >= 0 and puts the box after
     the given rows as ``x_i <= 1, -x_i <= 1`` for each i in turn, one
-    slack per row; the slacks are the starting basis.  Each tableau row
-    is a dict of its nonzero entries by column, the right-hand side in
-    column ``width``.  Returns the exact optimum and an optimal vertex as
-    a tuple of Fractions.
+    slack per row; the slacks are the starting basis.  Labels number u,
+    v and the slacks in that order, and Bland's rule reads them.  ``T``
+    has one row per basic label and the reduced costs last, and one
+    column per nonbasic label and the right-hand side last.  Returns the
+    exact optimum and an optimal vertex as a tuple of Fractions.  Raises
+    ValueError unless every entry is an integer and every row has
+    ``len(objective)`` of them.
     """
-    n = len(objective)
-    split = 2 * n
-    box = [{i: sign} for i in range(n) for sign in (1, -1)]
-    lhs = [{j: x for j, x in enumerate(a) if x} for a in rows] + box
-    m = len(lhs)
-    width = split + m
-    T = []
-    for i, a in enumerate(lhs):
-        row = {**a, **{n + j: -x for j, x in a.items()}, split + i: 1}
-        if i >= len(rows):
-            row[width] = 1
-        T.append(row)
-    basis = list(range(split, width))
-    # reduced costs, the current value in column width
-    obj = {j: -c for j, c in enumerate(objective) if c}
-    obj.update({n + j: c for j, c in enumerate(objective) if c})
+    n, k = len(objective), len(rows)
+    entries = [x for a in (objective, *rows) for x in a]
+    types = set(map(type, entries))
+    if (any(len(a) != n for a in rows)
+            or not all(issubclass(t, Integral) for t in types)):
+        raise ValueError(f"every LP row needs {n} integer entries")
+    entries = list(map(int, entries))
+    big = max(map(abs, entries), default=0) >= _INT64_SAFE
+    A = np.array(entries, dtype=object if big else np.int64).reshape(k + 1, n)
+    A = np.vstack([A[1:], np.kron(np.eye(n, dtype=np.int64), [[1], [-1]]),
+                   -A[:1]])
+    m = k + 2 * n
+    T = np.hstack([A, -A, [[int(k <= i < m)] for i in range(m + 1)]])
+    basis, nonbasic = list(range(2 * n, 2 * n + m)), list(range(2 * n))
     D = 1
     while True:
-        enter = min((j for j, c in obj.items() if c < 0 and j < width),
-                    default=-1)
-        if enter < 0:
+        enter = [j for j, x in enumerate(T[m, :-1].tolist()) if x < 0]
+        if not enter:
             break
-        # min ratio T[i][width] / T[i][enter] by cross-multiplication,
-        # ties to the smallest basic index.  Some row always qualifies:
-        # every ray of the split polyhedron keeps x, so none improves.
-        leave = -1
-        for i in range(m):
-            a = T[i].get(enter, 0)
-            if a > 0:
-                if leave < 0:
-                    leave = i
-                    continue
-                here = T[i].get(width, 0) * T[leave][enter]
-                best = T[leave].get(width, 0) * a
-                if here < best or (here == best and basis[i] < basis[leave]):
-                    leave = i
-        row = T[leave]
-        p = row[enter]
-        for i in range(m):
-            if i != leave:
-                T[i] = _eliminate(T[i], row, p, enter, D)
-        obj = _eliminate(obj, row, p, enter, D)
-        basis[leave] = enter
+        s = min(enter, key=nonbasic.__getitem__)
+        # min ratio T[i, -1] / T[i, s] by cross-multiplication, ties to
+        # the smallest basic label.  Some row always qualifies: every ray
+        # of the split polyhedron keeps x, so none improves.
+        b, a = T[:m, -1].tolist(), T[:m, s].tolist()
+        r = -1
+        for i in np.flatnonzero(T[:m, s] > 0).tolist():
+            if r < 0 or (b[i] * a[r], basis[i]) < (b[r] * a[i], basis[r]):
+                r = i
+        # every entry becomes (T * p - col * row) / D, an exact division;
+        # the pivot row stays, and column s passes to the leaving label
+        p, pivot_row, pivot_col = int(T[r, s]), T[r].copy(), T[:, s].copy()
+        T *= p
+        T -= pivot_col[:, None] * pivot_row
+        T //= D
+        T[r], T[:, s], T[r, s] = pivot_row, -pivot_col, D
+        basis[r], nonbasic[s] = nonbasic[s], basis[r]
         D = p
-    u = [0] * split
-    for i, k in enumerate(basis):
-        if k < split:
-            u[k] = T[i].get(width, 0)
+        if T.dtype != object and np.abs(T).max() >= _INT64_SAFE:
+            T = T.astype(object)
+    u = [0] * (2 * n)
+    for i, label in enumerate(basis):
+        if label < 2 * n:
+            u[label] = int(T[i, -1])
     point = tuple(Fraction(u[i] - u[n + i], D) for i in range(n))
-    return LpResult(Fraction(obj.get(width, 0), D), point)
-
-
-def _eliminate(target, row, p, enter, D):
-    """One row after the pivot on ``row[enter] = p``: ``(target * p -
-    target[enter] * row) / D``, an exact integer division."""
-    f = target.get(enter, 0)
-    if f == 0:
-        return target if p == D else {j: x * p // D for j, x in target.items()}
-    new = {j: x * p for j, x in target.items()}
-    for j, y in row.items():
-        new[j] = new.get(j, 0) - f * y
-    return {j: x // D for j, x in new.items() if x}
+    return LpResult(Fraction(int(T[m, -1]), D), point)
 
 
 # -- redundancy of cone descriptions ----------------------------------
@@ -141,10 +134,10 @@ def _row_verdict(system, index, others, fix_t_zero):
     """Maximize constraint ``index`` subject to the constraints ``others``
     (``index`` itself skipped) plus the normalizing box [-1, 1] on all
     variables; the row is redundant exactly when the optimum is <= 0."""
+    kind = system.constraint(index).kind  # an IndexError before any LP
     vectors = [a[:-1] if fix_t_zero else a for a in system.matrix]
     value = solve_lp(vectors[index],
                      [vectors[k] for k in others if k != index]).value
-    kind = system.constraint(index).kind
     return RowVerdict(index, kind, value > 0, value)
 
 

@@ -2,8 +2,10 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from horncone import lp
 from horncone.cone import InequalitySystem, SpectrumFamily, generate_system, member
 from horncone.lp import (
     is_redundant,
@@ -52,6 +54,22 @@ class TestSolveLp:
             rng.shuffle(shuffled)
             assert solve_lp(obj, shuffled).value == base.value
 
+    @pytest.mark.parametrize("objective, rows", [
+        ([1, 1], [[Fraction(1, 2), -1]]),   # would floor 1/2 to 0
+        ([1, 1], [[1, -1, 5]]),             # a third entry for 2 variables
+        ([1, 1], [[1]]),                    # a missing entry
+        ([Fraction(1, 2), 1], [[1, -1]]),   # a Fraction in the objective
+        ([1, 1], [[0.5, -1]]),              # a float row
+    ])
+    def test_malformed_input_is_rejected(self, objective, rows):
+        with pytest.raises(ValueError, match="integer entries"):
+            solve_lp(objective, rows)
+
+    def test_numpy_integers_are_integers(self):
+        res = solve_lp(np.array([1, 1]), [np.array([2, -1], dtype=np.int32)])
+        assert res == solve_lp([1, 1], [[2, -1]])
+        assert all(type(x.numerator) is int for x in (res.value, *res.point))
+
 
 class TestAgainstReference:
     # the integer tableau pivots exactly as the general Fraction simplex
@@ -79,6 +97,26 @@ class TestAgainstReference:
         system = generate_system(5, 3, None, "full0", store)
         rows = random.Random(71).sample(range(system.count), 3)
         self.check_system(system, rows)
+
+    def test_empty_program(self):
+        got, want = solve_lp([], []), reference_box_lp([], [])
+        assert (got.value, got.point) == (want.value, want.point) == (0, ())
+
+    @pytest.mark.parametrize("scale, seed", [
+        (10 ** 6, 79),    # int64 at first; products pass 2**31 mid-solve
+        (10 ** 12, 83),   # Python ints from the start
+        (10 ** 20, 89),   # beyond int64 itself
+    ])
+    def test_random_large_coefficients(self, scale, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-scale, scale) for _ in range(n)]
+                    for _ in range(rng.randint(1, 10))]
+            obj = [rng.randint(-scale, scale) for _ in range(n)]
+            got = solve_lp(obj, rows)
+            want = reference_box_lp(obj, rows)
+            assert (got.value, got.point) == (want.value, want.point)
 
     def test_random_homogeneous(self):
         rng = random.Random(73)
@@ -123,12 +161,40 @@ class TestRedundancy:
         assert is_redundant(system, 0, fix_t_zero=True).essential
         assert is_redundant(system, 1, fix_t_zero=True).essential
 
-    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
-                        reason="156 exact LPs (~10 s); set RUN_OPTIONAL=1")
     def test_rank5_reduced_rows_all_essential(self, store):
         system = generate_system(5, 3, None, "min00", store)
         report = redundancy_report(system)
         assert report.essential_count == system.count == 156
+
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="539 exact LPs (~10 s); set RUN_OPTIONAL=1")
+    def test_rank6_plain_rows_essential_iff_point(self, store):
+        # Knutson-Tao-Woodward and Belkale: the essential Horn rows are
+        # exactly those whose LR coefficient is 1 (the point flag)
+        system = generate_system(6, 3, None, "full0", store)
+        report = redundancy_report(system)
+        assert report.essential_count == 538 == system.count - 1
+        cons = system.constraints()
+        [star] = [v for v in report.verdicts if not v.essential]
+        horn = cons[star.index].meta
+        assert cons[star.index].kind == "horn" and horn.d == 3
+        assert [p.elements for p in horn.tup.parts] == [(2, 4, 6)] * 3
+        assert not horn.is_point and star.optimum == 0
+        for verdict, con in zip(report.verdicts, cons):
+            assert verdict.essential == (con.kind != "horn"
+                                         or con.meta.is_point), con.index
+
+    @pytest.mark.parametrize("index", [8, -1])
+    def test_row_index_checked_before_any_lp(self, store, monkeypatch, index):
+        system = generate_system(2, 3, None, "full0", store)
+        assert system.count == 8
+
+        def no_lp(*args):
+            raise AssertionError("solved an LP for a row that is not there")
+
+        monkeypatch.setattr(lp, "solve_lp", no_lp)
+        with pytest.raises(IndexError, match=f"row {index} of a system of 8"):
+            is_redundant(system, index)
 
     def test_report_json(self, store):
         system = generate_system(2, 3, None, "min00", store)
