@@ -9,9 +9,9 @@ intersecting tuple of each level d < r.  When the family is required to
 be fixed by a coordinate permutation, the Horn rows shrink to the tuples
 fixed by it and the chamber rows to one run per cycle.
 
-A system keeps its Horn rows as index arrays and builds one exact
-integer matrix from them on first use, which membership decisions, the
-CSV output and the LPs read; row objects are built only where read.
+A system keeps its Horn rows as index arrays and builds one int64
+coefficient array from them on first use: decisions multiply it, the CSV
+and the LPs read its rows, and row objects are built only where read.
 
 All arithmetic is exact: spectra and t are `fractions.Fraction` values,
 serialized as "p/q" strings.
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -240,17 +239,10 @@ class InequalitySystem:
 
     # -- the coefficient matrix -----------------------------------------
 
-    def _variable_names(self):
-        names = []
-        for cyc in self.cycles:
-            rep = min(cyc)
-            names.extend(f"L{rep}[{j}]" for j in range(1, self.r + 1))
-        names.append("t")
-        return names
-
     @cached_property
     def matrix(self):
-        """Exact integer coefficients, one row per constraint in canonical
+        """Exact integer coefficients as one read-only ``int64`` array of
+        shape (count, num_vars), one row per constraint in canonical
         order: row a means ``a . x <= 0``, where x holds the spectrum of
         each cycle (columns ``c*r`` to ``c*r + r - 1``) followed by t; a
         Horn row sums the incidence rows of its parts over each cycle."""
@@ -259,25 +251,27 @@ class InequalitySystem:
         # entry i + 1 minus entry i, for each cycle in turn; t is not read
         step = np.eye(r - 1, r, 1, dtype=np.int64) - np.eye(r - 1, r, dtype=np.int64)
         chamber = np.kron(np.eye(len(self.cycles), dtype=np.int64), step)
-
-        def blocks():  # one level at a time, so only one is held as int64
-            yield np.array([trace, [-w for w in trace]])
-            yield np.pad(chamber, ((0, 0), (0, 1)))[:self.chamber_count]
-            for d, rows, _ in self.levels:
-                incidence = np.array([[j in sub for j in range(1, r + 1)]
-                                      for sub in all_subsets(d, r)], dtype=np.int64)
-                sums = [incidence[rows[:, [l - 1 for l in cyc]]].sum(axis=1)
-                        for cyc in self.cycles]
-                yield np.hstack(sums + [np.full((len(rows), 1), -d)])
-        return tuple(tuple(row) for block in blocks() for row in block.tolist())
+        blocks = [np.array([trace, [-w for w in trace]], dtype=np.int64),
+                  np.pad(chamber, ((0, 0), (0, 1)))[:self.chamber_count]]
+        for d, rows, _ in self.levels:
+            incidence = np.array([[j in sub for j in range(1, r + 1)]
+                                  for sub in all_subsets(d, r)], dtype=np.int64)
+            sums = [incidence[rows[:, [l - 1 for l in cyc]]].sum(axis=1)
+                    for cyc in self.cycles]
+            blocks.append(np.hstack(sums + [np.full((len(rows), 1), -d)]))
+        matrix = np.vstack(blocks)
+        matrix.flags.writeable = False
+        return matrix
 
     # -- membership -----------------------------------------------------
 
     def excesses(self, point):
         """Exact excess ``a . x`` of every row at the point, in canonical
-        order (positive means violated), as ``(numerators, L)``: the
-        numerators are Python ints over the one common denominator L of
-        the point's entries, yielded lazily."""
+        order (positive means violated), as ``(numerators, L)``: L is the
+        one common denominator of the point's entries, and the numerators
+        are a 1-D array, ``int64`` while ``(s + 1) * r * max|L x|`` is
+        below 2**63 (no row sum can wrap: a row's absolute entries sum to
+        at most that factor) and ``object`` (Python ints) past it."""
         if point.arity != self.s or point.length != self.r:
             raise ValueError(
                 f"point shape ({point.arity}, {point.length}) does not match "
@@ -296,19 +290,20 @@ class InequalitySystem:
         x.append(point.t)
         denom = lcm(*(v.denominator for v in x))
         cleared = [v.numerator * (denom // v.denominator) for v in x]
-        return (sum(map(mul, row, cleared)) for row in self.matrix), denom
+        wide = (self.s + 1) * self.r * max(map(abs, cleared)) >= 2 ** 63
+        matrix = self.matrix.astype(object) if wide else self.matrix
+        return matrix @ np.array(cleared, dtype=matrix.dtype), denom
 
     def decide(self, point):
         """Exact membership verdict; a non-member reports the first
         violated constraint in canonical order."""
         # the min00 convention at r = 2 drops the chamber rows exactly
         # because the trace equality and the Horn rows imply them, so
-        # scanning the remaining rows still decides the cone
+        # checking the remaining rows still decides the cone
         numerators, denom = self.excesses(point)
-        for k, num in enumerate(numerators):
-            if num > 0:
-                violation = Violation(self.constraint(k), Fraction(num, denom))
-                return MembershipVerdict(False, violation)
+        for k in np.flatnonzero(numerators > 0)[:1].tolist():
+            violation = Violation(self.constraint(k), Fraction(int(numerators[k]), denom))
+            return MembershipVerdict(False, violation)
         return MembershipVerdict(True, None)
 
     # -- serialization ----------------------------------------------------
@@ -357,7 +352,8 @@ class InequalitySystem:
         row's tuple text joins the JSON text of its parts' subsets."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["kind", "d", "tuple", *self._variable_names()])
+        names = [f"L{min(cyc)}[{j}]" for cyc in self.cycles for j in range(1, self.r + 1)]
+        writer.writerow(["kind", "d", "tuple", *names, "t"])
 
         def heads():  # streamed, as the rows are written
             for kind in ["trace_le", "trace_ge"] + ["chamber"] * self.chamber_count:
@@ -366,7 +362,7 @@ class InequalitySystem:
                 text = [json.dumps(sub.to_json()) for sub in all_subsets(d, self.r)]
                 for row in rows.tolist():
                     yield ["horn", d, "[" + ", ".join(text[i] for i in row) + "]"]
-        writer.writerows(head + list(vec) for head, vec in zip(heads(), self.matrix))
+        writer.writerows(head + vec.tolist() for head, vec in zip(heads(), self.matrix))
         return buf.getvalue()
 
 

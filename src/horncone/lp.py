@@ -49,14 +49,17 @@ def solve_lp(objective, rows):
     ``len(objective)`` of them.
     """
     n, k = len(objective), len(rows)
-    entries = [x for a in (objective, *rows) for x in a]
-    types = set(map(type, entries))
-    if (any(len(a) != n for a in rows)
-            or not all(issubclass(t, Integral) for t in types)):
+    try:
+        A = np.array([objective, *rows])
+        if A.dtype.kind not in "biu":  # ints past int64 turn float or object
+            A = np.array([objective, *rows], dtype=object)
+    except ValueError:  # rows of different lengths
+        A = np.array(None)
+    if A.shape != (k + 1, n) or A.dtype == object and not all(
+            isinstance(x, Integral) for x in A.flat):
         raise ValueError(f"every LP row needs {n} integer entries")
-    entries = list(map(int, entries))
-    big = max(map(abs, entries), default=0) >= _INT64_SAFE
-    A = np.array(entries, dtype=object if big else np.int64).reshape(k + 1, n)
+    small = not A.size or -_INT64_SAFE < A.min() and A.max() < _INT64_SAFE
+    A = A.astype(np.int64) if small else np.frompyfunc(int, 1, 1)(A)
     A = np.vstack([A[1:], np.kron(np.eye(n, dtype=np.int64), [[1], [-1]]),
                    -A[:1]])
     m = k + 2 * n
@@ -130,14 +133,14 @@ class RedundancyReport(NamedTuple):
         }
 
 
-def _row_verdict(system, index, others, fix_t_zero):
-    """Maximize constraint ``index`` subject to the constraints ``others``
-    (``index`` itself skipped) plus the normalizing box [-1, 1] on all
-    variables; the row is redundant exactly when the optimum is <= 0."""
+def _row_verdict(system, index, active, fix_t_zero):
+    """Maximize constraint ``index`` subject to the rows of the boolean
+    mask ``active`` (``index`` itself skipped), all sliced from the
+    system's matrix, plus the normalizing box [-1, 1] on all variables;
+    the row is redundant exactly when the optimum is <= 0."""
     kind = system.constraint(index).kind  # an IndexError before any LP
-    vectors = [a[:-1] if fix_t_zero else a for a in system.matrix]
-    value = solve_lp(vectors[index],
-                     [vectors[k] for k in others if k != index]).value
+    A = system.matrix[:, :-1] if fix_t_zero else system.matrix
+    value = solve_lp(A[index], A[active & (np.arange(len(A)) != index)]).value
     return RowVerdict(index, kind, value > 0, value)
 
 
@@ -147,7 +150,7 @@ def is_redundant(system, index, fix_t_zero=False):
 
     ``fix_t_zero`` restricts to the slice t = 0 (the integral-weight
     picture)."""
-    return _row_verdict(system, index, range(system.count), fix_t_zero)
+    return _row_verdict(system, index, np.ones(system.count, bool), fix_t_zero)
 
 
 def redundancy_report(system, fix_t_zero=False):
@@ -174,13 +177,12 @@ def minimize_system(system, fix_t_zero=False):
     set.  Verdicts refer to this sequential process; for systems whose
     essential rows are facets the outcome does not depend on the order.
     """
-    active = list(range(system.count))
+    active = np.ones(system.count, bool)
     verdicts = []
     for k in range(system.count):
         verdict = _row_verdict(system, k, active, fix_t_zero)
         verdicts.append(verdict)
-        if not verdict.essential:
-            active.remove(k)
-    retained = tuple(active)
-    dropped = tuple(i for i in range(system.count) if i not in active)
+        active[k] = verdict.essential
+    retained = tuple(np.flatnonzero(active).tolist())
+    dropped = tuple(np.flatnonzero(~active).tolist())
     return MinimizeResult(retained, dropped, tuple(verdicts))

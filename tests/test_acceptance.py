@@ -402,7 +402,7 @@ def test_9_witness_agreement(store):
     while len(members) < 100 or len(rejected) < 100:
         p = sample_point()
         numerators, denom = system.excesses(p)
-        excess = [Fraction(n, denom) for n in numerators]
+        excess = [Fraction(n, denom) for n in numerators.tolist()]
         if member(p, system).is_member:
             interior = all(
                 excess[c.index] < 0

@@ -1,9 +1,11 @@
 import itertools
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from _oracles import invariant_dim
@@ -223,7 +225,8 @@ class TestCoefficientMatrix:
         # shares it), or with t = 1
         for system in three_systems:
             r, p = system.r, len(system.cycles)
-            assert len(system.matrix) == system.count
+            assert system.matrix.shape == (system.count, system.num_vars)
+            assert system.matrix.dtype == np.int64
             units = []
             for col in range(system.num_vars):
                 flat = [0] * (p * r)
@@ -233,8 +236,7 @@ class TestCoefficientMatrix:
                 units.append(stable_family(system, cycle_spectra,
                                            int(col == p * r)))
             for con, row in zip(system.constraints(), system.matrix):
-                assert all(type(a) is int for a in row)
-                assert list(row) == [
+                assert row.tolist() == [
                     definition_excess(system, con, u) for u in units
                 ], con
 
@@ -266,13 +268,57 @@ class TestCoefficientMatrix:
                 con, amount = verdict.violation
                 assert con == expected[0]
                 assert type(amount) is Fraction and amount == expected[1]
+                assert type(amount.numerator) is int
                 assert amount.denominator > 10**18
                 kinds.add(con.kind)
             assert kinds == {"member", "trace_le", "trace_ge", "chamber",
                              "horn"}, system.sigma
+            # integer points on either side of (s + 1) * r * max|x| < 2**63,
+            # the bound for int64 excesses: a trace row's absolute entries
+            # sum to (s + 1) * r, so with every entry m and t = -m its
+            # excess is that bound times m; the spread point is a member
+            edge = (2 ** 63 - 1) // ((system.s + 1) * r)
+            for m in (edge, edge + 1):
+                spread = [m] + [0] * (r - 2) + [-m]
+                for cycle_spectra, t in [([[m] * r] * p, -m), ([spread] * p, 0)]:
+                    point = stable_family(system, cycle_spectra, t)
+                    verdict = system.decide(point)
+                    expected = reference_decide(system, point)
+                    assert verdict.violation == expected, (system.sigma, m)
+                    if expected is not None:
+                        assert type(verdict.violation.amount.numerator) is int
 
 
 class TestMember:
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="rank-10 system of 191,382 rows; set RUN_OPTIONAL=1")
+    def test_rank10_plain_decisions(self):
+        # each verdict is checked at its reported row alone, against the
+        # definitions: no Fraction scan over the whole system
+        system = generate_system(10, 3, None, "full0", HornStore(arity=3))
+        assert system.count == 191_382
+        rng = random.Random(10)
+        lam = sorted((Fraction(v, 7) for v in rng.sample(range(-400, 400), 10)),
+                     reverse=True)
+        perm = rng.sample(range(10), 10)
+        # diag(lam) + diag(lam permuted) + diag(t - both) = t I
+        t = Fraction(5, 3)
+        third = sorted((t - a - lam[j] for a, j in zip(lam, perm)), reverse=True)
+        assert member(fam([lam, lam, third], t), system).is_member
+        swapped = lam[:3] + [lam[4], lam[3]] + lam[5:]
+        weyl = [[10] + [0] * 9, [0] * 10, [0] * 10]  # top entry 10 > t = 1
+        cases = [([lam, lam, third], t + Fraction(1, 7), "trace_ge", 1),
+                 ([swapped, lam, third], t, "chamber", 5),
+                 (weyl, 1, "horn", None)]
+        for spectra, t, kind, index in cases:
+            point = fam(spectra, t)
+            verdict = member(point, system)
+            assert not verdict.is_member
+            con, amount = verdict.violation
+            assert con.kind == kind and index in (None, con.index)
+            assert amount == definition_excess(system, con, point) > 0
+            assert type(amount.numerator) is int
+
     def test_member_example(self, store):
         system = generate_system(2, 3, None, "full0", store)
         assert member(fam([[1, -1]] * 3), system).is_member

@@ -75,7 +75,7 @@ class TestAgainstReference:
     # the integer tableau pivots exactly as the general Fraction simplex
     # does, so optimum and vertex agree row for row
     def check_system(self, system, indices=None, fix_t_zero=False):
-        vectors = [a[:-1] if fix_t_zero else a for a in system.matrix]
+        vectors = [a[:-1] if fix_t_zero else a for a in system.matrix.tolist()]
         if indices is None:
             indices = range(system.count)
         for k in indices:
@@ -243,6 +243,6 @@ class TestMinimize:
             p = SpectrumFamily(spectra, t)
             full_ok = member(p, system).is_member
             numerators, denom = system.excesses(p)
-            excess = [Fraction(n, denom) for n in numerators]
+            excess = [Fraction(n, denom) for n in numerators.tolist()]
             reduced_ok = all(excess[i] <= 0 for i in retained)
             assert full_ok == reduced_ok
