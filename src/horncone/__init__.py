@@ -42,7 +42,6 @@ from .cone import (
     InequalitySystem,
     SpectrumFamily,
     generate_system,
-    lr_membership,
     member,
     shift_rescale,
 )
@@ -71,8 +70,8 @@ __all__ = [
     "IntersectionClass", "classify", "lr_coefficient", "schubert_product",
     "HornStore", "HornTable", "NotSigmaStable",
     "count_intersecting", "cross_check",
-    "InequalitySystem", "SpectrumFamily", "generate_system", "lr_membership",
-    "member", "shift_rescale",
+    "InequalitySystem", "SpectrumFamily", "generate_system", "member",
+    "shift_rescale",
     "is_redundant", "minimize_system", "redundancy_report", "solve_lp",
     "NumericalFailure", "WitnessResult", "find_witness", "hermitian_eigh",
     "project_to_orbit", "sample_orbit",

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .horn import HornStore, NotSigmaStable, normalize_cycle_type
+from .horn import HornStore, NotSigmaStable, horn_rows, normalize_cycle_type
 from .subsets import Permutation, Subset, SubsetTuple, all_subsets
 
 
@@ -244,22 +244,17 @@ class InequalitySystem:
         """Exact integer coefficients as one read-only ``int64`` array of
         shape (count, num_vars), one row per constraint in canonical
         order: row a means ``a . x <= 0``, where x holds the spectrum of
-        each cycle (columns ``c*r`` to ``c*r + r - 1``) followed by t; a
-        Horn row sums the incidence rows of its parts over each cycle."""
-        r = self.r
-        trace = [len(cyc) for cyc in self.cycles for _ in range(r)] + [-r]
+        each cycle (columns ``c*r`` to ``c*r + r - 1``) followed by t; the
+        Horn rows of each level are ``horn.horn_rows``."""
+        r, lengths = self.r, [len(cyc) for cyc in self.cycles]
+        trace = [w for w in lengths for _ in range(r)] + [-r]
         # entry i + 1 minus entry i, for each cycle in turn; t is not read
         step = np.eye(r - 1, r, 1, dtype=np.int64) - np.eye(r - 1, r, dtype=np.int64)
         chamber = np.kron(np.eye(len(self.cycles), dtype=np.int64), step)
-        blocks = [np.array([trace, [-w for w in trace]], dtype=np.int64),
-                  np.pad(chamber, ((0, 0), (0, 1)))[:self.chamber_count]]
-        for d, rows, _ in self.levels:
-            incidence = np.array([[j in sub for j in range(1, r + 1)]
-                                  for sub in all_subsets(d, r)], dtype=np.int64)
-            sums = [incidence[rows[:, [l - 1 for l in cyc]]].sum(axis=1)
-                    for cyc in self.cycles]
-            blocks.append(np.hstack(sums + [np.full((len(rows), 1), -d)]))
-        matrix = np.vstack(blocks)
+        matrix = np.vstack([
+            np.array([trace, [-w for w in trace]], dtype=np.int64),
+            np.pad(chamber, ((0, 0), (0, 1)))[:self.chamber_count],
+            *(horn_rows(d, rows, r, lengths) for d, rows, _ in self.levels)])
         matrix.flags.writeable = False
         return matrix
 
@@ -269,9 +264,9 @@ class InequalitySystem:
         """Exact excess ``a . x`` of every row at the point, in canonical
         order (positive means violated), as ``(numerators, L)``: L is the
         one common denominator of the point's entries, and the numerators
-        are a 1-D array, ``int64`` while ``(s + 1) * r * max|L x|`` is
-        below 2**63 (no row sum can wrap: a row's absolute entries sum to
-        at most that factor) and ``object`` (Python ints) past it."""
+        are a 1-D array, ``int64`` while every ``|L x|`` is below 2**b,
+        b = 62 - bit_length((s + 1) * r), and ``object`` (Python ints)
+        past it."""
         if point.arity != self.s or point.length != self.r:
             raise ValueError(
                 f"point shape ({point.arity}, {point.length}) does not match "
@@ -290,9 +285,17 @@ class InequalitySystem:
         x.append(point.t)
         denom = lcm(*(v.denominator for v in x))
         cleared = [v.numerator * (denom // v.denominator) for v in x]
-        wide = (self.s + 1) * self.r * max(map(abs, cleared)) >= 2 ** 63
-        matrix = self.matrix.astype(object) if wide else self.matrix
-        return matrix @ np.array(cleared, dtype=matrix.dtype), denom
+        # L x in signed base-2**b digits: a row's absolute entries sum to
+        # at most (s + 1) * r, so one digit's int64 product cannot wrap
+        b = 62 - ((self.s + 1) * self.r).bit_length()
+        mask, top = (1 << b) - 1, max(map(abs, cleared)).bit_length()
+        products = [self.matrix @ np.array(
+            [v >> shift & mask if v >= 0 else -(-v >> shift & mask) for v in cleared],
+            dtype=np.int64) for shift in range(0, top or 1, b)]
+        if len(products) == 1:
+            return products[0], denom
+        return sum(p.astype(object) << i * b
+                   for i, p in enumerate(products)), denom
 
     def decide(self, point):
         """Exact membership verdict; a non-member reports the first
@@ -401,18 +404,3 @@ def member(point, system):
     describes."""
     return system.decide(point)
 
-
-def lr_membership(lams, store=None, sigma=None):
-    """Positivity of the invariant-vector dimension for a family of
-    integral highest weights: membership of (lams, 0) in the cone.
-
-    Entries must be weakly decreasing integers (negative entries are
-    fine).  Equivalent to the corresponding multi-Littlewood-Richardson
-    coefficient being positive."""
-    lams = [tuple(int(x) for x in lam) for lam in lams]
-    for lam in lams:
-        if any(a < b for a, b in zip(lam, lam[1:])):
-            raise ValueError(f"weights must be weakly decreasing: {lam}")
-    r = len(lams[0])
-    system = generate_system(r, s=len(lams), sigma=sigma, store=store)
-    return bool(member(SpectrumFamily(lams, 0), system))

@@ -3,16 +3,19 @@
 A tuple in Subsets(r, n, s) is intersecting exactly when its expected
 dimension is nonnegative and it satisfies every Horn inequality
 ``edim(tup o test) >= edim(test)`` indexed by the zero-expected-dimension
-intersecting tuples of the lower levels Subsets(d, r, s), d < r.  This
-module builds those level sets bottom-up, with an optional restriction
-to tuples fixed by a coordinate permutation (computed against the
-likewise-restricted test sets), and cross-checks the recursion against
-the Littlewood-Richardson backend.
+intersecting tuples of the lower levels Subsets(d, r, s), d < r: when
+its Schubert partitions, with t = n - r, satisfy the rank-r cone's Horn
+rows (Belkale; Berline, Vergne and Walter).  This module builds those
+level sets bottom-up, with an optional restriction to tuples fixed by a
+coordinate permutation (computed against the likewise-restricted test
+sets), and cross-checks the recursion against the Littlewood-Richardson
+backend.
 
-One numpy kernel, ``_horn_survivors``, applies that test for every
-arity and cycle type, in chunks of bounded size; it serves the lower
-half of the level tables and the census ``count_intersecting``.  Swaps
-of equal-length cycles change neither a tuple's verdict nor the test sets
+One numpy kernel, ``_horn_survivors``, evaluates the Horn rows of
+``horn_rows``, which ``cone`` stacks into its systems, for every arity
+and cycle type, in chunks of bounded size; it serves the lower half of
+the level tables and the census ``count_intersecting``.  Swaps of
+equal-length cycles change neither a tuple's verdict nor the test sets
 (the Schubert product is commutative), so the kernel tests one sorted
 representative per orbit of them: the census weights it by its orbit
 size, and a level build expands the orbits once.
@@ -342,23 +345,26 @@ def _dual_positions(size, ambient):
                      for p in all_subsets(size, ambient)])
 
 
-def _composition_sums(size, ambient, d):
-    """Matrix F with F[i, j] = sum_k I_i(J_j(k)) over the mask-ordered
-    subsets I of [ambient] (size ``size``) and J of [size] (size d)."""
-    outer = np.array([I.elements for I in all_subsets(size, ambient)])
-    inner = np.array([J.elements for J in all_subsets(d, size)]) - 1
-    return outer[:, inner].sum(axis=-1, dtype=np.int32)
+def horn_rows(d, rows, r, lengths):
+    """Int64 Horn rows ``a . x <= 0`` of (K, s) index rows into
+    all_subsets(d, r); x is one spectrum per cycle of consecutive parts
+    (``lengths``), then t: a cycle sums its parts' incidences, t gets -d."""
+    incidence = np.array([[j in sub for j in range(1, r + 1)]
+                          for sub in all_subsets(d, r)], dtype=np.int64)
+    a = np.full((len(rows), len(lengths) * r + 1), -d, dtype=np.int64)
+    for c, (lo, hi) in enumerate(itertools.pairwise(np.cumsum((0, *lengths)))):
+        a[:, c * r:(c + 1) * r] = incidence[rows[:, lo:hi]].sum(axis=1)
+    return a
 
 
 def _horn_survivors(size, ambient, s, sigma, tests):
     """Yield, in mask-key order, chunks of the (M, s) index rows into
     all_subsets(size, ambient) of one representative per orbit of the
     tuples that are fixed by the cycle type ``sigma`` (None: every
-    tuple), have nonnegative expected dimension and satisfy
-    ``edim(tup o test) >= 0`` for every test tuple in ``tests``: pairs
-    (d, rows) of zero-expected-dimension tuples given as (K, s) arrays of
-    index rows into all_subsets(d, size), each closed under the swaps
-    below, as the rows of every level are.
+    tuple), have nonnegative expected dimension and pass every test level
+    in ``tests``: pairs (d, rows) of zero-expected-dimension tuples as
+    (K, s) index rows into all_subsets(d, size), each closed under the
+    swaps below, as the rows of every level are.
 
     The orbits are those of the swaps of cycles of equal length (for
     None, all s! permutations of the parts), which leave each of these
@@ -367,31 +373,37 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     index per cycle, weighted by its length, and never below the previous
     index of their run; a prefix is dropped once its dimension sum can no
     longer reach the threshold, and each growth step is split to hold
-    about _CHUNK_ROWS rows.  The Horn inequality of one test tuple is a
-    sum of per-part gathers from the transposed composition sums; the
-    survivors are compacted once per test level d.
+    about _CHUNK_ROWS rows.  A candidate passes level d when it satisfies
+    the level's ``horn_rows`` at x = its cycles' Schubert partitions,
+    t = ambient - size: a chunk sums gathers of about _CHUNK_ROWS // 4
+    entries from one int32 table per cycle, and its survivors are
+    compacted once per level.
     """
     lengths = (1,) * s if sigma is None else sigma
     column = np.repeat(np.arange(len(lengths)), lengths)
-    dims = np.array([p.dim() for p in all_subsets(size, ambient)])
+    subs = all_subsets(size, ambient)
+    dims = np.array([p.dim() for p in subs])
     # the expected dimension is nonnegative iff the dims sum to at least
     threshold = (s - 1) * size * (ambient - size)
     # reach[k]: the most the cycles k, k+1, ... can still add
     reach = np.cumsum([0] + [w * dims.max() for w in lengths[::-1]])[::-1]
-    horn = [
-        (_composition_sums(size, ambient, d).T.copy(),
-         s * d * (d + 1) // 2 + (s - 1) * d * (ambient - d), rows.tolist())
-        for d, rows in tests if len(rows)
-    ]
+    # per test level, one (N, K) table per cycle: each part's share of
+    # each row, in int32, as an entry is at most s * d * (ambient - size)
+    partitions = np.array([p.schubert_partition() for p in subs], np.int32)
+    horn = [(partitions @ horn_rows(d, rows, size, lengths)[:, :-1].T.reshape(
+                len(lengths), size, len(rows)).astype(np.int32),
+             d * (ambient - size)) for d, rows in tests if len(rows)]
     step = max(1, _CHUNK_ROWS // len(dims))
 
     def passing(free):
         # free holds one row of indices per cycle
-        for FT, base, rows in horn:
-            ok = np.ones(free.shape[1], dtype=bool)
-            for row in rows:
-                total = sum(FT[j][free[c]] for j, c in zip(row, column))
-                ok &= total >= base
+        for tables, bound in horn:
+            width = max(1, _CHUNK_ROWS // 4 // tables.shape[2])
+            ok = np.empty(free.shape[1], dtype=bool)
+            for lo in range(0, len(ok), width):
+                total = sum(table[f[lo:lo + width]]
+                            for table, f in zip(tables, free))
+                ok[lo:lo + width] = (total <= bound).all(axis=1)
             free = free[:, ok]
         return free
 

@@ -220,6 +220,22 @@ def test_4b_intersecting_census_5_11():
             f"zero-dim fixed={cnt.diagonal_zero_dim}")
 
 
+@pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                    reason="(6,12) census check is optional; set RUN_OPTIONAL=1")
+def test_4c_intersecting_census_6_12():
+    # no total is frozen: the diagonal is checked against the
+    # three-equal-spectra level, which the sigma recursion builds alone
+    t0 = time.monotonic()
+    store = HornStore(arity=3)
+    cnt = count_intersecting(6, 12, store)
+    table = store.table(6, 12, (3,))
+    assert cnt.diagonal == len(table)
+    assert cnt.diagonal_zero_dim == len(table.zero_dim_members())
+    _report("4c census at (6,12)", time.monotonic() - t0, 1800,
+            f"total={cnt.total} fixed={cnt.diagonal} "
+            f"zero-dim fixed={cnt.diagonal_zero_dim}")
+
+
 # -- 5: the rank-6 repeated-spectrum system and its redundant row -------
 
 def test_5_rank6_repeated_spectrum_system(store):

@@ -13,17 +13,16 @@ from horncone.cone import (
     InequalitySystem,
     SpectrumFamily,
     generate_system,
-    lr_membership,
     member,
     shift_rescale,
 )
 from horncone.horn import HornStore, NotSigmaStable
 from horncone.subsets import (
     Permutation,
-    all_tuples,
     entry_sum,
     expected_dim,
     schubert_partitions,
+    stable_tuples,
 )
 
 
@@ -273,14 +272,20 @@ class TestCoefficientMatrix:
                 kinds.add(con.kind)
             assert kinds == {"member", "trace_le", "trace_ge", "chamber",
                              "horn"}, system.sigma
-            # integer points on either side of (s + 1) * r * max|x| < 2**63,
-            # the bound for int64 excesses: a trace row's absolute entries
-            # sum to (s + 1) * r, so with every entry m and t = -m its
-            # excess is that bound times m; the spread point is a member
+            # integer points on either side of 2**b, b = 62 -
+            # bit_length((s + 1) * r), past which an entry takes two int64
+            # digits; on either side of 2**63 / ((s + 1) * r), past which
+            # a trace row's excess at every entry m and t = -m leaves
+            # int64; and near 2**100 and 2**200.  The spread point is a
+            # member at t = 0, and at t = -1/3 it violates a trace row by
+            # r/3 alone
+            b = 62 - ((system.s + 1) * r).bit_length()
             edge = (2 ** 63 - 1) // ((system.s + 1) * r)
-            for m in (edge, edge + 1):
+            for m in ((1 << b) - 1, 1 << b, edge, edge + 1, 2 ** 100 + 7,
+                      2 ** 200 - 1):
                 spread = [m] + [0] * (r - 2) + [-m]
-                for cycle_spectra, t in [([[m] * r] * p, -m), ([spread] * p, 0)]:
+                for cycle_spectra, t in [([[m] * r] * p, -m), ([spread] * p, 0),
+                                         ([spread] * p, Fraction(-1, 3))]:
                     point = stable_family(system, cycle_spectra, t)
                     verdict = system.decide(point)
                     expected = reference_decide(system, point)
@@ -439,18 +444,21 @@ class TestShiftRescale:
 
 
 class TestLrMembership:
+    # (lams, 0) is a cone point exactly when the tensor product of the
+    # representations of the integral highest weights lams has invariants
+    @staticmethod
+    def lr_member(lams, store):
+        system = generate_system(len(lams[0]), len(lams), store=store)
+        return member(SpectrumFamily(lams, 0), system).is_member
+
     def test_zero_weights(self, store):
-        assert lr_membership([[0, 0, 0]] * 3, store)
+        assert self.lr_member([[0, 0, 0]] * 3, store)
 
     def test_adjoint_triple(self, store):
-        assert lr_membership([[1, 0, -1]] * 3, store)
+        assert self.lr_member([[1, 0, -1]] * 3, store)
 
     def test_nonzero_trace_fails(self, store):
-        assert not lr_membership([[1, 0, 0]] * 3, store)
-
-    def test_requires_decreasing(self, store):
-        with pytest.raises(ValueError):
-            lr_membership([[0, 1, 0]] * 3, store)
+        assert not self.lr_member([[1, 0, 0]] * 3, store)
 
     def test_against_invariant_dimension_oracle(self, store):
         rng = random.Random(59)
@@ -469,7 +477,7 @@ class TestLrMembership:
             last = [x - deficit // r for x in base]
             lams.append(last)
             want = invariant_dim([tuple(l) for l in lams]) > 0
-            assert lr_membership(lams, store) == want
+            assert self.lr_member(lams, store) == want
             checked += 1
         assert checked > 50
 
@@ -514,13 +522,22 @@ class TestInductiveBridge:
     def test_zero_dim_members_match_cone_points(self, store):
         # a tuple sits in the zero-dimensional intersecting level exactly
         # when its partition family, paired with the codimension scalar,
-        # is a cone point
-        for (r, n) in [(1, 3), (2, 4), (2, 5), (3, 5)]:
-            system = generate_system(r, 3, None, "full0", store)
-            table = store.table(r, n)
-            for tup in all_tuples(r, n, 3):
-                gam = schubert_partitions(tup)
-                point = SpectrumFamily([list(g) for g in gam], n - r)
-                in_cone = member(point, system).is_member
-                is_zero_dim = tup in table and expected_dim(tup) == 0
-                assert in_cone == is_zero_dim
+        # is a cone point; the Horn filter tests its candidates this way
+        for level_store, sigma, levels in [
+            (store, None, [(1, 3), (2, 4), (2, 5), (3, 5)]),
+            (HornStore(arity=3), (3,),
+             [(2, 5), (3, 6), (4, 7), (5, 8), (6, 9)]),
+            (HornStore(arity=3), (1, 2), [(2, 4), (3, 6), (4, 7)]),
+            (HornStore(arity=4), None, [(1, 3), (2, 4), (3, 5)]),
+        ]:
+            s = level_store.arity
+            perm = Permutation.from_cycle_type(sigma or (1,) * s)
+            for (r, n) in levels:
+                system = generate_system(r, s, sigma, "full0", level_store)
+                table = level_store.table(r, n, sigma)
+                for tup in stable_tuples(r, n, perm):
+                    gam = schubert_partitions(tup)
+                    point = SpectrumFamily([list(g) for g in gam], n - r)
+                    in_cone = member(point, system).is_member
+                    is_zero_dim = tup in table and expected_dim(tup) == 0
+                    assert in_cone == is_zero_dim, (sigma, s, tup)
