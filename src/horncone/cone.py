@@ -35,6 +35,10 @@ from .horn import HornStore, NotSigmaStable, horn_rows, normalize_cycle_type
 from .subsets import Permutation, Subset, SubsetTuple, all_subsets
 
 
+# the table flag that selects each level's Horn rows (see generate_system)
+LEVEL_FLAGS = {"full0": "zero_dim", "min00": "point", "all": None}
+
+
 def _frac(x):
     if isinstance(x, float):
         raise TypeError("spectra must be exact rationals, not floats")
@@ -192,10 +196,12 @@ class InequalitySystem:
             Permutation.from_cycle_type(self.sigma or (1,) * s).cycles())
         self.levels = tuple((d, np.asarray(rows, dtype=np.intp).reshape(len(point), s),
                              np.asarray(point, dtype=bool)) for d, rows, point in levels)
-        # at rank 2 (plain, three summands) the reduced system drops the
-        # chamber rows: the trace equality plus the Horn rows imply them
+        # at rank 2 (plain or all-ones cycle type, three summands) the
+        # reduced system drops the chamber rows: the trace equality plus
+        # the Horn rows imply them
         self._chamber_on = not (
-            level == "min00" and r == 2 and s == 3 and self.sigma is None
+            level == "min00" and r == 2 and s == 3
+            and self.sigma in (None, (1,) * s)
         )
 
     @property
@@ -205,6 +211,12 @@ class InequalitySystem:
     @property
     def count(self):
         return 2 + self.chamber_count + sum(len(p) for _, _, p in self.levels)
+
+    @property
+    def counts(self):
+        return {"total": self.count, "equality": 2,
+                "chamber": self.chamber_count,
+                "horn": self.count - 2 - self.chamber_count}
 
     @property
     def num_vars(self):
@@ -318,12 +330,7 @@ class InequalitySystem:
             "s": self.s,
             "sigma": list(self.sigma) if self.sigma is not None else None,
             "level": self.level,
-            "counts": {
-                "total": self.count,
-                "equality": 2,
-                "chamber": self.chamber_count,
-                "horn": len(self.horn),
-            },
+            "counts": self.counts,
             "horn": [
                 {
                     "d": row.d,
@@ -337,18 +344,36 @@ class InequalitySystem:
 
     @classmethod
     def from_json(cls, data):
+        """The system ``to_json`` wrote.  ValueError unless its levels run
+        once each in increasing order below r, every row is fixed by the
+        cycle type, and the level name and counts are the ones it has."""
         if data.get("schema") != 1:
             raise ValueError("unsupported system schema")
+        r, s, level = data["r"], data["s"], data["level"]
+        if level not in LEVEL_FLAGS:
+            raise ValueError(f"unknown level {level!r}")
+        perm = Permutation.from_cycle_type(
+            normalize_cycle_type(data["sigma"], s) or (1,) * s)
         levels = []
         for d, group in itertools.groupby(data["horn"], key=lambda h: h["d"]):
+            if not (levels[-1][0] if levels else 0) < d < r:
+                raise ValueError(f"level-{d} rows out of place: each level "
+                                 f"runs once, in increasing order below {r}")
             group = list(group)
-            tuples = [SubsetTuple(Subset(e, data["r"]) for e in h["tuple"])
+            tuples = [SubsetTuple(Subset(e, r) for e in h["tuple"])
                       for h in group]
-            if any((t.size, t.arity) != (d, data["s"]) for t in tuples):
+            if any((t.size, t.arity) != (d, s) for t in tuples):
                 raise ValueError(f"a level-{d} row has another shape")
+            if not all(t.is_stable(perm) for t in tuples):
+                raise ValueError(f"a level-{d} row is not fixed by the "
+                                 "cycle type")
             levels.append((d, [[p.rank() for p in t] for t in tuples],
                            [h["is00"] for h in group]))
-        return cls(data["r"], data["s"], data["sigma"], data["level"], levels)
+        system = cls(r, s, data["sigma"], level, levels)
+        if data.get("counts") != system.counts:
+            raise ValueError(f"counts {data.get('counts')} do not match the "
+                             f"rows: {system.counts}")
+        return system
 
     def to_csv(self):
         """One row per constraint with the coefficient columns; a Horn
@@ -380,8 +405,7 @@ def generate_system(r, s=3, sigma=None, level="full0", store=None):
     and "all" every intersecting tuple regardless of expected dimension
     (valid but heavily redundant).
     """
-    table_flag = {"full0": "zero_dim", "min00": "point", "all": None}
-    if level not in table_flag:
+    if level not in LEVEL_FLAGS:
         raise ValueError(f"unknown level {level!r}")
     if r < 1:
         raise ValueError(f"rank {r} is not positive")
@@ -394,7 +418,7 @@ def generate_system(r, s=3, sigma=None, level="full0", store=None):
     # every level (d, n) with d < r and n <= r, not only the (d, r) the
     # rows come from: readers of a cache directory expect them all
     store.build_through(r - 1, r, sigma)
-    levels = [(d, *store.table(d, r, sigma).select(table_flag[level]))
+    levels = [(d, *store.table(d, r, sigma).select(LEVEL_FLAGS[level]))
               for d in range(1, r)]
     return InequalitySystem(r, s, sigma, level, levels)
 

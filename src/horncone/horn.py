@@ -20,20 +20,20 @@ equal-length cycles change neither a tuple's verdict nor the test sets
 representative per orbit of them: the census weights it by its orbit
 size, and a level build expands the orbits once.
 
+A level is its members' index rows, in mask-key order, and a point
+flag per row; the zero-dim flag is read off the rows by ``_zero_dim``.
 A level (d, n) with d <= n/2 or d = n is the kernel's output, its
-orbits expanded: the index rows of its members in mask-key order, a
-zero-dim flag per row read off their dimension sums, and a point flag
-from one ``lr.point_coefficient`` per distinct multiset of parts among
-the zero-dim rows.  Every other level is read off its Grassmann dual
-(n - d, n): Gr(d, n) = Gr(n - d, n) sends each part I to
-{n + 1 - j : j not in I} and keeps expected dimensions and LR
+orbits expanded, with one ``lr.point_coefficient`` per distinct
+multiset of parts among the zero-dim rows.  Every other level is read
+off its Grassmann dual (n - d, n): Gr(d, n) = Gr(n - d, n) sends each
+part I to {n + 1 - j : j not in I} and keeps expected dimensions and LR
 coefficients, so the dual's rows are mapped and re-sorted with their
-flags, and no kernel or LR call runs.  Tables are immutable once
+point flags, and no kernel or LR call runs.  Tables are immutable once
 published and keyed by (size, ambient, cycle type-or-None).  The key
 alone fixes the levels a build reads, so ``HornStore.table`` hands out
 any level on first use, building those levels as it needs them.  A
-store may persist each table as one numpy ``.npz`` file (schema 3) of
-its index rows, both flags and a sha256 of them and the key.
+store may persist each table as one numpy ``.npz`` file (schema 4) of
+its index rows, point flags and a sha256 of them and the key.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .subsets import (  # noqa: F401  (perfbench traces horn.expected_dim)
     stable_tuples,
 )
 
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 # The Horn filter holds about this many candidate rows at once.
 _CHUNK_ROWS = 1 << 16
@@ -91,26 +91,27 @@ class HornTable:
     ``rows`` is a read-only (M, s) uint16 array, one row per member in
     mask-key order: the positions of its parts in all_subsets(size,
     ambient), so C(ambient, size) may not exceed 65,536.  ``zero_dim``
-    marks the members of expected dimension zero, ``point`` those whose
-    Schubert product is the point class.  A table is frozen: assigning
-    or deleting an attribute raises AttributeError, and tables compare by
-    identity.  SubsetTuples are built only when a caller asks for them.
+    (read off the rows) marks the members of expected dimension zero,
+    ``point`` those of them whose Schubert product is the point class.
+    A table is frozen and compares by identity; SubsetTuples are built
+    only when a caller asks for them.
     """
 
     __slots__ = ("size", "ambient", "arity", "sigma", "rows", "_zero_dim",
                  "_point")
 
-    def __init__(self, size, ambient, arity, sigma, rows, zero_dim, point):
+    def __init__(self, size, ambient, arity, sigma, rows, point):
         rows = np.asarray(rows)
-        zero_dim = np.array(zero_dim, dtype=bool)
         point = np.array(point, dtype=bool)
         m, n = len(rows), comb(ambient, size)
-        if (rows.shape != (m, arity) or zero_dim.shape != (m,)
-                or point.shape != (m,) or n > 1 << 16
+        if (rows.shape != (m, arity) or point.shape != (m,) or n > 1 << 16
                 or m and not 0 <= rows.min() <= rows.max() < n):
             raise ValueError(f"rows {rows.shape} are not a level of arity "
                              f"{arity} in C({ambient}, {size}) uint16 positions")
-        rows = rows.astype(np.uint16)
+        rows = rows.astype(np.uint16, copy=False)
+        zero_dim = _zero_dim(rows, size, ambient)
+        if (point & ~zero_dim).any():
+            raise ValueError("a point flag is set on a nonzero-dim row")
         for a in (rows, zero_dim, point):
             a.setflags(write=False)
         for name, value in zip(self.__slots__, (size, ambient, arity, sigma,
@@ -174,11 +175,11 @@ class HornTable:
 
     def _digest(self):
         """sha256 of the canonical payload: the schema and key, then the
-        rows and both flags as little-endian bytes."""
+        rows and point flags as little-endian bytes."""
         import hashlib  # loads OpenSSL (3.5 MB resident) in cache users only
 
         h = hashlib.sha256(repr((CACHE_SCHEMA, self.key)).encode())
-        for a in (self.rows.astype("<u2"), self._zero_dim, self._point):
+        for a in (self.rows.astype("<u2"), self._point):
             h.update(a.tobytes())
         return h.hexdigest()
 
@@ -192,9 +193,9 @@ class HornStore:
     from its dual level (ambient - size, ambient).  An all-ones cycle
     type fixes every tuple, so it names the plain level.
     ``cache_dir``, when given, keeps one ``.npz`` file per level under
-    ``v3/``: its ``rows``, ``zero_dim`` and ``point`` arrays and their
-    ``sha256``.  A file that is absent, unreadable, misshapen or does not
-    match its digest is a miss, and the level is built again.
+    ``v4/``: its ``rows``, ``point`` and ``sha256``.  A file that is
+    absent, unreadable, misshapen (a point off the zero-dim rows too) or
+    does not match its digest is a miss, and the level is built again.
     """
 
     def __init__(self, arity=3, cache_dir=None):
@@ -241,7 +242,7 @@ class HornStore:
             with (open(self._cache_path(key), "rb") as fh,
                   np.load(fh, allow_pickle=False) as data):
                 table = HornTable(*key[:2], self.arity, key[2], data["rows"],
-                                  data["zero_dim"], data["point"])
+                                  data["point"])
                 digest = str(data["sha256"])
         except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
                 TypeError, AttributeError):
@@ -262,8 +263,8 @@ class HornStore:
         fh = open(tmp, "xb")
         try:
             with fh:
-                np.savez(fh, rows=table.rows, zero_dim=table._zero_dim,
-                         point=table._point, sha256=table._digest())
+                np.savez(fh, rows=table.rows, point=table._point,
+                         sha256=table._digest())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -300,31 +301,36 @@ class HornStore:
         rows = _dual_positions(ambient - size, ambient)[low.rows]
         order = np.lexsort(rows.T[::-1])
         return HornTable(size, ambient, self.arity, sigma, rows[order],
-                         low._zero_dim[order], low._point[order])
+                         low._point[order])
 
     def _kernel_table(self, size, ambient, sigma):
         """The level as the Horn filter and the LR backend build it."""
         s = self.arity
         subs = all_subsets(size, ambient)
-        reps = np.concatenate([np.zeros((0, s), dtype=np.intp),
-                               *_horn_survivors(size, ambient, s, sigma,
-                                                self._test_sets(size, sigma))])
+        lengths = (1,) * s if sigma is None else sigma
+        starts = np.cumsum((0,) + lengths[:-1])
         # expand each orbit: apply every permutation of the cycles that
         # keeps their lengths to one index per cycle, then sort and dedupe
         # the rows as integer keys (in mask-key order).  np.unique would
         # import numpy.ma for its hash path, about 0.5 MB resident.
-        lengths = (1,) * s if sigma is None else sigma
-        free = reps[:, np.cumsum((0,) + lengths[:-1])].T
+        free = np.concatenate([np.zeros((0, len(lengths)), dtype=np.intp), *(
+            reps[:, starts] for reps in _horn_survivors(
+                size, ambient, s, sigma, self._test_sets(size, sigma)))]).T
         shape = (len(subs),) * len(lengths)
-        keys = np.sort(np.concatenate([
+        keys = np.concatenate([
             np.ravel_multi_index(free[list(p)], shape)
             for p in itertools.permutations(range(len(lengths)))
-            if [lengths[i] for i in p] == list(lengths)]))
+            if [lengths[i] for i in p] == list(lengths)])
+        del free
+        keys.sort()
         keys = keys[np.append(True, keys[1:] != keys[:-1])]
-        rows = np.stack(np.unravel_index(keys, shape), axis=1)[
-            :, np.repeat(np.arange(len(lengths)), lengths)]
-        dims = np.array([p.dim() for p in subs])
-        zero_dim = dims[rows].sum(axis=1) == (s - 1) * size * (ambient - size)
+        # unravel one cycle at a time, into uint16 rows: no (M, s) int64
+        rows = np.empty((len(keys), s), dtype=np.uint16)
+        for lo, width in reversed(list(zip(starts, lengths))):
+            rows[:, lo:lo + width] = (keys % len(subs))[:, None]
+            keys //= len(subs)
+        del keys
+        zero_dim = _zero_dim(rows, size, ambient)
         # the product is commutative: one coefficient per multiset of parts
         multisets, which = np.unique(np.sort(rows[zero_dim], axis=1), axis=0,
                                      return_inverse=True)
@@ -334,7 +340,15 @@ class HornStore:
                              for row in multisets.tolist()], dtype=bool)
         point = np.zeros(len(rows), dtype=bool)
         point[zero_dim] = is_point[which.reshape(-1)]
-        return HornTable(size, ambient, s, sigma, rows, zero_dim, point)
+        return HornTable(size, ambient, s, sigma, rows, point)
+
+
+def _zero_dim(rows, size, ambient):
+    """Whether each (M, s) index row into all_subsets(size, ambient) has
+    expected dimension 0, its dims summing to (s-1) * size * (ambient-size)."""
+    dims = np.array([p.dim() for p in all_subsets(size, ambient)], np.int32)
+    total = sum(dims[column] for column in rows.T)
+    return total == (rows.shape[1] - 1) * size * (ambient - size)
 
 
 def _dual_positions(size, ambient):
@@ -342,7 +356,7 @@ def _dual_positions(size, ambient):
     {ambient + 1 - j : j not in I} of each I in all_subsets(size, ambient)."""
     return np.array([Subset([ambient + 1 - j for j in range(ambient, 0, -1)
                              if j not in p], ambient).rank()
-                     for p in all_subsets(size, ambient)])
+                     for p in all_subsets(size, ambient)], dtype=np.uint16)
 
 
 def horn_rows(d, rows, r, lengths):
@@ -442,8 +456,7 @@ def count_intersecting(size, ambient, store):
     representative the kernel yields stands for its s!/prod(m!)
     orderings, m running over the multiplicities of its parts."""
     s = store.arity
-    dims = np.array([p.dim() for p in all_subsets(size, ambient)])
-    total = diagonal = diagonal_zero = 0
+    total, diagonal = 0, [np.zeros((0, s), dtype=np.intp)]
     for rows in _horn_survivors(size, ambient, s, None,
                                 store._test_sets(size, None)):
         # run: how many parts so far equal this one; ties: prod(m!)
@@ -452,11 +465,10 @@ def count_intersecting(size, ambient, store):
             run = np.where(rows[:, k] == rows[:, k - 1], run + 1, 1)
             ties = ties * run
         total += int((factorial(s) // ties).sum())
-        diag = rows[(rows == rows[:, :1]).all(axis=1), 0]
-        diagonal += len(diag)
-        diagonal_zero += int(np.sum(s * dims[diag]
-                                    == (s - 1) * size * (ambient - size)))
-    return IntersectingCount(total, diagonal, diagonal_zero)
+        diagonal.append(rows[(rows == rows[:, :1]).all(axis=1)])
+    diagonal = np.concatenate(diagonal)
+    return IntersectingCount(total, len(diagonal),
+                             int(_zero_dim(diagonal, size, ambient).sum()))
 
 
 class CrossCheckReport(NamedTuple):

@@ -357,7 +357,6 @@ class TestCacheIntegrity:
 
     def test_short_flag_lists(self, capsys, tmp_path):
         def damage(data):
-            data["zero_dim"] = data["zero_dim"][:-3]
             data["point"] = data["point"][:-3]
         self.check(capsys, tmp_path, ["system", "--r", "3"], (2, 3, None),
                    damage)

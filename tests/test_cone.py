@@ -80,6 +80,40 @@ class TestSpectrumFamily:
         assert not fam([[1, 0], [1, 0], [2, 0]]).is_stable(sigma)
 
 
+# damage to a system's JSON that from_json must reject
+def _swap_first_levels(data):
+    one = [h for h in data["horn"] if h["d"] == 1]
+    data["horn"] = [h for h in data["horn"] if h["d"] != 1] + one
+
+
+def _split_first_level(data):
+    one = [h for h in data["horn"] if h["d"] == 1]
+    rest = [h for h in data["horn"] if h["d"] != 1]
+    data["horn"] = one[1:] + rest + one[:1]
+
+
+def _row_at_rank(data):
+    data["horn"].append({"d": 3, "tuple": [[1, 2, 3]] * 3,
+                         "sigma_stable": False, "is00": False})
+    data["counts"]["total"] += 1
+    data["counts"]["horn"] += 1
+
+
+def _wrong_total(data):
+    data["counts"]["total"] = 999
+
+
+def _unknown_level(data):
+    data["level"] = "foo"
+
+
+def _unfixed_rows(data):
+    # the counts of a (3,)-system: one chamber run instead of three
+    data["sigma"] = [3]
+    data["counts"]["chamber"] -= 4
+    data["counts"]["total"] -= 4
+
+
 class TestGenerateSystem:
     def test_published_counts(self, store):
         assert [generate_system(r, 3, None, "full0", store).count
@@ -140,6 +174,28 @@ class TestGenerateSystem:
             data["horn"][0]["tuple"] = tup
             with pytest.raises(ValueError, match="another shape"):
                 InequalitySystem.from_json(data)
+
+    @pytest.mark.parametrize("damage, message", [
+        (_swap_first_levels, "out of place"),
+        (_split_first_level, "out of place"),
+        (_row_at_rank, "out of place"),
+        (_wrong_total, "counts"),
+        (_unknown_level, "unknown level"),
+        (_unfixed_rows, "not fixed"),
+    ], ids=["levels_out_of_order", "level_split", "d_equals_r", "wrong_total",
+            "unknown_level", "rows_not_fixed_by_sigma"])
+    def test_json_that_would_build_another_system(self, store, damage,
+                                                  message):
+        data = generate_system(3, 3, None, "full0", store).to_json()
+        assert InequalitySystem.from_json(data).counts == data["counts"]
+        damage(data)
+        with pytest.raises(ValueError, match=message):
+            InequalitySystem.from_json(data)
+
+    def test_all_ones_cycle_type_reduces_like_plain(self, store):
+        ones = generate_system(2, 3, (1, 1, 1), "min00", store)
+        assert (ones.count, ones.chamber_count) == (5, 0)
+        assert generate_system(2, 3, None, "min00", store).count == 5
 
     def test_one_row_at_a_time(self, store):
         system = generate_system(4, 3, (1, 2), "full0", store)

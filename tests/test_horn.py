@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import pathlib
@@ -412,6 +413,25 @@ class TestTableRows:
         assert T([1, 2], [3, 4], [3, 4], ambient=5) not in table
         assert "not a tuple" not in table
 
+    def test_level_digest_is_frozen(self):
+        # the rows and both flags of every level through these ambients,
+        # as one sha256: any change to a level, a flag or the row order
+        # changes it
+        h = hashlib.sha256()
+        stores = {}
+        for s, sigma, top in [(3, None, 8), (3, (3,), 11), (3, (1, 2), 7),
+                              (4, None, 6), (4, (2, 2), 6), (4, (1, 1, 2), 6),
+                              (2, None, 9)]:
+            store = stores.setdefault(s, HornStore(arity=s))
+            for n in range(1, top + 1):
+                for d in range(1, n + 1):
+                    table = store.table(d, n, sigma)
+                    for a in (table.rows.astype("<u2"),
+                              np.array(table.zero_dim), np.array(table.point)):
+                        h.update(a.tobytes())
+        assert h.hexdigest() == ("de401180d8828ad0abdb0525921ac4fd"
+                                 "8c806c7e1c7736614b84294ca985579c")
+
     def test_building_makes_no_classify_calls(self, monkeypatch):
         def refuse(tup):
             raise AssertionError(f"classify({tup!r}) called by a build")
@@ -522,6 +542,20 @@ class TestCountIntersecting:
         assert cnt == (718738, 49, 0)
         assert peak < 16 << 20
 
+    def test_level_builds_in_bounded_memory(self):
+        # the 115,222 rows of plain (4, 9) take 0.7 MB as uint16; the
+        # orbit expansion holds no (M, s) int64 array beside them
+        store = HornStore(arity=3)
+        store.build_through(3, 4)
+        tracemalloc.start()
+        try:
+            table = store.table(4, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 115222
+        assert peak < 5 << 20
+
 
 class TestCrossCheck:
     def test_clean_levels(self, store):
@@ -563,7 +597,7 @@ class TestCache:
 
     def test_v1_directory_is_ignored(self, tmp_path):
         # files of earlier schemas are never read: the level is rebuilt
-        # into the v3 directory and the old files are left as they were
+        # into the v4 directory and the old files are left as they were
         old = tmp_path / "v1" / "int_d1_r2_s3_full.json"
         old.parent.mkdir()
         old.write_text('{"schema": 1, "size": 1, "ambient": 2, "arity": 3, '
@@ -572,19 +606,24 @@ class TestCache:
         json2 = tmp_path / "v2" / "int_d1_r2_s3_full.json"
         json2.parent.mkdir()
         json2.write_text('{"schema": 2, "rows": [1, 1, 1]}')
+        npz3 = tmp_path / "v3" / "int_d1_r2_s3_full.npz"
+        npz3.parent.mkdir()
+        resave(npz3, rows=np.ones((1, 3), np.uint16), zero_dim=[False],
+               point=[False], sha256="0" * 64)
+        v3 = npz3.read_bytes()
         store = HornStore(arity=3, cache_dir=str(tmp_path))
         store.build_through(1, 2)
         want = HornStore(arity=3).table(1, 2)
         assert store.table(1, 2).members == want.members
         path = store._cache_path((1, 2, None))
-        assert path == str(tmp_path / "v3" / "int_d1_r2_s3_full.npz")
+        assert path == str(tmp_path / "v4" / "int_d1_r2_s3_full.npz")
         with np.load(path, allow_pickle=False) as data:
-            assert sorted(data.files) == ["point", "rows", "sha256",
-                                          "zero_dim"]
+            assert sorted(data.files) == ["point", "rows", "sha256"]
             assert np.array_equal(data["rows"], want.rows)
             assert data["rows"].dtype == np.uint16
         assert old.read_text().startswith('{"schema": 1,')
         assert json2.read_text() == '{"schema": 2, "rows": [1, 1, 1]}'
+        assert npz3.read_bytes() == v3
 
     def test_file_of_another_level_is_a_miss(self, tmp_path):
         store = HornStore(arity=3, cache_dir=str(tmp_path))
@@ -646,6 +685,25 @@ def _zero_d_rows(path):
     resave(path, **dict(members(path), rows=np.uint16(0)))
 
 
+def _point_off_zero_dim(path):
+    # a point flag on a row of nonzero expected dimension, under a digest
+    # recomputed the way _digest computes it, so only the table's own
+    # check can reject the file
+    data = members(path)
+
+    def digest(point):
+        h = hashlib.sha256(repr((horn.CACHE_SCHEMA, (2, 4, 3, None))).encode())
+        for a in (data["rows"].astype("<u2"), point):
+            h.update(a.tobytes())
+        return h.hexdigest()
+
+    assert digest(data["point"]) == str(data["sha256"])
+    zero_dim = HornStore(arity=3).table(2, 4).zero_dim
+    point = data["point"].copy()
+    point[zero_dim.index(False)] = True
+    resave(path, **dict(data, point=point, sha256=digest(point)))
+
+
 def _plain_npy(path):
     rows = members(path)["rows"]
     with open(path, "wb") as fh:
@@ -659,8 +717,9 @@ def _plain_npy(path):
     _drop_member,
     _zero_d_rows,
     _plain_npy,
+    _point_off_zero_dim,
 ], ids=["non_zip", "empty", "truncated", "missing_member", "zero_d_rows",
-        "plain_npy"])
+        "plain_npy", "point_off_zero_dim"])
 def test_damaged_cache_file_is_a_miss(tmp_path, damage):
     key = (2, 4, None)
     want = HornStore(arity=3, cache_dir=str(tmp_path)).table(*key)
