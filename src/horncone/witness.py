@@ -12,13 +12,13 @@ description.
 Each projection step moves whole families at once: the s matrices of a
 family form one (s, r, r) array, the restarts that run together stack
 their families into one (k, s, r, r) array, and LAPACK
-(``numpy.linalg.eigh``) diagonalizes the stack in a single call.  A
-candidate witness is then confirmed by a second, independent
-eigensolver: ``hermitian_eigh``, a self-contained cyclic Jacobi
-iteration for complex Hermitian matrices of small order, recomputes
-every spectrum of a family in one call in ``verify_witness``.  Stacking
-changes no result: each attempt and each Jacobi diagonalization comes
-out bit for bit as it would alone.
+(``numpy.linalg.eigh``) diagonalizes the stack in a single call.  The
+spectra are checked once per search, not once per step.  A candidate
+witness is then confirmed by a second, independent eigensolver:
+``hermitian_eigh``, a self-contained cyclic Jacobi iteration for complex
+Hermitian matrices of small order, written in Python complex arithmetic
+and run on one matrix at a time.  Stacking changes no result: each
+attempt comes out bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -39,13 +39,12 @@ class NumericalFailure(RuntimeError):
     """The eigensolver failed to reach its off-diagonal threshold."""
 
 
-def _hermitize(x):
-    return (x + x.conj().swapaxes(-1, -2)) / 2
-
-
-def _off_norm(a):
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _frobenius(x):
+    """``np.linalg.norm(x)`` without its dispatch: the same real and
+    imaginary dot products, so the same bits."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def hermitian_eigh(a, tol=1e-13, max_sweeps=60):
@@ -57,99 +56,80 @@ def hermitian_eigh(a, tol=1e-13, max_sweeps=60):
     non-finite entry.
 
     ``a`` may also be a stack (k, n, n); then w is (k, n) and V is
-    (k, n, n).  Each rotation runs on the matrices a solo call would
-    rotate and leaves the others untouched, so every matrix of the stack
-    gets exactly the result of a call on it alone."""
+    (k, n, n).  The rotations run in Python complex arithmetic on one
+    matrix at a time, so every matrix of a stack gets exactly the result
+    of a call on it alone."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1] if a.ndim else 0
     if a.ndim not in (2, 3) or a.shape[-2] != n:
         raise ValueError("matrix must be square, or a stack of square matrices")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    stack = _hermitize(a if a.ndim == 3 else a[None])
-    v = np.tile(np.eye(n, dtype=complex), (len(stack), 1, 1))
-    if n > 1:
-        _jacobi(stack, v, tol, max_sweeps)
-    w = stack.diagonal(axis1=-2, axis2=-1).real
+    stack = a if a.ndim == 3 else a[None]
+    stack = (stack + stack.conj().swapaxes(-1, -2)) / 2
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    solved = [_jacobi(m, pairs, tol, max_sweeps) for m in stack]
+    w = np.array([d for d, _ in solved], dtype=float).reshape(len(stack), n)
+    v = np.array([u for _, u in solved], dtype=complex).reshape(stack.shape)
     order = np.argsort(-w, axis=-1, kind="stable")
     w = np.take_along_axis(w, order, -1)
     v = np.take_along_axis(v, order[:, None, :], -1)
     return (w, v) if a.ndim == 3 else (w[0], v[0])
 
 
-def _jacobi(a, v, tol, max_sweeps):
-    """Cyclic Jacobi sweeps on the stack ``a`` in place, accumulating
-    the rotations in ``v``.  A matrix stops sweeping once its
-    off-diagonal norm is below its threshold."""
-    n = a.shape[-1]
-    thresholds = np.array(
-        [tol * max(1.0, float(np.linalg.norm(m))) for m in a])
-    running = range(len(a))
-    for _ in range(max_sweeps):
-        running = [i for i in running if _off_norm(a[i]) > thresholds[i]]
-        if not running:
-            return
-        idx = np.array(running)
-        small = thresholds[idx] / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[idx, p, q]
-                rot = idx[np.hypot(g.real, g.imag) > small]
-                if rot.size:
-                    a[rot], v[rot] = _rotate(a[rot], v[rot], p, q)
-    off = [_off_norm(a[i]) for i in running]
-    if any(o > thresholds[i] for o, i in zip(off, running)):
-        raise NumericalFailure(
-            f"Jacobi sweep limit reached, off-diagonal norm {max(off):.3e}"
-        )
+def _jacobi(m, pairs, tol, max_sweeps):
+    """Cyclic Jacobi sweeps on the Hermitian matrix ``m`` until its
+    off-diagonal norm is below its threshold.  Returns its diagonal and
+    the accumulated rotations, as lists."""
+    n = len(m)
+    threshold = tol * max(1.0, _frobenius(m))
+    a = m.tolist()
+    v = np.eye(n, dtype=complex).tolist()
+    for sweep in range(max_sweeps + 1):
+        off = np.array(a, dtype=complex).reshape(n, n)
+        np.fill_diagonal(off, 0)
+        off = _frobenius(off)
+        if off <= threshold:
+            return [a[i][i].real for i in range(n)], v
+        if sweep == max_sweeps:
+            raise NumericalFailure(
+                f"Jacobi sweep limit reached, off-diagonal norm {off:.3e}")
+        small = threshold / (n * n)
+        for p, q in pairs:
+            if abs(a[p][q]) > small:
+                _rotate(a, v, p, q)
 
 
 def _rotate(a, v, p, q):
-    """Zero out a[:, p, q] by a unitary similarity on each matrix of the
-    stack: a phase on column q that makes the entry real, followed by a
-    real Givens rotation.  Returns the rotated a and v.
-
-    ``np.abs`` of a complex array (a vectorized path) and ``np.hypot``
-    of a tangent (the C library's) can differ from ``abs`` of one complex
-    number and ``math.hypot`` in the last bit.  The forms below round as
-    those do, so every eigenvalue equals that of the scalar Jacobi step
-    written with them."""
-    g = a[:, p, q]
-    u = (g / np.hypot(g.real, g.imag))[:, None]
+    """Zero out a[p][q] by a unitary similarity, in place on the rows
+    ``a``: a phase on column q that makes the entry real, followed by a
+    real Givens rotation.  ``v`` accumulates both."""
+    u = a[p][q] / abs(a[p][q])
     # phase: column q scaled by conj(u), row q by u
-    a[:, :, q] *= np.conj(u)
-    a[:, q, :] *= u
-    v[:, :, q] *= np.conj(u)
-    app = a[:, p, p].real
-    aqq = a[:, q, q].real
-    apq = a[:, p, q].real  # now real by construction
-    tau = (aqq - app) / (2.0 * apq)
-    root = np.array([math.hypot(1.0, x) for x in tau.tolist()])
+    uc = u.conjugate()
+    for row in a:
+        row[q] *= uc
+    a[q] = [x * u for x in a[q]]
+    for row in v:
+        row[q] *= uc
+    app, aqq = a[p][p].real, a[q][q].real
+    tau = (aqq - app) / (2.0 * a[p][q].real)  # a[p][q] is now real
     # the smaller root of t^2 + 2 tau t = 1; (-tau + root) would be 0 for
     # a large positive tau, so the sign is applied after the division
-    t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + root)
-    c = 1.0 / np.array([math.hypot(1.0, x) for x in t.tolist()])
-    s = (t * c)[:, None]
-    c = c[:, None]
+    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+    c = 1.0 / math.hypot(1.0, t)
+    s = t * c
     # columns, then rows (the rotation is real so the adjoint is the
     # transpose)
-    colp = a[:, :, p].copy()
-    colq = a[:, :, q].copy()
-    a[:, :, p] = c * colp - s * colq
-    a[:, :, q] = s * colp + c * colq
-    rowp = a[:, p, :].copy()
-    rowq = a[:, q, :].copy()
-    a[:, p, :] = c * rowp - s * rowq
-    a[:, q, :] = s * rowp + c * rowq
-    a[:, p, q] = 0.0
-    a[:, q, p] = 0.0
-    a[:, p, p] = a[:, p, p].real
-    a[:, q, q] = a[:, q, q].real
-    vp = v[:, :, p].copy()
-    vq = v[:, :, q].copy()
-    v[:, :, p] = c * vp - s * vq
-    v[:, :, q] = s * vp + c * vq
-    return a, v
+    for rows in (a, v):
+        for row in rows:
+            x, y = row[p], row[q]
+            row[p], row[q] = c * x - s * y, s * x + c * y
+    ap, aq = a[p], a[q]
+    a[p] = [c * x - s * y for x, y in zip(ap, aq)]
+    a[q] = [s * x + c * y for x, y in zip(ap, aq)]
+    a[p][q] = a[q][p] = 0j
+    a[p][p], a[q][q] = complex(a[p][p].real), complex(a[q][q].real)
 
 
 def _check_spectrum(lam, stack=False):
@@ -174,19 +154,33 @@ def _check_t(t):
     return t
 
 
+def _conjugate(q, lam):
+    """q diag(lam) q* for a stack of unitaries q, hermitized in place."""
+    y = (q * lam[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    y += y.conj().swapaxes(-1, -2)
+    y /= 2
+    return y
+
+
+def _orbit_points(spectra, seeds):
+    """``sample_orbit`` for each spectrum (s, r) and its seed, with one
+    batched QR."""
+    r = spectra.shape[-1]
+    z = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        z.append(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+    q, rr = np.linalg.qr(np.stack(z) / math.sqrt(2))
+    d = rr.diagonal(axis1=-2, axis2=-1)
+    return _conjugate(q * (d / np.abs(d))[..., None, :], spectra)
+
+
 def sample_orbit(lam, seed=0):
     """A Haar-random Hermitian matrix with the given (weakly decreasing)
     spectrum: conjugate diag(lam) by a Haar unitary obtained from the QR
     factorization of a complex Gaussian matrix with the phases of R's
     diagonal divided out."""
-    lam = _check_spectrum(lam)
-    r = lam.size
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))) / math.sqrt(2)
-    q, rr = np.linalg.qr(z)
-    d = np.diag(rr)
-    q = q * (d / np.abs(d))
-    return _hermitize((q * lam) @ q.conj().T)
+    return _orbit_points(_check_spectrum(lam)[None], [seed])[0]
 
 
 def project_to_orbit(x, lam):
@@ -194,12 +188,15 @@ def project_to_orbit(x, lam):
     the eigenvectors of x, replace its decreasing eigenvalues by lam.
 
     ``x`` may be one (r, r) matrix or a stack (..., r, r) with spectra
-    (..., r); the stack is diagonalized by one LAPACK call.  ``eigh``
-    returns ascending eigenvalues, so its eigenvectors are paired with
-    the reversed targets."""
-    lam = _check_spectrum(lam, stack=True)[..., ::-1]
-    _, v = np.linalg.eigh(x)
-    return _hermitize((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    (..., r); the stack is diagonalized by one LAPACK call."""
+    return _project(x, _check_spectrum(lam, stack=True)[..., ::-1])
+
+
+def _project(x, ascending):
+    """``project_to_orbit`` on spectra already checked and reversed:
+    ``eigh`` returns ascending eigenvalues, so its eigenvectors are
+    paired with the reversed targets."""
+    return _conjugate(np.linalg.eigh(x)[1], ascending)
 
 
 class WitnessResult(NamedTuple):
@@ -252,8 +249,7 @@ def verify_witness(matrices, spectra, t):
     of each spectrum, recomputed by Jacobi, to its target.
 
     ``matrices`` is one family (s, r, r), which gives a float, or a stack
-    of families (k, s, r, r), which gives an array of k residuals.  One
-    ``hermitian_eigh`` call recomputes every spectrum."""
+    of families (k, s, r, r), which gives an array of k residuals."""
     lams = _check_spectrum(spectra, stack=True)
     t = _check_t(t)
     families = np.asarray(matrices)
@@ -266,19 +262,20 @@ def verify_witness(matrices, spectra, t):
     sums = flat.sum(axis=1) - t * np.eye(r)
     w, _ = hermitian_eigh(flat.reshape(-1, r, r))
     spec = np.abs(w.reshape(flat.shape[:-1]) - lams).max(axis=(1, 2))
-    res = np.array([max(float(np.linalg.norm(d)), float(e))
-                    for d, e in zip(sums, spec)])
+    res = np.array([max(_frobenius(d), float(e)) for d, e in zip(sums, spec)])
     return float(res[0]) if families.ndim == 3 else res
 
 
 class _Attempt:
     """One restart of a search: its stall and monotonicity bookkeeping
-    while it runs, then its outcome."""
+    while it runs, then its outcome.  ``last`` is the last residual
+    ||sum - t*I||, a lower bound on the verified residual of its last
+    family."""
 
     def __init__(self, index):
         self.index = index
         self.lines = []
-        self.prev = self.best = math.inf
+        self.last = self.best = math.inf
         self.since_best = 0
         self.monotone = True
         self.iterations = 0
@@ -290,9 +287,9 @@ class _Attempt:
         self.iterations = it
         if logging:
             self.lines.append(f"{self.index},{it},{res:.16e}\n")
-        if res > self.prev * (1 + 1e-9) + 1e-13:
+        if res > self.last * (1 + 1e-9) + 1e-13:
             self.monotone = False
-        self.prev = res
+        self.last = res
         if res < self.best * (1 - 1e-2):
             self.best = res
             self.since_best = 0
@@ -300,34 +297,35 @@ class _Attempt:
             self.since_best += 1
 
 
-def _start(stacked, seed, attempt):
+def _start(spectra, seed, attempt):
     """The starting family of an attempt, seeded from (seed, attempt)."""
-    rng_seed = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt])
-    return np.stack([sample_orbit(lam, st)
-                     for lam, st in zip(stacked, rng_seed.spawn(len(stacked)))])
+    seeds = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt])
+    return _orbit_points(spectra, seeds.spawn(len(spectra)))
 
 
-def _wave(indices, stacked, t, seed, max_iters, tol, stall_window, logging):
+def _wave(indices, spectra, ascending, t, seed, max_iters, tol, stall_window,
+          logging):
     """Run the attempts ``indices`` (increasing) together as one
     (k, s, r, r) stack.  Returns, in attempt order, the attempts a search
     running them one after another would have run: those up to the
     lowest one that converged, or all of them.  Each keeps a copy of its
     last family, not a view of the stack."""
-    s, r = stacked.shape
+    s, r = spectra.shape
     target = t * np.eye(r)
     live = [_Attempt(i) for i in indices]
-    xs = np.stack([_start(stacked, seed, i) for i in indices])
+    xs = np.stack([_start(spectra, seed, i) for i in indices])
     diffs = xs.sum(axis=1) - target
     done = []
     for it in range(1, max_iters + 1):
-        xs = project_to_orbit(xs - diffs[:, None] / s, stacked)
+        xs -= diffs[:, None] / s
+        xs = _project(xs, ascending)
         diffs = xs.sum(axis=1) - target
         keep = []
         for j, attempt in enumerate(live):
-            res = float(np.linalg.norm(diffs[j]))
+            res = _frobenius(diffs[j])
             attempt.step(it, res, logging)
             if res <= tol * 0.9:
-                full = verify_witness(xs[j], stacked, t)
+                full = verify_witness(xs[j], spectra, t)
                 if full <= tol:
                     attempt.residual, attempt.converged = full, True
             if (attempt.converged or attempt.since_best >= stall_window
@@ -363,21 +361,26 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     Attempt 0 runs alone, since interior members nearly always converge
     there.  If it does not, attempts 1 to restarts-1 run in waves of up
     to _WAVE attempts, each wave one (k, s, r, r) stack projected by one
-    ``project_to_orbit`` call per iteration.  An attempt leaves the stack
-    when it converges or stalls, and a wave ends once its lowest
-    converged attempt has no lower-numbered attempt still running.  Each
-    wave's outcome is assembled in attempt order and its log lines are
-    written when it ends, so the result and the log are those of running
-    the attempts one after another.  Jacobi verifies the attempts that
-    did not converge once per wave (attempt 0 with the first wave), and
-    only the best of them is kept; on a tie the lower attempt wins.
+    LAPACK call per iteration.  An attempt leaves the stack when it
+    converges or stalls, and a wave ends once its lowest converged
+    attempt has no lower-numbered attempt still running.  Each wave's
+    outcome is assembled in attempt order and its log lines are written
+    when it ends, so the result and the log are those of running the
+    attempts one after another.  Jacobi verifies the attempts that did
+    not converge once per wave (attempt 0 with the first wave), in
+    increasing order of their last ||sum - t*I||, which bounds the
+    verified residual from below; it stops once no attempt left can beat
+    the best residual found.  The best is kept; on a tie the lower
+    attempt wins.
 
     ``residual_log`` may be a writable text file for per-iteration CSV
-    diagnostics.  ValueError unless restarts and max_iters are at least
-    1, tol is positive and finite, and the spectra and t are finite."""
-    if restarts < 1 or max_iters < 1 or not 0 < tol < math.inf:
-        raise ValueError(f"need restarts >= 1, max_iters >= 1 and a finite "
-                         f"tol > 0, got {restarts}, {max_iters}, {tol}")
+    diagnostics.  ValueError unless restarts, max_iters and stall_window
+    are at least 1, tol is positive and finite, and the
+    spectra and t are finite."""
+    if min(restarts, max_iters, stall_window) < 1 or not 0 < tol < math.inf:
+        raise ValueError(f"need restarts, max_iters and stall_window >= 1 and "
+                         f"a finite tol > 0, got {restarts}, {max_iters}, "
+                         f"{stall_window}, {tol}")
     spectra, t = _family(spectra, t)
     lams = [_check_spectrum(l) for l in spectra]
     if not lams or any(l.size != lams[0].size for l in lams):
@@ -386,7 +389,8 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     log = residual_log
     if log is not None:
         log.write("attempt,iteration,residual\n")
-    options = (stacked, t, seed, max_iters, tol, stall_window, log is not None)
+    options = (stacked, stacked[:, ::-1], t, seed, max_iters, tol,
+               stall_window, log is not None)
     iterations, monotone, best, pending = 0, True, None, []
     lo = 0
     while lo < restarts:
@@ -402,11 +406,13 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
         pending += attempts
         # attempt 0 is verified together with the first wave
         if lo or restarts == 1:
-            residuals = verify_witness(np.stack([a.matrices for a in pending]),
-                                       stacked, t)
-            i = int(np.argmin(residuals))
-            if best is None or residuals[i] < best[0]:
-                best = (float(residuals[i]), pending[i].matrices)
+            for a in sorted(pending, key=lambda a: (a.last, a.index)):
+                if best is not None and a.last > best.residual:
+                    break  # a.last bounds a.residual from below
+                a.residual = verify_witness(a.matrices, stacked, t)
+                if best is None or ((a.residual, a.index)
+                                    < (best.residual, best.index)):
+                    best = a
             pending = []
         lo = hi
     if log is not None:
@@ -414,5 +420,5 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     if last.converged:
         return WitnessResult(tuple(last.matrices), last.residual, iterations,
                              True, last.index + 1, monotone)
-    return WitnessResult(tuple(best[1]), best[0], iterations, False, restarts,
-                         monotone)
+    return WitnessResult(tuple(best.matrices), best.residual, iterations,
+                         False, restarts, monotone)

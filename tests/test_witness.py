@@ -274,7 +274,9 @@ class TestFindWitness:
     @pytest.mark.parametrize("option", [{"restarts": 0}, {"restarts": -3},
                                         {"max_iters": 0}, {"tol": 0.0},
                                         {"tol": -1.0}, {"tol": float("nan")},
-                                        {"tol": float("inf")}])
+                                        {"tol": float("inf")},
+                                        {"stall_window": 0},
+                                        {"stall_window": -1}])
     def test_out_of_range_options_raise(self, option):
         with pytest.raises(ValueError):
             find_witness([[1, -1]] * 3, 0, seed=2, **option)
@@ -310,6 +312,10 @@ class TestStackedSearch:
     """The search runs attempts 1.. as one stack; it returns bit for bit
     what running the attempts one after another returns."""
 
+    # Weyl-breaking non-members: a top eigenvalue of 5 where A + B + C = 0
+    # allows at most 2
+    RANK6 = [[5, 0, 0, 0, 0, -5], [1, 0, 0, 0, 0, -1], [1, 0, 0, 0, 0, -1]]
+    RANK8 = [[5] + [0] * 6 + [-5], [1] + [0] * 6 + [-1], [1] + [0] * 6 + [-1]]
     # a member whose attempt 0 reaches max_iters: in the stack attempt 2
     # converges at iteration 36 while attempt 1 runs on to the cap
     LATE = [[5.089, 0.304, -3.393], [3.36, 0.355, -6.715],
@@ -334,6 +340,10 @@ class TestStackedSearch:
                                         {"seed": 83, "stall_window": 30,
                                          "max_iters": 3000,
                                          "restarts": 10}),
+        # non-members whose stalled families are verified only while they
+        # can still win: attempt 0 with the first wave, then each wave
+        "rank6_two_waves": (RANK6, 0, {"seed": 3, "restarts": 40}),
+        "rank8": (RANK8, 0, {"seed": 5, "restarts": 20}),
     }
 
     # with waves of two: attempts 0 | 1 2 | 3 4 | 5 6 | 7 8 | ...
@@ -346,6 +356,10 @@ class TestStackedSearch:
         # attempt 5 converges, the first of the fourth wave
         "member_first_of_a_wave": (LATE, 0, {"seed": 5, "max_iters": 40,
                                              "restarts": 9}),
+        # the trace fails by 2, so every attempt stalls near ||sum - t*I||
+        # = sqrt(2); attempts 3 and 4, one wave, tie at the lowest bound
+        # and residual, and attempt 3 wins
+        "bound_tie": ([[1, -1]] * 3, 1, {"seed": 9, "restarts": 7}),
     }
     STALL = [[3, 0, -3], [1, 0, -1], [1, 0, -1]]
 
@@ -388,18 +402,44 @@ class TestStackedSearch:
         # each restart held at once would add about 5 KB
         assert peak(81) < peak(5) + 4096
 
-    def test_twenty_restarts_verify_in_one_call(self, monkeypatch):
-        # the CLI default runs as one wave, as before waves were bounded
-        shapes = []
-        verify = witness.verify_witness
+    def test_twenty_restarts_verify_only_families_that_can_win(
+            self, monkeypatch):
+        # the CLI default runs as one wave after attempt 0; Jacobi verifies
+        # the stalled families in increasing order of ||sum - t*I||, a
+        # lower bound on the residual, while it does not exceed the best
+        # residual found
+        waves, verified = [], []
+        wave, verify = witness._wave, witness.verify_witness
+
+        def counting_wave(indices, *args):
+            waves.append(list(indices))
+            return wave(indices, *args)
 
         def counting_verify(matrices, *args):
-            shapes.append(np.shape(matrices))
-            return verify(matrices, *args)
+            residual = verify(matrices, *args)
+            bound = np.linalg.norm(np.sum(matrices, axis=0) - 3 * np.eye(3))
+            verified.append((bound, residual))
+            return residual
 
+        monkeypatch.setattr(witness, "_wave", counting_wave)
         monkeypatch.setattr(witness, "verify_witness", counting_verify)
-        res = find_witness(self.STALL, 3, seed=1, max_iters=40, restarts=20)
-        assert not res.converged and shapes == [(20, 3, 3, 3)]
+        log = io.StringIO()
+        res = find_witness(self.STALL, 3, seed=1, max_iters=40, restarts=20,
+                           residual_log=log)
+        assert not res.converged
+        assert waves == [[0], list(range(1, 20))]
+        last = {}
+        for line in log.getvalue().split()[1:]:
+            attempt, _, residual = line.split(",")
+            last[int(attempt)] = float(residual)
+        bounds = [bound for bound, _ in verified]
+        assert bounds == sorted(bounds) and 0 < len(bounds) < 20
+        for i in range(1, len(verified)):
+            assert bounds[i] <= min(r for _, r in verified[:i])
+        skipped = sorted(last.values())
+        for bound in bounds:
+            skipped.remove(bound)
+        assert all(bound > res.residual for bound in skipped)
 
     def test_later_attempt_converges_while_a_lower_one_runs(self):
         log = io.StringIO()
