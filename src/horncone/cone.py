@@ -40,9 +40,12 @@ LEVEL_FLAGS = {"full0": "zero_dim", "min00": "point", "all": None}
 
 
 def _frac(x):
+    """An exact rational with Python int parts: a numpy integer's would
+    wrap around or lack ``bit_length``."""
     if isinstance(x, float):
         raise TypeError("spectra must be exact rationals, not floats")
-    return Fraction(x)
+    x = Fraction(x)
+    return Fraction(int(x.numerator), int(x.denominator))
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -9,21 +9,19 @@ positive level is the numerical signature of an infeasible family.  The
 result is advisory only -- exact membership always comes from the cone
 description.
 
-Each projection step moves whole families at once: the s matrices of a
-family form one (s, r, r) array, the restarts that run together stack
-their families into one (k, s, r, r) array, and LAPACK
-(``numpy.linalg.eigh``) diagonalizes the stack in a single call.  The
-spectra are checked once per search, not once per step.  A candidate
-witness is then confirmed by a second, independent eigensolver:
-``hermitian_eigh``, a self-contained cyclic Jacobi iteration for complex
-Hermitian matrices of small order, written in Python complex arithmetic
-and run on one matrix at a time.  Stacking changes no result: each
-attempt comes out bit for bit as it would alone.
+Each projection step moves whole families at once: the restarts that
+run together stack their (s, r, r) families into one (k, s, r, r) array,
+which LAPACK (``numpy.linalg.eigh``) diagonalizes in a single call, and
+each attempt comes out bit for bit as it would alone.  A candidate
+witness is then confirmed, one family and one matrix at a time, by an
+independent eigensolver: ``hermitian_eigh``, cyclic Jacobi in Python
+complex arithmetic for one Hermitian matrix of small order.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -48,39 +46,18 @@ def _frobenius(x):
 
 
 def hermitian_eigh(a, tol=1e-13, max_sweeps=60):
-    """Eigen-decomposition of a Hermitian matrix by cyclic Jacobi
-    rotations.  Returns (eigenvalues sorted decreasing, unitary V) with
-    ``a ~= V diag(w) V*``.  Raises NumericalFailure if the off-diagonal
-    norm does not fall below ``tol`` (scaled by the matrix norm) within
-    ``max_sweeps`` sweeps, and ValueError on a non-square matrix or a
-    non-finite entry.
-
-    ``a`` may also be a stack (k, n, n); then w is (k, n) and V is
-    (k, n, n).  The rotations run in Python complex arithmetic on one
-    matrix at a time, so every matrix of a stack gets exactly the result
-    of a call on it alone."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[-1] if a.ndim else 0
-    if a.ndim not in (2, 3) or a.shape[-2] != n:
-        raise ValueError("matrix must be square, or a stack of square matrices")
-    if not np.isfinite(a).all():
+    """Eigen-decomposition of one Hermitian matrix by cyclic Jacobi
+    rotations, in Python complex arithmetic.  Returns (eigenvalues sorted
+    decreasing, unitary V) with ``a ~= V diag(w) V*``.  Raises
+    NumericalFailure if the off-diagonal norm does not fall below ``tol``
+    (scaled by the matrix norm) within ``max_sweeps`` sweeps, and
+    ValueError unless ``a`` is one square matrix with finite entries."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("need one square matrix")
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    stack = a if a.ndim == 3 else a[None]
-    stack = (stack + stack.conj().swapaxes(-1, -2)) / 2
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    solved = [_jacobi(m, pairs, tol, max_sweeps) for m in stack]
-    w = np.array([d for d, _ in solved], dtype=float).reshape(len(stack), n)
-    v = np.array([u for _, u in solved], dtype=complex).reshape(stack.shape)
-    order = np.argsort(-w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, -1)
-    v = np.take_along_axis(v, order[:, None, :], -1)
-    return (w, v) if a.ndim == 3 else (w[0], v[0])
-
-
-def _jacobi(m, pairs, tol, max_sweeps):
-    """Cyclic Jacobi sweeps on the Hermitian matrix ``m`` until its
-    off-diagonal norm is below its threshold.  Returns its diagonal and
-    the accumulated rotations, as lists."""
+    m = (m + m.conj().T) / 2
     n = len(m)
     threshold = tol * max(1.0, _frobenius(m))
     a = m.tolist()
@@ -90,14 +67,18 @@ def _jacobi(m, pairs, tol, max_sweeps):
         np.fill_diagonal(off, 0)
         off = _frobenius(off)
         if off <= threshold:
-            return [a[i][i].real for i in range(n)], v
+            break
         if sweep == max_sweeps:
             raise NumericalFailure(
                 f"Jacobi sweep limit reached, off-diagonal norm {off:.3e}")
         small = threshold / (n * n)
-        for p, q in pairs:
-            if abs(a[p][q]) > small:
-                _rotate(a, v, p, q)
+        for p in range(n):
+            for q in range(p + 1, n):
+                if abs(a[p][q]) > small:
+                    _rotate(a, v, p, q)
+    w = np.array([a[i][i].real for i in range(n)])
+    order = np.argsort(-w, kind="stable")
+    return w[order], np.array(v, dtype=complex).reshape(n, n)[:, order]
 
 
 def _rotate(a, v, p, q):
@@ -246,24 +227,19 @@ def _family(spectra, t):
 def verify_witness(matrices, spectra, t):
     """Recompute the residual of a candidate witness from scratch: the
     larger of the Frobenius norm of (sum - t*I) and the sup-norm distance
-    of each spectrum, recomputed by Jacobi, to its target.
-
-    ``matrices`` is one family (s, r, r), which gives a float, or a stack
-    of families (k, s, r, r), which gives an array of k residuals."""
+    of each spectrum, recomputed by Jacobi one matrix at a time, to its
+    target.  ``matrices`` is one family (s, r, r); ValueError unless it
+    has one (r, r) matrix per spectrum."""
     lams = _check_spectrum(spectra, stack=True)
     t = _check_t(t)
-    families = np.asarray(matrices)
+    family = np.asarray(matrices)
     r = lams.shape[-1]
-    if (lams.ndim != 2 or families.ndim not in (3, 4)
-            or families.shape[-3:] != (len(lams), r, r)):
-        raise ValueError("matrices must be a family, or a stack of families, "
-                         "of one (r, r) matrix per spectrum")
-    flat = families.reshape((-1,) + families.shape[-3:])
-    sums = flat.sum(axis=1) - t * np.eye(r)
-    w, _ = hermitian_eigh(flat.reshape(-1, r, r))
-    spec = np.abs(w.reshape(flat.shape[:-1]) - lams).max(axis=(1, 2))
-    res = np.array([max(_frobenius(d), float(e)) for d, e in zip(sums, spec)])
-    return float(res[0]) if families.ndim == 3 else res
+    if lams.ndim != 2 or family.shape != (len(lams), r, r):
+        raise ValueError("matrices must be a family of one (r, r) matrix "
+                         "per spectrum")
+    spec = max(np.abs(hermitian_eigh(m)[0] - lam).max()
+               for m, lam in zip(family, lams))
+    return max(_frobenius(family.sum(axis=0) - t * np.eye(r)), float(spec))
 
 
 class _Attempt:
@@ -374,13 +350,17 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     attempt wins.
 
     ``residual_log`` may be a writable text file for per-iteration CSV
-    diagnostics.  ValueError unless restarts, max_iters and stall_window
-    are at least 1, tol is positive and finite, and the
-    spectra and t are finite."""
-    if min(restarts, max_iters, stall_window) < 1 or not 0 < tol < math.inf:
-        raise ValueError(f"need restarts, max_iters and stall_window >= 1 and "
-                         f"a finite tol > 0, got {restarts}, {max_iters}, "
-                         f"{stall_window}, {tol}")
+    diagnostics.  ValueError, before any attempt runs, unless restarts,
+    max_iters, stall_window and seed are integers (numpy ones too), the
+    first three at least 1, tol is positive and finite, and the spectra
+    and t are finite."""
+    counts = (restarts, max_iters, stall_window)
+    if (not all(isinstance(x, Integral) for x in (*counts, seed))
+            or min(counts) < 1 or not 0 < tol < math.inf):
+        raise ValueError(f"need integer restarts, max_iters and stall_window "
+                         f">= 1, an integer seed and a finite tol > 0, got "
+                         f"{restarts}, {max_iters}, {stall_window}, {seed}, "
+                         f"{tol}")
     spectra, t = _family(spectra, t)
     lams = [_check_spectrum(l) for l in spectra]
     if not lams or any(l.size != lams[0].size for l in lams):
@@ -421,4 +401,4 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
         return WitnessResult(tuple(last.matrices), last.residual, iterations,
                              True, last.index + 1, monotone)
     return WitnessResult(tuple(best.matrices), best.residual, iterations,
-                         False, restarts, monotone)
+                         False, int(restarts), monotone)

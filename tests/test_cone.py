@@ -74,6 +74,30 @@ class TestSpectrumFamily:
         assert data["spectra"][0] == ["1/2", "-1/3"]
         assert data["t"] == "7/6"
 
+    def test_numpy_integers_become_python_ints(self):
+        # a numpy numerator inside a Fraction wraps around past int64 and
+        # has no bit_length, which the decision's integer scaling calls
+        system = generate_system(2)
+        cases = [
+            (np.array([[1, 0]] * 3), 0, [[1, 0]] * 3, 0),
+            ([[np.int64(1), np.int64(-1)]] * 3, np.int64(0), [[1, -1]] * 3, 0),
+            ([[np.int32(2), np.int32(-1)]] * 3, np.int32(3), [[2, -1]] * 3, 3),
+            ([[Fraction(np.int64(3), np.int64(2)), np.int64(0)]] * 3,
+             Fraction(np.int64(9), np.int64(2)),
+             [[Fraction(3, 2), 0]] * 3, Fraction(9, 2)),
+        ]
+        for spectra, t, plain_spectra, plain_t in cases:
+            f, plain = fam(spectra, t), fam(plain_spectra, plain_t)
+            parts = [x for spec in f.spectra for x in spec] + [f.t]
+            assert all(type(x.numerator) is int and type(x.denominator) is int
+                       for x in parts)
+            assert f == plain
+            assert system.decide(f) == system.decide(plain)
+        big = fam([[np.int64(2**62), np.int64(0)]] * 3, np.int64(2**62))
+        assert big.total == 3 * 2**62
+        scaled = shift_rescale(big, [np.int64(0)] * 3, np.int64(4))
+        assert scaled.spectra[0] == (2**64, 0) and scaled.t == 2**64
+
     def test_stability(self):
         sigma = Permutation.from_cycle_type((3,))
         assert fam([[1, 0]] * 3).is_stable(sigma)

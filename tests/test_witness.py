@@ -54,11 +54,14 @@ class TestJacobi:
         rng = np.random.default_rng(3)
         with pytest.raises(NumericalFailure):
             hermitian_eigh(random_hermitian(rng, 4), max_sweeps=0)
-        with pytest.raises(NumericalFailure):
-            hermitian_eigh(np.stack([np.eye(4), random_hermitian(rng, 4)]),
-                           max_sweeps=0)
 
-    def test_stack_equals_solo_calls_bit_for_bit(self):
+    def test_one_matrix_only(self):
+        with pytest.raises(ValueError):
+            hermitian_eigh(np.stack([np.eye(3), np.eye(3)]))
+        with pytest.raises(ValueError):
+            hermitian_eigh(np.ones(3))
+
+    def test_matrix_kinds_decompose_without_warnings(self):
         # a dense matrix, nearly diagonal ones (fewer sweeps, and tangents
         # so large that 1 + tau^2 rounds to tau^2), a block-diagonal one
         # whose cross-block rotations are all skipped, and a diagonal one
@@ -73,14 +76,13 @@ class TestJacobi:
                 block = random_hermitian(rng, n)
                 block[: n // 2, n // 2:] = 0
                 block[n // 2:, : n // 2] = 0
-                stack = np.stack([near, dense, block, 1e6 * near,
-                                  np.diag(np.arange(n, 0, -1.0))])
-                w, v = hermitian_eigh(stack)
-                assert w.shape == (5, n) and v.shape == (5, n, n)
-                for m, wm, vm in zip(stack, w, v):
-                    ws, vs = hermitian_eigh(m)
-                    assert wm.tobytes() == ws.tobytes()
-                    assert vm.tobytes() == vs.tobytes()
+                for m in (near, dense, block, 1e6 * near,
+                          np.diag(np.arange(n, 0, -1.0))):
+                    w, v = hermitian_eigh(m)
+                    err = np.abs(m - (v * w) @ v.conj().T).max()
+                    assert np.all(w[:-1] >= w[1:])
+                    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
+                    assert err < 1e-10 * max(1.0, np.abs(m).max())
         # the dense matrix needs more sweeps than the nearly diagonal one
         hermitian_eigh(near, max_sweeps=2)
         with pytest.raises(NumericalFailure):
@@ -211,6 +213,15 @@ class TestFindWitness:
             assert np.max(np.abs(w - [1.0, -1.0])) < 1e-12
         assert verify_witness([a, b, c], [[1, -1]] * 3, 0) < 1e-12
 
+    def test_verify_takes_one_family(self):
+        family = np.stack([np.diag([1.0, -1.0])] * 3)
+        residual = verify_witness(family, [[1, -1]] * 3, 3)
+        assert type(residual) is float and residual == 6.0
+        with pytest.raises(ValueError):
+            verify_witness(family[None], [[1, -1]] * 3, 3)
+        with pytest.raises(ValueError):
+            verify_witness(family[:2], [[1, -1]] * 3, 3)
+
     def test_non_member_never_converges(self):
         res = find_witness([[0, 0, 0], [0, 0, 0], [1, 0, -1]], 0, seed=2,
                            restarts=8)
@@ -248,19 +259,18 @@ class TestFindWitness:
 
     def test_converged_result_confirmed_by_jacobi(self, monkeypatch):
         # the projections run on LAPACK; every spectrum a verification
-        # recomputes goes through the independent Jacobi solver, counted
-        # in matrices, since one call takes a whole family
+        # recomputes goes through the independent Jacobi solver, one
+        # matrix per call
         eigh_inputs = []
         verifications = []
         jacobi, verify = witness.hermitian_eigh, witness.verify_witness
 
         def counting_eigh(a, *args, **kwargs):
-            a = np.array(a)
-            eigh_inputs.extend(a.reshape((-1,) + a.shape[-2:]))
+            eigh_inputs.append(np.array(a))
             return jacobi(a, *args, **kwargs)
 
         def counting_verify(matrices, *args):
-            verifications.append(np.asarray(matrices)[..., 0, 0].size)
+            verifications.append(len(matrices))
             return verify(matrices, *args)
 
         monkeypatch.setattr(witness, "hermitian_eigh", counting_eigh)
@@ -268,6 +278,7 @@ class TestFindWitness:
         res = find_witness([[2, 1, -1]] * 3, 2, seed=6)
         assert res.converged and res.iterations > 1
         assert verifications and len(eigh_inputs) == sum(verifications)
+        assert all(m.shape == (3, 3) for m in eigh_inputs)
         for m, seen in zip(res.matrices, eigh_inputs[-3:]):
             assert np.array_equal(m, seen)
 
@@ -280,6 +291,35 @@ class TestFindWitness:
     def test_out_of_range_options_raise(self, option):
         with pytest.raises(ValueError):
             find_witness([[1, -1]] * 3, 0, seed=2, **option)
+
+    @pytest.mark.parametrize("option", [{"restarts": 2.5},
+                                        {"max_iters": 300.5},
+                                        {"stall_window": 2.5},
+                                        {"seed": 1.5}])
+    def test_non_integral_options_raise_before_any_attempt(self, option,
+                                                           monkeypatch):
+        waves = []
+        wave = witness._wave
+
+        def counting_wave(*args):
+            waves.append(args)
+            return wave(*args)
+
+        monkeypatch.setattr(witness, "_wave", counting_wave)
+        with pytest.raises(ValueError):
+            find_witness([[1, -1]] * 3, 0, **option)
+        assert not waves
+
+    def test_numpy_integer_options(self):
+        family = [[0, 0], [0, 0], [1, -1]]
+        options = {"restarts": 3, "max_iters": 40, "stall_window": 20,
+                   "seed": 2}
+        plain = find_witness(family, 0, **options)
+        for kind in (np.int64, np.int32):
+            res = find_witness(family, 0, **{k: kind(v)
+                                             for k, v in options.items()})
+            assert res.to_json() == plain.to_json()
+            assert type(res.attempts) is int
 
     @pytest.mark.parametrize("spectra", [[], [[1, -1], [1, 0, -1]]])
     def test_empty_or_ragged_family_raises(self, spectra):
@@ -480,7 +520,5 @@ class TestNonFinite:
         a[0, 2] = bad
         with pytest.raises(ValueError):
             hermitian_eigh(a)
-        with pytest.raises(ValueError):
-            hermitian_eigh(np.stack([np.eye(3), a]))
         with pytest.raises(ValueError):
             hermitian_eigh(np.diag([1.0, bad]))
