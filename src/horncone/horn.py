@@ -18,7 +18,8 @@ the level tables and the census ``count_intersecting``.  Swaps of
 equal-length cycles change neither a tuple's verdict nor the test sets
 (the Schubert product is commutative), so the kernel tests one sorted
 representative per orbit of them: the census weights it by its orbit
-size, and a level build expands the orbits once.
+size, and a level build expands the orbits once.  ``_index`` holds, as
+arrays, what the kernel and the dual map read of each subset.
 
 A level is its members' index rows, in mask-key order, and a point
 flag per row; the zero-dim flag is read off the rows by ``_zero_dim``.
@@ -32,32 +33,28 @@ point flags, and no kernel or LR call runs.  Tables are immutable once
 published and keyed by (size, ambient, cycle type-or-None).  The key
 alone fixes the levels a build reads, so ``HornStore.table`` hands out
 any level on first use, building those levels as it needs them.  A
-store may persist each table as one numpy ``.npz`` file (schema 4) of
-its index rows, point flags and a sha256 of them and the key.
+store may persist each table as one raw file (schema 5): a sha256 of
+the key and payload, then the index rows and the point flags.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import zipfile
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lr
-from .subsets import (  # noqa: F401  (perfbench traces horn.expected_dim)
-    Permutation,
-    Subset,
-    SubsetTuple,
-    all_subsets,
-    expected_dim,
-    stable_tuples,
-)
+# perfbench traces horn.expected_dim
+from .subsets import (Permutation, SubsetTuple, all_subsets,  # noqa: F401
+                      expected_dim, stable_tuples)
 
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 
 # The Horn filter holds about this many candidate rows at once.
 _CHUNK_ROWS = 1 << 16
@@ -174,14 +171,14 @@ class HornTable:
         return (self.size, self.ambient, self.arity, self.sigma)
 
     def _digest(self):
-        """sha256 of the canonical payload: the schema and key, then the
-        rows and point flags as little-endian bytes."""
+        """The 32-byte sha256 of the canonical payload: the schema and key,
+        then the rows and point flags as little-endian bytes."""
         import hashlib  # loads OpenSSL (3.5 MB resident) in cache users only
 
         h = hashlib.sha256(repr((CACHE_SCHEMA, self.key)).encode())
         for a in (self.rows.astype("<u2"), self._point):
             h.update(a.tobytes())
-        return h.hexdigest()
+        return h.digest()
 
 
 class HornStore:
@@ -192,10 +189,12 @@ class HornStore:
     (d, size), d < size, that its Horn tests read, or, above the middle,
     from its dual level (ambient - size, ambient).  An all-ones cycle
     type fixes every tuple, so it names the plain level.
-    ``cache_dir``, when given, keeps one ``.npz`` file per level under
-    ``v4/``: its ``rows``, ``point`` and ``sha256``.  A file that is
-    absent, unreadable, misshapen (a point off the zero-dim rows too) or
-    does not match its digest is a miss, and the level is built again.
+    ``cache_dir``, when given, keeps one ``.level`` file per level under
+    ``v5/``: its 32-byte ``_digest``, then its rows as little-endian
+    uint16 and its point flags as bytes.  A file that is absent,
+    unreadable, of a length no row count of the arity gives, misshapen
+    (a point off the zero-dim rows too) or does not match the digest of
+    the level asked for is a miss, and the level is built again.
     """
 
     def __init__(self, arity=3, cache_dir=None):
@@ -230,22 +229,24 @@ class HornStore:
     def _cache_path(self, key):
         size, ambient, sigma = key
         tag = "full" if sigma is None else "c" + "_".join(map(str, sigma))
-        name = f"int_d{size}_r{ambient}_s{self.arity}_{tag}.npz"
+        name = f"int_d{size}_r{ambient}_s{self.arity}_{tag}.level"
         return os.path.join(self.cache_dir, f"v{CACHE_SCHEMA}", name)
 
     def _load_cached(self, key):
         if self.cache_dir is None:
             return None
-        # an absent, unreadable, misshapen or altered file is a miss (a plain
-        # .npy fails `with`: AttributeError on Python 3.10, TypeError on 3.11)
+        s = self.arity
         try:
-            with (open(self._cache_path(key), "rb") as fh,
-                  np.load(fh, allow_pickle=False) as data):
-                table = HornTable(*key[:2], self.arity, key[2], data["rows"],
-                                  data["point"])
-                digest = str(data["sha256"])
-        except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
-                TypeError, AttributeError):
+            with open(self._cache_path(key), "rb") as fh:
+                # the digest, then m rows of s little-endian uint16, m flags
+                m, extra = divmod(os.fstat(fh.fileno()).st_size - 32, 2 * s + 1)
+                if m < 0 or extra:
+                    return None
+                digest = fh.read(32)
+                table = HornTable(*key[:2], s, key[2],
+                                  np.fromfile(fh, "<u2", m * s).reshape(m, s),
+                                  np.fromfile(fh, np.uint8, m))
+        except (OSError, ValueError):
             return None
         # the digest hashes the key too, so a file of another level misses
         return table if table._digest() == digest else None
@@ -263,8 +264,8 @@ class HornStore:
         fh = open(tmp, "xb")
         try:
             with fh:
-                np.savez(fh, rows=table.rows, point=table._point,
-                         sha256=table._digest())
+                fh.write(table._digest() + table.rows.astype("<u2").tobytes()
+                         + table._point.tobytes())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -298,43 +299,44 @@ class HornStore:
             return self._kernel_table(size, ambient, sigma)
         # above the middle: read off the Grassmann dual (module docstring)
         low = self.table(ambient - size, ambient, sigma)
-        rows = _dual_positions(ambient - size, ambient)[low.rows]
+        rows = _index(ambient - size, ambient).dual[low.rows]
         order = np.lexsort(rows.T[::-1])
         return HornTable(size, ambient, self.arity, sigma, rows[order],
                          low._point[order])
 
     def _kernel_table(self, size, ambient, sigma):
         """The level as the Horn filter and the LR backend build it."""
-        s = self.arity
-        subs = all_subsets(size, ambient)
+        s, n = self.arity, comb(ambient, size)
         lengths = (1,) * s if sigma is None else sigma
         starts = np.cumsum((0,) + lengths[:-1])
-        # expand each orbit: apply every permutation of the cycles that
-        # keeps their lengths to one index per cycle, then sort and dedupe
-        # the rows as integer keys (in mask-key order).  np.unique would
-        # import numpy.ma for its hash path, about 0.5 MB resident.
+        # expand each orbit: fill one array with the integer keys (in
+        # mask-key order) of every permutation of the cycles that keeps
+        # their lengths, then sort and dedupe it.  np.unique would import
+        # numpy.ma for its hash path, about 0.5 MB resident.
         free = np.concatenate([np.zeros((0, len(lengths)), dtype=np.intp), *(
             reps[:, starts] for reps in _horn_survivors(
                 size, ambient, s, sigma, self._test_sets(size, sigma)))]).T
-        shape = (len(subs),) * len(lengths)
-        keys = np.concatenate([
-            np.ravel_multi_index(free[list(p)], shape)
-            for p in itertools.permutations(range(len(lengths)))
-            if [lengths[i] for i in p] == list(lengths)])
+        perms = [p for p in itertools.permutations(range(len(lengths)))
+                 if [lengths[i] for i in p] == list(lengths)]
+        keys = np.empty((len(perms), free.shape[1]), dtype=np.int64)
+        for k, p in enumerate(perms):
+            keys[k] = np.ravel_multi_index(free[list(p)], (n,) * len(lengths))
         del free
+        keys = keys.reshape(-1)
         keys.sort()
         keys = keys[np.append(True, keys[1:] != keys[:-1])]
-        # unravel one cycle at a time, into uint16 rows: no (M, s) int64
+        # unravel one cycle at a time, straight into the uint16 rows
         rows = np.empty((len(keys), s), dtype=np.uint16)
         for lo, width in reversed(list(zip(starts, lengths))):
-            rows[:, lo:lo + width] = (keys % len(subs))[:, None]
-            keys //= len(subs)
+            for c in range(lo, lo + width):
+                np.remainder(keys, n, out=rows[:, c], casting="unsafe")
+            keys //= n
         del keys
         zero_dim = _zero_dim(rows, size, ambient)
         # the product is commutative: one coefficient per multiset of parts
         multisets, which = np.unique(np.sort(rows[zero_dim], axis=1), axis=0,
                                      return_inverse=True)
-        partitions = [p.schubert_partition() for p in subs]
+        partitions = _index(size, ambient).partitions.tolist()
         is_point = np.array([lr.point_coefficient([partitions[j] for j in row],
                                                   size, ambient) == 1
                              for row in multisets.tolist()], dtype=bool)
@@ -343,28 +345,44 @@ class HornStore:
         return HornTable(size, ambient, s, sigma, rows, point)
 
 
+_Index = namedtuple("_Index", "elements dims partitions incidence dual")
+
+
+@lru_cache(maxsize=None)
+def _index(size, ambient):
+    """all_subsets(size, ambient) as read-only arrays, built without
+    Subsets, a row per subset I in mask order: its elements, dim and
+    Schubert partition (int32), incidence (bool, a column per j) and
+    (size < ambient) the rank of its dual {ambient + 1 - j : j not in I}."""
+    # mask order is the lex order of {ambient + 1 - j : j in I}, reversed
+    lex = np.array(list(itertools.combinations(range(1, ambient + 1), size)))
+    elements = ambient + 1 - lex[::-1, ::-1]
+    incidence = np.zeros((len(lex), ambient), dtype=bool)
+    np.put_along_axis(incidence, elements - 1, True, axis=1)
+    # lexsort compares its last key (element ambient) first, as masks do
+    dual = np.empty(len(lex), dtype=np.uint16)
+    dual[np.lexsort(~incidence.T[::-1])] = np.arange(len(lex))
+    dims = elements.sum(axis=1) - size * (size + 1) // 2
+    partitions = np.arange(1, size + 1) - elements + ambient - size
+    index = _Index(elements, dims.astype(np.int32),
+                   partitions.astype(np.int32), incidence, dual)
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
 def _zero_dim(rows, size, ambient):
     """Whether each (M, s) index row into all_subsets(size, ambient) has
     expected dimension 0, its dims summing to (s-1) * size * (ambient-size)."""
-    dims = np.array([p.dim() for p in all_subsets(size, ambient)], np.int32)
-    total = sum(dims[column] for column in rows.T)
+    total = sum(_index(size, ambient).dims[column] for column in rows.T)
     return total == (rows.shape[1] - 1) * size * (ambient - size)
-
-
-def _dual_positions(size, ambient):
-    """Position in all_subsets(ambient - size, ambient) of the dual
-    {ambient + 1 - j : j not in I} of each I in all_subsets(size, ambient)."""
-    return np.array([Subset([ambient + 1 - j for j in range(ambient, 0, -1)
-                             if j not in p], ambient).rank()
-                     for p in all_subsets(size, ambient)], dtype=np.uint16)
 
 
 def horn_rows(d, rows, r, lengths):
     """Int64 Horn rows ``a . x <= 0`` of (K, s) index rows into
     all_subsets(d, r); x is one spectrum per cycle of consecutive parts
     (``lengths``), then t: a cycle sums its parts' incidences, t gets -d."""
-    incidence = np.array([[j in sub for j in range(1, r + 1)]
-                          for sub in all_subsets(d, r)], dtype=np.int64)
+    incidence = _index(d, r).incidence
     a = np.full((len(rows), len(lengths) * r + 1), -d, dtype=np.int64)
     for c, (lo, hi) in enumerate(itertools.pairwise(np.cumsum((0, *lengths)))):
         a[:, c * r:(c + 1) * r] = incidence[rows[:, lo:hi]].sum(axis=1)
@@ -389,35 +407,36 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     longer reach the threshold, and each growth step is split to hold
     about _CHUNK_ROWS rows.  A candidate passes level d when it satisfies
     the level's ``horn_rows`` at x = its cycles' Schubert partitions,
-    t = ambient - size: a chunk sums gathers of about _CHUNK_ROWS // 4
-    entries from one int32 table per cycle, and its survivors are
-    compacted once per level.
+    t = ambient - size: a chunk gathers about _CHUNK_ROWS // 4 entries
+    from one int32 table per cycle into two buffers it reuses, summing
+    them in place, and its survivors are compacted once per level.
     """
     lengths = (1,) * s if sigma is None else sigma
     column = np.repeat(np.arange(len(lengths)), lengths)
-    subs = all_subsets(size, ambient)
-    dims = np.array([p.dim() for p in subs])
+    _, dims, partitions, _, _ = _index(size, ambient)
     # the expected dimension is nonnegative iff the dims sum to at least
     threshold = (s - 1) * size * (ambient - size)
     # reach[k]: the most the cycles k, k+1, ... can still add
     reach = np.cumsum([0] + [w * dims.max() for w in lengths[::-1]])[::-1]
     # per test level, one (N, K) table per cycle: each part's share of
     # each row, in int32, as an entry is at most s * d * (ambient - size)
-    partitions = np.array([p.schubert_partition() for p in subs], np.int32)
     horn = [(partitions @ horn_rows(d, rows, size, lengths)[:, :-1].T.reshape(
                 len(lengths), size, len(rows)).astype(np.int32),
              d * (ambient - size)) for d, rows in tests if len(rows)]
     step = max(1, _CHUNK_ROWS // len(dims))
 
     def passing(free):
-        # free holds one row of indices per cycle
+        # free: one row of in-range indices per cycle; "clip" skips the checks
         for tables, bound in horn:
             width = max(1, _CHUNK_ROWS // 4 // tables.shape[2])
             ok = np.empty(free.shape[1], dtype=bool)
+            total, part = np.empty((2, width, tables.shape[2]), np.int32)
             for lo in range(0, len(ok), width):
-                total = sum(table[f[lo:lo + width]]
-                            for table, f in zip(tables, free))
-                ok[lo:lo + width] = (total <= bound).all(axis=1)
+                t, p = total[:len(ok) - lo], part[:len(ok) - lo]
+                tables[0].take(free[0, lo:lo + width], 0, t, "clip")
+                for table, g in zip(tables[1:], free[1:, lo:lo + width]):
+                    t += table.take(g, 0, p, "clip")
+                ok[lo:lo + width] = t.max(axis=1) <= bound
             free = free[:, ok]
         return free
 

@@ -136,13 +136,17 @@ def schubert_product(partitions, grassmannian):
 def point_coefficient(partitions, r, n):
     """Coefficient of the point class in the product of the Schubert
     classes ``partitions`` (inside the r x (n-r) box) in H*(Gr(r, n)): the
-    first s - 2 classes are multiplied out (for s = 3, the first class),
-    and each term c * sigma_nu adds c * c(nu, lambda_{s-1}; lambda_s^vee),
-    lambda_s^vee being the box complement of the last class.  A lone class
-    is paired with the unit.  Level builds call it below the middle only."""
+    first s - 2 classes are multiplied out (for s = 3, the first class is
+    its own product, or 0 outside the box), and each term c * sigma_nu
+    adds c * c(nu, lambda_{s-1}; lambda_s^vee), lambda_s^vee being the box
+    complement of the last class.  A lone class is paired with the unit.
+    Level builds call it below the middle only."""
     *head, lam, last = [()] * (2 - len(partitions)) + list(partitions)
     last = tuple(last) + (0,) * (r - len(last))
     dual = [n - r - x for x in reversed(last)]
+    if len(head) == 1:
+        return (lr_coefficient(head[0], lam, dual)
+                if fits_box(head[0], r, n - r) else 0)
     return sum(c * lr_coefficient(nu, lam, dual)
                for nu, c in schubert_product(head, (r, n)).items())
 

@@ -7,7 +7,8 @@ alternating Weyl-group sum, not from any Littlewood-Richardson rule.
 ``orbit`` lists the coordinate permutations of a tuple.
 ``horn_check`` is the definitional one-tuple Horn check that the level
 tables are compared against, and ``subset_to_schubert_partition`` the
-checked form of a subset's Schubert partition.
+checked form of a subset's Schubert partition, and ``subset_index`` the
+per-subset arrays of a level built from ``Subset`` objects one by one.
 ``reference_lp`` is a general two-phase simplex over ``Fraction`` with
 Bland's rule, the reference for the library's integer box LP.
 ``serial_find_witness`` runs the restarts of a witness search one after
@@ -23,7 +24,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from horncone.horn import NotSigmaStable, normalize_cycle_type
-from horncone.subsets import Permutation, SubsetTuple, expected_dim
+from horncone.subsets import (
+    Permutation,
+    Subset,
+    SubsetTuple,
+    all_subsets,
+    expected_dim,
+)
 from horncone.witness import (
     WitnessResult,
     project_to_orbit,
@@ -180,6 +187,19 @@ def subset_to_schubert_partition(subset, n=None):
     if n is not None and n != subset.ambient:
         raise ValueError(f"subset lives in [1..{subset.ambient}], not [1..{n}]")
     return subset.schubert_partition()
+
+
+def subset_index(size, ambient):
+    """For each subset of all_subsets(size, ambient), in order: its
+    elements, dim, Schubert partition, incidence row and, for size <
+    ambient, the rank of {ambient + 1 - j : j not in it}."""
+    subs = all_subsets(size, ambient)
+    dual = [Subset([ambient + 1 - j for j in range(ambient, 0, -1)
+                    if j not in p], ambient).rank() if size < ambient else None
+            for p in subs]
+    return ([p.elements for p in subs], [p.dim() for p in subs],
+            [subset_to_schubert_partition(p, ambient) for p in subs],
+            [[j in p for j in range(1, ambient + 1)] for p in subs], dual)
 
 
 # -- the reference LP -------------------------------------------------

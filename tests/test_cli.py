@@ -1,11 +1,13 @@
 import hashlib
 import json
+import pathlib
+import shlex
 import time
 
 import numpy as np
 import pytest
 
-from horncone.cli import main
+from horncone.cli import build_parser, main
 from horncone.horn import HornStore
 
 
@@ -229,7 +231,7 @@ class TestCycleTypeCheck:
         code, out, err = run(capsys, "tuples", "--d", "1", "--r", "3",
                              "--sigma", "2", "--cache-dir", str(tmp_path))
         assert code == 2 and out == "" and "partition" in err
-        assert not any(tmp_path.rglob("*.npz"))
+        assert not any(tmp_path.rglob("*.level"))
         code, out, _ = run(capsys, "crosscheck", "--r", "1", "--n", "3",
                            "--sigma", "2")
         assert code == 2 and out == ""
@@ -319,14 +321,14 @@ class TestCache:
         code2, out2, _ = run(capsys, "tables", "--rmax", "3",
                              "--cache-dir", str(tmp_path))
         assert code1 == code2 == 0 and out1 == out2
-        assert any(tmp_path.rglob("*.npz"))
+        assert any(tmp_path.rglob("*.level"))
 
     def test_no_cache_is_not_an_option(self, capsys, tmp_path):
         # the cache is on exactly when --cache-dir is given
         code, out, _ = run(capsys, "system", "--r", "2",
                            "--cache-dir", str(tmp_path), "--no-cache")
         assert code == 2 and out == ""
-        assert not any(tmp_path.rglob("*.npz"))
+        assert not any(tmp_path.rglob("*.level"))
 
 
 class TestCacheIntegrity:
@@ -338,12 +340,18 @@ class TestCacheIntegrity:
         run(capsys, *argv, "--cache-dir", str(tmp_path))
         store = HornStore(arity=3, cache_dir=str(tmp_path))
         path = store._cache_path(key)
-        # damage an array, then save the file again under its old digest
-        with np.load(path) as archive:
-            data = dict(archive)
+        # damage the rows or the flags, then save the file again under
+        # its old digest (a None leaves the part out)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        m = (len(raw) - 32) // 7
+        data = {"rows": np.frombuffer(raw, "<u2", 3 * m, 32).reshape(m, 3),
+                "point": np.frombuffer(raw, bool, m, 32 + 6 * m)}
         damage(data)
         with open(path, "wb") as fh:
-            np.savez(fh, **data)
+            fh.write(raw[:32] + b"".join(
+                data[k].tobytes() for k in ("rows", "point")
+                if data[k] is not None))
         assert store._load_cached(key) is None
         code, got, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert (code, got, err) == (0, want, "")
@@ -455,3 +463,22 @@ class TestGoldenBytes:
                                "--format", fmt)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_workflow_commands_parse():
+    # every horncone command the CI workflow runs parses here, so that a
+    # renamed option fails in this suite and not only on a runner; the
+    # warm-cache loop sets $opts to nothing or to --cache-dir
+    workflow = pathlib.Path(__file__).parents[1] / ".github/workflows/tier1.yml"
+    commands = [line.split(None, 1)[1]
+                for line in workflow.read_text().splitlines()
+                if line.split()[:1] == ["horncone"]]
+    assert {c.split()[0] for c in commands} == {"crosscheck", "tables", "system"}
+    parser = build_parser()
+    for command in commands:
+        for opts in ("", "--cache-dir cache"):
+            argv = shlex.split(command.replace("$opts", opts).replace("$", ""))
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"horncone {command} does not parse")

@@ -2,19 +2,21 @@ import hashlib
 import itertools
 import os
 import pathlib
+import shutil
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from _oracles import horn_check, orbit
+from _oracles import horn_check, orbit, subset_index
 from horncone import horn, lr
 from horncone.cone import SpectrumFamily
 from horncone.horn import (
     HornStore,
     NotSigmaStable,
     _horn_survivors,
+    _index,
     count_intersecting,
     cross_check,
     normalize_cycle_type,
@@ -468,6 +470,29 @@ class TestTableRows:
         assert (repeated > 0) == (sigma is None)
 
 
+class TestIndex:
+    def test_index_against_subsets(self):
+        # the arrays a level build reads, against Subset objects, for
+        # every level through ambient 12
+        for n in range(1, 13):
+            for d in range(1, n + 1):
+                index = _index(d, n)
+                elements, dims, partitions, incidence, dual = subset_index(d, n)
+                assert index.elements.tolist() == [list(e) for e in elements]
+                assert index.dims.tolist() == dims
+                assert index.partitions.tolist() == [list(p) for p in partitions]
+                assert index.incidence.tolist() == incidence
+                assert index.dims.dtype == index.partitions.dtype == np.int32
+                assert index.incidence.dtype == bool
+                if d < n:
+                    assert index.dual.dtype == np.uint16
+                    assert index.dual.tolist() == dual
+                    # the Grassmann dual is an involution
+                    assert np.array_equal(_index(n - d, n).dual[index.dual],
+                                          np.arange(len(dual)))
+                assert all(not a.flags.writeable for a in index)
+
+
 class TestOtherArities:
     def test_two_factor_levels_match_classification(self):
         two = HornStore(arity=2)
@@ -556,6 +581,22 @@ class TestCountIntersecting:
         assert len(table) == 115222
         assert peak < 5 << 20
 
+    def test_plain_5_10_builds_in_bounded_memory(self):
+        # plain (5, 10) expands 123,110 representatives into 738,660 int64
+        # keys (5.6 MB) and dedupes them to 718,738 (5.5 MB); the keys
+        # fill one array, no list of per-permutation arrays beside it,
+        # and the rows are unravelled from them without a temporary
+        store = HornStore(arity=3)
+        store.build_through(4, 5)
+        tracemalloc.start()
+        try:
+            table = store.table(5, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 718738
+        assert peak < 14 << 20
+
 
 class TestCrossCheck:
     def test_clean_levels(self, store):
@@ -593,11 +634,11 @@ class TestCache:
         assert store._load_cached((1, 3, None)) is None
         fresh = HornStore(arity=3, cache_dir=str(tmp_path))
         assert fresh.table(1, 3).members == table.members
-        assert str(members(path)["sha256"]) == table._digest()
+        assert members(path)["sha256"] == table._digest()
 
     def test_v1_directory_is_ignored(self, tmp_path):
         # files of earlier schemas are never read: the level is rebuilt
-        # into the v4 directory and the old files are left as they were
+        # into the v5 directory and the old files are left as they were
         old = tmp_path / "v1" / "int_d1_r2_s3_full.json"
         old.parent.mkdir()
         old.write_text('{"schema": 1, "size": 1, "ambient": 2, "arity": 3, '
@@ -608,22 +649,34 @@ class TestCache:
         json2.write_text('{"schema": 2, "rows": [1, 1, 1]}')
         npz3 = tmp_path / "v3" / "int_d1_r2_s3_full.npz"
         npz3.parent.mkdir()
-        resave(npz3, rows=np.ones((1, 3), np.uint16), zero_dim=[False],
-               point=[False], sha256="0" * 64)
+        with open(npz3, "wb") as fh:
+            np.savez(fh, rows=np.ones((1, 3), np.uint16), zero_dim=[False],
+                     point=[False], sha256="0" * 64)
         v3 = npz3.read_bytes()
+        # an empty level under the digest a schema-4 reader would accept:
+        # read, it would replace the level's members by none
+        rows, point = np.zeros((0, 3), np.uint16), np.zeros(0, bool)
+        h = hashlib.sha256(repr((4, (1, 2, 3, None))).encode())
+        for a in (rows, point):
+            h.update(a.tobytes())
+        npz4 = tmp_path / "v4" / "int_d1_r2_s3_full.npz"
+        npz4.parent.mkdir()
+        with open(npz4, "wb") as fh:
+            np.savez(fh, rows=rows, point=point, sha256=h.hexdigest())
+        v4 = npz4.read_bytes()
         store = HornStore(arity=3, cache_dir=str(tmp_path))
         store.build_through(1, 2)
         want = HornStore(arity=3).table(1, 2)
-        assert store.table(1, 2).members == want.members
+        assert len(want) and store.table(1, 2).members == want.members
         path = store._cache_path((1, 2, None))
-        assert path == str(tmp_path / "v4" / "int_d1_r2_s3_full.npz")
-        with np.load(path, allow_pickle=False) as data:
-            assert sorted(data.files) == ["point", "rows", "sha256"]
-            assert np.array_equal(data["rows"], want.rows)
-            assert data["rows"].dtype == np.uint16
+        assert path == str(tmp_path / "v5" / "int_d1_r2_s3_full.level")
+        assert pathlib.Path(path).read_bytes() == (
+            want._digest() + want.rows.astype("<u2").tobytes()
+            + want._point.tobytes())
         assert old.read_text().startswith('{"schema": 1,')
         assert json2.read_text() == '{"schema": 2, "rows": [1, 1, 1]}'
-        assert npz3.read_bytes() == v3
+        assert npz3.read_bytes() == v3 and npz4.read_bytes() == v4
+        assert sorted(os.listdir(npz4.parent)) == [npz4.name]
 
     def test_file_of_another_level_is_a_miss(self, tmp_path):
         store = HornStore(arity=3, cache_dir=str(tmp_path))
@@ -660,14 +713,18 @@ class TestCache:
         assert back.members == table.members and any(back.point)
 
 
-def members(path):
-    with np.load(path) as data:
-        return dict(data)
+def members(path, arity=3):
+    """The digest, index rows and point flags of a schema-5 cache file."""
+    raw = pathlib.Path(path).read_bytes()
+    m = (len(raw) - 32) // (2 * arity + 1)
+    return {"sha256": raw[:32],
+            "rows": np.frombuffer(raw, "<u2", m * arity, 32).reshape(m, arity),
+            "point": np.frombuffer(raw, bool, m, 32 + 2 * m * arity)}
 
 
-def resave(path, **arrays):
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+def resave(path, sha256=b"", rows=(), point=()):
+    pathlib.Path(path).write_bytes(sha256 + np.asarray(rows, "<u2").tobytes()
+                                   + np.asarray(point, bool).tobytes())
 
 
 def _truncate(path):
@@ -678,11 +735,18 @@ def _truncate(path):
 
 
 def _drop_member(path):
+    # the file ends after the rows: no point flags
     resave(path, **{k: v for k, v in members(path).items() if k != "point"})
 
 
 def _zero_d_rows(path):
-    resave(path, **dict(members(path), rows=np.uint16(0)))
+    # rows of another width (two parts), under a digest taken of them
+    data = members(path)
+    rows = data["rows"][:, :2]
+    h = hashlib.sha256(repr((horn.CACHE_SCHEMA, (2, 4, 3, None))).encode())
+    for a in (rows.astype("<u2"), data["point"]):
+        h.update(a.tobytes())
+    resave(path, **dict(data, rows=rows, sha256=h.digest()))
 
 
 def _point_off_zero_dim(path):
@@ -695,9 +759,9 @@ def _point_off_zero_dim(path):
         h = hashlib.sha256(repr((horn.CACHE_SCHEMA, (2, 4, 3, None))).encode())
         for a in (data["rows"].astype("<u2"), point):
             h.update(a.tobytes())
-        return h.hexdigest()
+        return h.digest()
 
-    assert digest(data["point"]) == str(data["sha256"])
+    assert digest(data["point"]) == data["sha256"]
     zero_dim = HornStore(arity=3).table(2, 4).zero_dim
     point = data["point"].copy()
     point[zero_dim.index(False)] = True
@@ -710,6 +774,26 @@ def _plain_npy(path):
         np.save(fh, rows)
 
 
+def _short_by_a_row(path):
+    # one row's worth of bytes less: the length fits the arity
+    data = pathlib.Path(path).read_bytes()
+    pathlib.Path(path).write_bytes(data[:-7])
+
+
+def _trailing_byte(path):
+    with open(path, "ab") as fh:
+        fh.write(b"\0")
+
+
+def _other_level(path):
+    # the three-equal-spectra level (2, 4): rows and flags this level
+    # holds too, so only the key inside the digest tells the files apart
+    store = HornStore(arity=3, cache_dir=os.path.dirname(os.path.dirname(path)))
+    other = store.table(2, 4, (3,))
+    assert 0 < len(other) < len(HornStore(arity=3).table(2, 4))
+    shutil.copyfile(store._cache_path((2, 4, (3,))), path)
+
+
 @pytest.mark.parametrize("damage", [
     lambda path: pathlib.Path(path).write_bytes(b"not a zip archive"),
     lambda path: pathlib.Path(path).write_bytes(b""),
@@ -718,8 +802,12 @@ def _plain_npy(path):
     _zero_d_rows,
     _plain_npy,
     _point_off_zero_dim,
+    _short_by_a_row,
+    _trailing_byte,
+    _other_level,
 ], ids=["non_zip", "empty", "truncated", "missing_member", "zero_d_rows",
-        "plain_npy", "point_off_zero_dim"])
+        "plain_npy", "point_off_zero_dim", "short_by_a_row", "trailing_byte",
+        "other_level"])
 def test_damaged_cache_file_is_a_miss(tmp_path, damage):
     key = (2, 4, None)
     want = HornStore(arity=3, cache_dir=str(tmp_path)).table(*key)
