@@ -7,6 +7,7 @@ intersecting when the product of its classes is nonzero.
 """
 
 from horncone import (
+    Permutation,
     Subset,
     SubsetTuple,
     classify,
@@ -21,10 +22,14 @@ print("subset:", I)
 print("as a partition in Gr(3,5):", I.schubert_partition())
 print("dimension of its Schubert variety:", I.dim())
 
-# Composition of increasing maps and the induced quotient position.
-J = Subset([1, 3], 3)
-print("\ncomposition I o J:", I.compose(J))
-print("quotient position:", I.quotient(J))
+# Tuples of subsets: the expected dimension of the intersection of their
+# Schubert varieties, and whether the 3-cycle of the positions fixes them.
+cycle = Permutation.from_cycle_type((3,))
+print()
+for tup in [SubsetTuple([I] * 3),
+            SubsetTuple.of([1, 3], [1, 3], [2, 3], ambient=3)]:
+    print(f"{tup}: expected dim {expected_dim(tup)},"
+          f" fixed by the 3-cycle: {tup.is_stable(cycle)}")
 
 # A Littlewood-Richardson coefficient that is bigger than one.
 print("\nc((2,1),(2,1); (3,2,1)) =", lr_coefficient((2, 1), (2, 1), (3, 2, 1)))

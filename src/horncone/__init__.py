@@ -6,23 +6,22 @@ permutation), cross-checks them against a Littlewood-Richardson backend,
 generates the resulting inequality descriptions of the cone, decides
 exact rational membership, prunes redundant inequalities with an exact
 simplex, and searches for explicit matrix witnesses numerically.
+
+The subset types carry what the recursion and the systems read: sizes,
+dimensions, Schubert partitions and the action of position permutations.
+The Horn inequalities ``edim(I o J) >= edim(J)`` are evaluated in closed
+form on Schubert partitions (``horn.horn_rows``), so no subset
+composition is computed.
 """
 
 from .subsets import (
-    CompositionError,
-    InvalidShift,
     Permutation,
     Subset,
     SubsetTuple,
     all_subsets,
-    all_tuples,
-    entry_sum,
     expected_dim,
-    gap_partition,
     group_into_orbits,
     orbit_representative,
-    schubert_partitions,
-    slope,
     stable_tuples,
 )
 from .lr import (
@@ -63,10 +62,8 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositionError", "InvalidShift", "Permutation", "Subset",
-    "SubsetTuple", "all_subsets", "all_tuples", "entry_sum", "expected_dim",
-    "gap_partition", "group_into_orbits", "orbit_representative",
-    "schubert_partitions", "slope", "stable_tuples",
+    "Permutation", "Subset", "SubsetTuple", "all_subsets", "expected_dim",
+    "group_into_orbits", "orbit_representative", "stable_tuples",
     "IntersectionClass", "classify", "lr_coefficient", "schubert_product",
     "HornStore", "HornTable", "NotSigmaStable",
     "count_intersecting", "cross_check",

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .horn import HornStore, NotSigmaStable, horn_rows, normalize_cycle_type
-from .subsets import Permutation, Subset, SubsetTuple, all_subsets
+from .subsets import Permutation, Subset, SubsetTuple, _integer, all_subsets
 
 
 # the table flag that selects each level's Horn rows (see generate_system)
@@ -347,18 +347,20 @@ class InequalitySystem:
 
     @classmethod
     def from_json(cls, data):
-        """The system ``to_json`` wrote.  ValueError unless its levels run
-        once each in increasing order below r, every row is fixed by the
-        cycle type, and the level name and counts are the ones it has."""
+        """The system ``to_json`` wrote.  ValueError unless r, s and each
+        d are integers, its levels run once each in increasing order below
+        r, every row is fixed by the cycle type, and the level name and
+        counts are the ones it has."""
         if data.get("schema") != 1:
             raise ValueError("unsupported system schema")
-        r, s, level = data["r"], data["s"], data["level"]
+        r, s, level = _integer(data["r"]), _integer(data["s"]), data["level"]
         if level not in LEVEL_FLAGS:
             raise ValueError(f"unknown level {level!r}")
         perm = Permutation.from_cycle_type(
             normalize_cycle_type(data["sigma"], s) or (1,) * s)
         levels = []
         for d, group in itertools.groupby(data["horn"], key=lambda h: h["d"]):
+            d = _integer(d)
             if not (levels[-1][0] if levels else 0) < d < r:
                 raise ValueError(f"level-{d} rows out of place: each level "
                                  f"runs once, in increasing order below {r}")

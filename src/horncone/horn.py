@@ -45,14 +45,15 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lr
 # perfbench traces horn.expected_dim
-from .subsets import (Permutation, SubsetTuple, all_subsets,  # noqa: F401
-                      expected_dim, stable_tuples)
+from .subsets import (Permutation, SubsetTuple, _integer,  # noqa: F401
+                      all_subsets, expected_dim, stable_tuples)
 
 CACHE_SCHEMA = 5
 
@@ -67,15 +68,15 @@ class NotSigmaStable(ValueError):
 def normalize_cycle_type(sigma, s):
     """Canonical form of a symmetry argument on s positions: None, a
     Permutation, or an iterable of cycle lengths; returns None or a
-    sorted tuple.  ValueError unless the lengths are positive and sum
-    to s."""
+    sorted tuple.  ValueError unless the lengths are positive integers
+    (numpy ones too, bools not) that sum to s."""
     if sigma is None:
         return None
     if isinstance(sigma, Permutation):
         sigma = sigma.cycle_type()
-    elif isinstance(sigma, int):
+    elif isinstance(sigma, Number):
         sigma = (sigma,)
-    sigma = tuple(sorted(int(x) for x in sigma))
+    sigma = tuple(sorted(map(_integer, sigma)))
     if not sigma or sigma[0] < 1 or sum(sigma) != s:
         raise ValueError(f"cycle type {sigma} is not a partition of s={s}")
     return sigma

@@ -1,4 +1,4 @@
-"""Subsets of [n], tuples of subsets, and the exact combinatorics on them.
+"""Subsets of [n], tuples of subsets, and the permutations acting on them.
 
 A ``Subset`` is a set of integers ``{j_1 < ... < j_d}`` inside an ambient
 interval ``[1..n]``, identified with the strictly increasing map
@@ -6,26 +6,29 @@ interval ``[1..n]``, identified with the strictly increasing map
 and ambient; these index products of Schubert classes on a Grassmannian
 and carry a natural action of the symmetric group on the s positions.
 
-Everything in this module is exact integer / `fractions.Fraction`
-arithmetic on immutable values, so all operations are safe to call
-concurrently.
+Everything in this module is exact integer arithmetic on immutable
+values, so all operations are safe to call concurrently.  Elements,
+ambients and permutation images must be integers (numpy ones too, bools
+not): anything else is a ValueError, never truncated.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Integral
 
 
-class InvalidShift(ValueError):
-    """Shift too small: the requested gap partition would go negative."""
-
-
-class CompositionError(ValueError):
-    """Subset composition with incompatible size/ambient."""
+def _integer(x):
+    """``x`` as a Python int; ValueError unless it is an integer that is
+    not a bool, where ``int(x)`` would truncate it or pass it."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -43,8 +46,8 @@ class Subset:
     ambient: int
 
     def __init__(self, elements, ambient):
-        elements = tuple(int(j) for j in elements)
-        ambient = int(ambient)
+        elements = tuple(map(_integer, elements))
+        ambient = _integer(ambient)
         if not elements:
             raise ValueError("subset must be nonempty")
         if any(b <= a for a, b in zip(elements, elements[1:])):
@@ -57,12 +60,6 @@ class Subset:
         for j in elements:
             mask |= 1 << (j - 1)
         object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def from_mask(cls, mask, ambient):
-        """Inverse of the bit-mask encoding."""
-        elems = [j + 1 for j in range(ambient) if mask >> j & 1]
-        return cls(elems, ambient)
 
     @property
     def size(self):
@@ -99,50 +96,13 @@ class Subset:
         d = self.size
         return d * (self.ambient - d) - self.dim()
 
-    def gap_partition(self, shift):
-        """The weakly decreasing sequence ``(k - j_k + shift)`` over k.
-
-        Records, entry by entry, how far each element is pushed right of
-        the initial segment {1..d}, measured from ``shift``.  Requires
-        ``shift >= j_d - d`` so all entries are nonnegative.
-        """
-        parts = tuple(k - j + shift for k, j in enumerate(self.elements, start=1))
-        if parts[-1] < 0:
-            raise InvalidShift(
-                f"shift {shift} < {self.elements[-1] - self.size} leaves negative entries"
-            )
-        return parts
-
     def schubert_partition(self):
         """Partition of the Schubert class of this subset in
-        Gr(size, ambient); its weight is the codimension."""
-        return self.gap_partition(self.ambient - self.size)
-
-    def compose(self, other):
-        """Composition of increasing maps: ``(self o other)(k) = self(other(k))``.
-
-        ``other`` must have ambient equal to ``self.size``; the result
-        lives in the ambient of ``self``.
-        """
-        if other.ambient != self.size:
-            raise CompositionError(
-                f"cannot compose: inner ambient {other.ambient} != outer size {self.size}"
-            )
-        return Subset((self.elements[j - 1] for j in other.elements), self.ambient)
-
-    def quotient(self, other):
-        """The induced position ``((self o other)(k) - other(k) + k)`` of
-        ``other`` pushed through ``self`` into ambient ``n - r + d``."""
-        if other.ambient != self.size:
-            raise CompositionError(
-                f"cannot quotient: inner ambient {other.ambient} != outer size {self.size}"
-            )
-        n, r, d = self.ambient, self.size, other.size
-        elems = (
-            self.elements[j - 1] - j + k
-            for k, j in enumerate(other.elements, start=1)
-        )
-        return Subset(elems, n - r + d)
+        Gr(size, ambient): the weakly decreasing ``(k - j_k + ambient -
+        size)`` over k, how far each element sits left of the final
+        segment.  No entry is negative; the weight is the codimension."""
+        shift = self.ambient - len(self.elements)
+        return tuple(k - j + shift for k, j in enumerate(self.elements, start=1))
 
     def to_json(self):
         """Serialize as a sorted integer array."""
@@ -203,18 +163,6 @@ class SubsetTuple:
         inner = ", ".join(str(set(p.elements)) for p in self.parts)
         return f"SubsetTuple[{inner} in [{self.ambient}]]"
 
-    def compose(self, other):
-        """Componentwise composition with a tuple of the same arity."""
-        if other.arity != self.arity:
-            raise CompositionError("arity mismatch in tuple composition")
-        return SubsetTuple(p.compose(q) for p, q in zip(self.parts, other.parts))
-
-    def quotient(self, other):
-        """Componentwise quotient position."""
-        if other.arity != self.arity:
-            raise CompositionError("arity mismatch in tuple quotient")
-        return SubsetTuple(p.quotient(q) for p, q in zip(self.parts, other.parts))
-
     def permuted(self, perm):
         """Left action of a permutation on the s positions:
         component l of the result is component perm^{-1}(l)."""
@@ -237,14 +185,10 @@ class Permutation:
     images: tuple
 
     def __init__(self, images):
-        images = tuple(int(i) for i in images)
+        images = tuple(map(_integer, images))
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of [1..{len(images)}]: {images}")
         object.__setattr__(self, "images", images)
-
-    @classmethod
-    def identity(cls, s):
-        return cls(range(1, s + 1))
 
     @classmethod
     def from_cycles(cls, cycles, s):
@@ -258,7 +202,7 @@ class Permutation:
     def from_cycle_type(cls, lengths):
         """The canonical permutation with the given cycle type: consecutive
         cycles (1..l_1)(l_1+1..l_1+l_2)... in increasing length order."""
-        lengths = tuple(sorted(int(x) for x in lengths))
+        lengths = tuple(sorted(map(_integer, lengths)))
         if any(x < 1 for x in lengths):
             raise ValueError("cycle lengths must be positive")
         s = sum(lengths)
@@ -275,10 +219,6 @@ class Permutation:
 
     def __call__(self, l):
         return self.images[l - 1]
-
-    def __mul__(self, other):
-        """Composition: ``(self * other)(l) = self(other(l))``."""
-        return Permutation(self.images[j - 1] for j in other.images)
 
     def inverse(self):
         inv = [0] * self.degree
@@ -320,44 +260,12 @@ class Permutation:
         return tuple(seq[inv(l) - 1] for l in range(1, self.degree + 1))
 
 
-def gap_partition(subset, shift):
-    """Function form of :meth:`Subset.gap_partition`."""
-    return subset.gap_partition(shift)
-
-
-def schubert_partitions(tup):
-    """Componentwise Schubert partitions of a tuple, using the shift
-    ``ambient - size`` on every component."""
-    return tuple(p.schubert_partition() for p in tup.parts)
-
-
 def expected_dim(tup):
     """Expected dimension of the intersection of the s Schubert varieties
     indexed by ``tup`` inside Gr(size, ambient): the Grassmannian
     dimension minus the total codimension.  May be negative."""
     d, n = tup.size, tup.ambient
     return d * (n - d) - sum(p.codim() for p in tup.parts)
-
-
-def entry_sum(tup, spectra):
-    """Sum of the spectrum entries selected by the tuple:
-    ``sum over l, j in tup[l] of spectra[l][j-1]``."""
-    if len(spectra) != tup.arity:
-        raise ValueError("spectra arity does not match tuple arity")
-    r = tup.ambient
-    total = 0
-    for part, spec in zip(tup.parts, spectra):
-        if len(spec) != r:
-            raise ValueError(f"spectrum length {len(spec)} != ambient {r}")
-        for j in part.elements:
-            total += spec[j - 1]
-    return total
-
-
-def slope(theta, tup):
-    """Harder-Narasimhan style slope: the selected entry sum divided by
-    the tuple size, as an exact Fraction when the entries are exact."""
-    return entry_sum(tup, theta) / Fraction(tup.size)
 
 
 @lru_cache(maxsize=None)
@@ -371,14 +279,6 @@ def all_subsets(size, ambient):
     subs = [Subset(c, ambient) for c in itertools.combinations(range(1, ambient + 1), size)]
     subs.sort(key=lambda x: x.mask)
     return tuple(subs)
-
-
-def all_tuples(size, ambient, arity):
-    """Iterate over every arity-tuple of subsets of the given shape, in
-    lexicographic order on the concatenated bit masks."""
-    subs = all_subsets(size, ambient)
-    for combo in itertools.product(subs, repeat=arity):
-        yield SubsetTuple(combo)
 
 
 def stable_tuples(size, ambient, perm):

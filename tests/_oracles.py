@@ -4,7 +4,11 @@ These deliberately avoid the library's own algorithms: the tableau
 counter enumerates every filling with no pruning, and the invariant
 dimension comes from Gelfand-Tsetlin weight multiplicities plus the
 alternating Weyl-group sum, not from any Littlewood-Richardson rule.
-``orbit`` lists the coordinate permutations of a tuple.
+``orbit`` lists the coordinate permutations of a tuple, and
+``all_tuples`` every tuple of a shape.  ``compose`` and ``quotient`` are
+the subset algebra the Horn inequalities are defined by, ``entry_sum``
+and ``slope`` the spectrum sums they compare; the library evaluates
+them in closed form (``horn.horn_rows``).
 ``horn_check`` is the definitional one-tuple Horn check that the level
 tables are compared against, and ``subset_to_schubert_partition`` the
 checked form of a subset's Schubert partition, and ``subset_index`` the
@@ -161,6 +165,57 @@ def orbit(tup):
     return {SubsetTuple(p) for p in itertools.permutations(tup.parts)}
 
 
+def all_tuples(size, ambient, arity):
+    """Every arity-tuple of subsets of the given shape, in lexicographic
+    order on the concatenated bit masks."""
+    return map(SubsetTuple, itertools.product(all_subsets(size, ambient), repeat=arity))
+
+
+def _check_shapes(outer, inner):
+    if isinstance(outer, SubsetTuple):
+        if inner.arity != outer.arity:
+            raise ValueError(f"arity {inner.arity} != {outer.arity}")
+    elif inner.ambient != outer.size:
+        raise ValueError(f"inner ambient {inner.ambient} != outer size {outer.size}")
+
+
+def compose(outer, inner):
+    """Composition of increasing maps, ``(outer o inner)(k) =
+    outer(inner(k))``, componentwise on tuples.  ``inner`` lives in
+    [1..outer.size]; the result in outer's ambient."""
+    _check_shapes(outer, inner)
+    if isinstance(outer, SubsetTuple):
+        return SubsetTuple(map(compose, outer, inner))
+    return Subset((outer(j) for j in inner), outer.ambient)
+
+
+def quotient(outer, inner):
+    """The induced position ``outer(inner(k)) - inner(k) + k`` in ambient
+    ``n - r + d``, componentwise on tuples."""
+    _check_shapes(outer, inner)
+    if isinstance(outer, SubsetTuple):
+        return SubsetTuple(map(quotient, outer, inner))
+    n, r, d = outer.ambient, outer.size, inner.size
+    return Subset((outer(j) - j + k for k, j in enumerate(inner, start=1)),
+                  n - r + d)
+
+
+def entry_sum(tup, spectra):
+    """Sum of the spectrum entries the tuple selects:
+    ``sum over l, j in tup[l] of spectra[l][j-1]``."""
+    if len(spectra) != tup.arity:
+        raise ValueError("spectra arity does not match tuple arity")
+    if any(len(spec) != tup.ambient for spec in spectra):
+        raise ValueError(f"a spectrum's length is not the ambient {tup.ambient}")
+    return sum(spec[j - 1] for part, spec in zip(tup, spectra) for j in part)
+
+
+def slope(theta, tup):
+    """The selected entry sum divided by the tuple size, an exact
+    Fraction when the entries are exact."""
+    return entry_sum(tup, theta) / Fraction(tup.size)
+
+
 def horn_check(tup, store, sigma=None):
     """Decide whether a tuple is intersecting from the Horn inequalities
     against the store's lower levels (the symmetry-restricted ones when a
@@ -176,7 +231,7 @@ def horn_check(tup, store, sigma=None):
     for d in range(1, r):
         table = store.table(d, r, sigma)
         for test in table.zero_dim_members():
-            if expected_dim(tup.compose(test)) < expected_dim(test):
+            if expected_dim(compose(tup, test)) < expected_dim(test):
                 return False
     return True
 

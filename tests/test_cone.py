@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import invariant_dim
+from _oracles import entry_sum, invariant_dim
 from horncone.cone import (
     InequalitySystem,
     SpectrumFamily,
@@ -17,13 +17,7 @@ from horncone.cone import (
     shift_rescale,
 )
 from horncone.horn import HornStore, NotSigmaStable
-from horncone.subsets import (
-    Permutation,
-    entry_sum,
-    expected_dim,
-    schubert_partitions,
-    stable_tuples,
-)
+from horncone.subsets import Permutation, expected_dim, stable_tuples
 
 
 def fam(spectra, t=0):
@@ -174,6 +168,26 @@ class TestGenerateSystem:
     def test_sigma_partition_check(self, store):
         with pytest.raises(ValueError):
             generate_system(2, 3, (2, 2), "full0", store)
+
+    def test_sigma_must_be_integers(self, store):
+        # int() would truncate (1.5, 2) to the cycle type (1, 2)
+        with pytest.raises(ValueError, match="not an integer"):
+            generate_system(3, 3, (1.5, 2), "full0", store)
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data["horn"][0].update(tuple=[[1.5], [3.5], [3.5]]),
+        lambda data: data.update(sigma=[1.5, 2]),
+        lambda data: [h.update(d=1.0) for h in data["horn"] if h["d"] == 1],
+        lambda data: data.update(r=3.0),
+        lambda data: data.update(s=3.0),
+        lambda data: data.update(s=True),
+    ], ids=["tuple", "sigma", "d", "r", "s", "s_bool"])
+    def test_json_numbers_must_be_integers(self, store, damage):
+        data = generate_system(3, 3, (1, 2), "full0", store).to_json()
+        assert InequalitySystem.from_json(data).counts == data["counts"]
+        damage(data)
+        with pytest.raises(ValueError, match="not an integer"):
+            InequalitySystem.from_json(data)
 
     def test_rank_must_be_positive(self, store):
         for r in (0, -1):
@@ -616,8 +630,8 @@ class TestInductiveBridge:
                 system = generate_system(r, s, sigma, "full0", level_store)
                 table = level_store.table(r, n, sigma)
                 for tup in stable_tuples(r, n, perm):
-                    gam = schubert_partitions(tup)
-                    point = SpectrumFamily([list(g) for g in gam], n - r)
+                    point = SpectrumFamily(
+                        [list(p.schubert_partition()) for p in tup], n - r)
                     in_cone = member(point, system).is_member
                     is_zero_dim = tup in table and expected_dim(tup) == 0
                     assert in_cone == is_zero_dim, (sigma, s, tup)

@@ -2,14 +2,16 @@ import hashlib
 import itertools
 import os
 import pathlib
+import random
 import shutil
 import time
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
-from _oracles import horn_check, orbit, subset_index
+from _oracles import all_tuples, compose, horn_check, orbit, subset_index
 from horncone import horn, lr
 from horncone.cone import SpectrumFamily
 from horncone.horn import (
@@ -19,6 +21,7 @@ from horncone.horn import (
     _index,
     count_intersecting,
     cross_check,
+    horn_rows,
     normalize_cycle_type,
 )
 from horncone.lr import classify
@@ -27,7 +30,6 @@ from horncone.subsets import (
     Subset,
     SubsetTuple,
     all_subsets,
-    all_tuples,
     expected_dim,
     stable_tuples,
 )
@@ -65,6 +67,19 @@ class TestNormalizeCycleType:
     def test_rejects_what_is_not_a_partition_of_s(self, sigma):
         with pytest.raises(ValueError, match="partition"):
             normalize_cycle_type(sigma, 3)
+
+    @pytest.mark.parametrize("sigma", [(1.5, 1.5), (1.0, 2.0), 3.0, (True, 2),
+                                       True, "3"])
+    def test_rejects_non_integers(self, sigma):
+        # int() would truncate (1.5, 1.5) to (1, 1), a partition of 2
+        with pytest.raises(ValueError, match="not an integer"):
+            normalize_cycle_type(sigma, 3)
+
+    def test_numpy_integers(self):
+        assert normalize_cycle_type(np.int64(3), 3) == (3,)
+        assert normalize_cycle_type(np.array([2, 1]), 3) == (1, 2)
+        assert all(type(x) is int
+                   for x in normalize_cycle_type(np.array([2, 1]), 3))
 
 
 class TestBuildDiscipline:
@@ -217,7 +232,7 @@ class TestLevelsAgainstClassification:
                     target = store.table(d, n)
                     for big in outer:
                         for small in inner:
-                            assert big.compose(small) in target
+                            assert compose(big, small) in target
 
     def test_nonnegative_expected_dim(self, store):
         for n in range(1, 7):
@@ -235,7 +250,7 @@ class TestLevelsAgainstClassification:
                     for d in range(1, r):
                         for small in inner[d]:
                             assert (
-                                expected_dim(big.compose(small))
+                                expected_dim(compose(big, small))
                                 >= expected_dim(small)
                             )
 
@@ -263,6 +278,44 @@ class TestHornCheck:
         tup = T([2, 4, 6], [2, 4, 6], [2, 4, 6], ambient=6)
         assert horn_check(tup, store)
         assert horn_check(tup, store, sigma=(3,))
+
+
+class TestHornRowsAgainstComposition:
+    """``horn_rows`` is the closed form of the Horn test ``edim(I o J) >=
+    edim(J)``: at x = the Schubert partitions of I's cycles and t = n - r,
+    the row of any tuple J of Subsets(d, r, s) reads edim(J) - edim(I o J),
+    I o J being the composition of the oracle."""
+
+    @staticmethod
+    def check(outer, lengths):
+        r, n, s = outer.size, outer.ambient, outer.arity
+        heads = np.cumsum((0, *lengths[:-1]))
+        x = np.array([*(v for h in heads for v in outer[h].schubert_partition()),
+                      n - r])
+        for d in range(1, r):
+            rows = np.array(list(itertools.product(range(comb(r, d)), repeat=s)))
+            want = [expected_dim(J) - expected_dim(compose(outer, J))
+                    for J in all_tuples(d, r, s)]
+            assert (horn_rows(d, rows, r, lengths) @ x).tolist() == want, (outer, d)
+
+    @pytest.mark.parametrize("s, n_max, sigma", [(3, 5, None), (4, 4, None),
+                                                 (3, 6, (3,))])
+    def test_exhaustive(self, s, n_max, sigma):
+        lengths = sigma or (1,) * s
+        perm = Permutation.from_cycle_type(lengths)
+        for n in range(2, n_max + 1):
+            for r in range(2, n + 1):
+                for outer in stable_tuples(r, n, perm):
+                    self.check(outer, lengths)
+
+    def test_seeded_at_ambient_6(self):
+        # sizes weighted by their tuple counts: uniform over Subsets(r, 6, 3)
+        rng = random.Random(22)
+        sizes = range(2, 7)
+        for r in rng.choices(sizes, [comb(6, r) ** 3 for r in sizes], k=300):
+            outer = SubsetTuple(Subset(sorted(rng.sample(range(1, 7), r)), 6)
+                                for _ in range(3))
+            self.check(outer, (1, 1, 1))
 
 
 class TestSigmaRefinement:

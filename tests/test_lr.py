@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from _oracles import naive_lr, subset_to_schubert_partition
+from _oracles import all_tuples, naive_lr, subset_to_schubert_partition
 from horncone.lr import (
     classify,
     fits_box,
@@ -13,7 +13,7 @@ from horncone.lr import (
     schubert_product,
     schur_product_in_box,
 )
-from horncone.subsets import Subset, SubsetTuple, all_subsets, all_tuples, expected_dim
+from horncone.subsets import Subset, SubsetTuple, all_subsets, expected_dim
 
 
 def partitions_up_to(total, max_len=None):
