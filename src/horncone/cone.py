@@ -10,8 +10,8 @@ be fixed by a coordinate permutation, the Horn rows shrink to the tuples
 fixed by it and the chamber rows to one run per cycle.
 
 A system keeps its Horn rows as index arrays and builds one int64
-coefficient array from them on first use: decisions multiply it, the CSV
-and the LPs read its rows, and row objects are built only where read.
+coefficient array on first use, which decisions and LPs read; the CSV
+renders chunks of rows without it; row objects are built where read.
 
 All arithmetic is exact: spectra and t are `fractions.Fraction` values,
 serialized as "p/q" strings.
@@ -19,8 +19,6 @@ serialized as "p/q" strings.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 from dataclasses import dataclass
@@ -197,6 +195,7 @@ class InequalitySystem:
         self.level = level
         self.cycles = tuple(
             Permutation.from_cycle_type(self.sigma or (1,) * s).cycles())
+        self.lengths = tuple(len(cyc) for cyc in self.cycles)
         self.levels = tuple((d, np.asarray(rows, dtype=np.intp).reshape(len(point), s),
                              np.asarray(point, dtype=bool)) for d, rows, point in levels)
         # at rank 2 (plain or all-ones cycle type, three summands) the
@@ -261,17 +260,20 @@ class InequalitySystem:
         order: row a means ``a . x <= 0``, where x holds the spectrum of
         each cycle (columns ``c*r`` to ``c*r + r - 1``) followed by t; the
         Horn rows of each level are ``horn.horn_rows``."""
-        r, lengths = self.r, [len(cyc) for cyc in self.cycles]
+        matrix = np.vstack([self._leading_rows(), *(
+            horn_rows(d, rows, self.r, self.lengths) for d, rows, _ in self.levels)])
+        matrix.flags.writeable = False
+        return matrix
+
+    def _leading_rows(self):
+        """The matrix rows before the Horn rows: trace, then chamber."""
+        r, lengths = self.r, self.lengths
         trace = [w for w in lengths for _ in range(r)] + [-r]
         # entry i + 1 minus entry i, for each cycle in turn; t is not read
         step = np.eye(r - 1, r, 1, dtype=np.int64) - np.eye(r - 1, r, dtype=np.int64)
         chamber = np.kron(np.eye(len(self.cycles), dtype=np.int64), step)
-        matrix = np.vstack([
-            np.array([trace, [-w for w in trace]], dtype=np.int64),
-            np.pad(chamber, ((0, 0), (0, 1)))[:self.chamber_count],
-            *(horn_rows(d, rows, r, lengths) for d, rows, _ in self.levels)])
-        matrix.flags.writeable = False
-        return matrix
+        return np.vstack([np.array([trace, [-w for w in trace]], dtype=np.int64),
+                          np.pad(chamber, ((0, 0), (0, 1)))[:self.chamber_count]])
 
     # -- membership -----------------------------------------------------
 
@@ -382,21 +384,30 @@ class InequalitySystem:
 
     def to_csv(self):
         """One row per constraint with the coefficient columns; a Horn
-        row's tuple text joins the JSON text of its parts' subsets."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        row's tuple text joins the JSON text of its parts' subsets.  Horn
+        rows come from ``horn.horn_rows`` 1,024 at a time, not the matrix,
+        and a chunk is one join of texts looked up in tables: of the few
+        values entries take, and of each level's subsets."""
+        # a Horn entry is a cycle's count, at most s, or -d > -r
+        b = max(self.r, self.s)
+        cells = np.array([f",{v}" for v in range(-b, b + 1)], dtype=object)
         names = [f"L{min(cyc)}[{j}]" for cyc in self.cycles for j in range(1, self.r + 1)]
-        writer.writerow(["kind", "d", "tuple", *names, "t"])
-
-        def heads():  # streamed, as the rows are written
-            for kind in ["trace_le", "trace_ge"] + ["chamber"] * self.chamber_count:
-                yield [kind, "", ""]
-            for d, rows, _ in self.levels:
-                text = [json.dumps(sub.to_json()) for sub in all_subsets(d, self.r)]
-                for row in rows.tolist():
-                    yield ["horn", d, "[" + ", ".join(text[i] for i in row) + "]"]
-        writer.writerows(head + vec.tolist() for head, vec in zip(heads(), self.matrix))
-        return buf.getvalue()
+        kinds = ["trace_le", "trace_ge"] + ["chamber"] * self.chamber_count
+        text = ",".join(["kind", "d", "tuple", *names, "t"]) + "\n" + "".join(
+            f"{k},,,{','.join(map(str, a))}\n" for k, a in zip(kinds, self._leading_rows().tolist()))
+        for d, rows, _ in self.levels:
+            # csv quotes the tuple text as it holds a comma: unless s = d = 1
+            q = '"' * (self.s * d > 1)
+            js = np.array([json.dumps(x.to_json()) for x in all_subsets(d, self.r)], object)
+            tables = [f"horn,{d},{q}[" + js] + [", " + js] * (self.s - 1)
+            tables[-1] = tables[-1] + f"]{q}"
+            for chunk in np.split(rows, range(1024, len(rows), 1024)):
+                # CPython extends a str that only this frame holds in place
+                text += "".join(np.column_stack(
+                    [*(t[i] for t, i in zip(tables, chunk.T)),
+                     cells[horn_rows(d, chunk, self.r, self.lengths) + b],
+                     np.full(len(chunk), "\n", dtype=object)]).ravel().tolist())
+        return text
 
 
 def generate_system(r, s=3, sigma=None, level="full0", store=None):

@@ -199,9 +199,9 @@ class HornStore:
     """
 
     def __init__(self, arity=3, cache_dir=None):
-        if arity < 1:
+        self.arity = _integer(arity)
+        if self.arity < 1:
             raise ValueError(f"arity {arity} is not positive")
-        self.arity = arity
         self.tables = {}
         self.cache_dir = cache_dir
 
@@ -430,14 +430,15 @@ def _horn_survivors(size, ambient, s, sigma, tests):
         # free: one row of in-range indices per cycle; "clip" skips the checks
         for tables, bound in horn:
             width = max(1, _CHUNK_ROWS // 4 // tables.shape[2])
-            ok = np.empty(free.shape[1], dtype=bool)
+            ok, ones = np.empty(free.shape[1], bool), np.ones(tables.shape[2], bool)
             total, part = np.empty((2, width, tables.shape[2]), np.int32)
             for lo in range(0, len(ok), width):
                 t, p = total[:len(ok) - lo], part[:len(ok) - lo]
                 tables[0].take(free[0, lo:lo + width], 0, t, "clip")
                 for table, g in zip(tables[1:], free[1:, lo:lo + width]):
                     t += table.take(g, 0, p, "clip")
-                ok[lo:lo + width] = t.max(axis=1) <= bound
+                # a boolean product: numpy's row max over few entries is slow
+                ok[lo:lo + width] = ~((t > bound) @ ones)
             free = free[:, ok]
         return free
 

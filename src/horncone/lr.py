@@ -8,10 +8,12 @@ here by direct enumeration of skew tableaux with lattice-word pruning.
 Coefficients are plain Python ints, so they never overflow.
 
 :func:`point_coefficient` reads the point-class coefficient of a product
-without expanding it; level builds call it.  :func:`classify` expands the
-whole product of a subset tuple's classes and decides whether it is zero,
-nonzero, a multiple of the point class, or the point class itself; it is
-the independent backend of the cross-check and the tests.
+without expanding it; level builds call it.  Each distinct partition is
+checked once (memoized), and internal paths take checked ones.
+:func:`classify` expands the whole product of a subset tuple's classes
+and decides whether it is zero, nonzero, a multiple of the point class,
+or the point class itself; it is the independent backend of the
+cross-check and the tests.
 """
 
 from __future__ import annotations
@@ -19,25 +21,21 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .subsets import all_subsets, expected_dim
+from .subsets import _integer, all_subsets, expected_dim
 
 
 def normalize_partition(parts):
-    """Trim trailing zeros and validate weak decrease."""
-    parts = tuple(int(x) for x in parts)
-    if any(x < 0 for x in parts):
-        raise ValueError(f"negative part in {parts}")
-    if any(a < b for a, b in zip(parts, parts[1:])):
-        raise ValueError(f"not weakly decreasing: {parts}")
-    k = len(parts)
-    while k and parts[k - 1] == 0:
-        k -= 1
-    return parts[:k]
+    """Trim trailing zeros; ValueError unless the parts are nonnegative,
+    weakly decreasing integers (numpy ones too, bools not); memoized."""
+    return _normalized(*parts)
 
 
-def fits_box(parts, rows, cols):
-    parts = normalize_partition(parts)
-    return len(parts) <= rows and (not parts or parts[0] <= cols)
+@lru_cache(maxsize=None, typed=True)
+def _normalized(*parts):
+    parts = tuple(map(_integer, parts))
+    if sorted(parts, reverse=True) != list(parts) or parts and parts[-1] < 0:
+        raise ValueError(f"parts {parts} are negative or increase")
+    return tuple(x for x in parts if x)
 
 
 def lr_coefficient(lam, mu, nu):
@@ -45,7 +43,10 @@ def lr_coefficient(lam, mu, nu):
     of semistandard skew tableaux of shape nu/lam and content mu whose
     reverse reading word is a lattice word.  Zero when the shapes are
     incompatible."""
-    lam, mu, nu = normalize_partition(lam), normalize_partition(mu), normalize_partition(nu)
+    return _lr(*map(normalize_partition, (lam, mu, nu)))
+
+
+def _lr(lam, mu, nu):  # lr_coefficient of normalized partitions
     if len(lam) > len(nu) or any(a < b for a, b in zip(nu, lam)):
         return 0
     if sum(nu) != sum(lam) + sum(mu):
@@ -60,10 +61,8 @@ def _count_skew_lattice_fillings(nu, lam, mu):
     order (rows top to bottom, right to left), pruning on row/column
     conditions, content and the lattice prefix condition."""
     lam_pad = lam + (0,) * (len(nu) - len(lam))
-    cells = []
-    for i, (lo, hi) in enumerate(zip(lam_pad, nu)):
-        for j in range(hi - 1, lo - 1, -1):
-            cells.append((i, j))
+    cells = [(i, j) for i, (lo, hi) in enumerate(zip(lam_pad, nu))
+             for j in range(hi - 1, lo - 1, -1)]
     nvals = len(mu)
     counts = [0] * nvals
     grid = [[0] * hi for hi in nu]
@@ -107,7 +106,7 @@ def schur_product_in_box(lam, mu, rows, cols):
     for sub in all_subsets(rows, rows + cols):
         if sub.codim() == weight:
             nu = normalize_partition(sub.schubert_partition())
-            c = lr_coefficient(lam, mu, nu)
+            c = _lr(lam, mu, nu)
             if c:
                 out.append((nu, c))
     return tuple(sorted(out, reverse=True))
@@ -121,7 +120,7 @@ def schubert_product(partitions, grassmannian):
     r, n = grassmannian
     rows, cols = r, n - r
     lams = [normalize_partition(lam) for lam in partitions]
-    if not all(fits_box(lam, rows, cols) for lam in lams):
+    if any(len(lam) > rows or lam and lam[0] > cols for lam in lams):
         return {}
     vec = {lams.pop(0) if lams else (): 1}
     for lam in lams:
@@ -137,17 +136,16 @@ def point_coefficient(partitions, r, n):
     """Coefficient of the point class in the product of the Schubert
     classes ``partitions`` (inside the r x (n-r) box) in H*(Gr(r, n)): the
     first s - 2 classes are multiplied out (for s = 3, the first class is
-    its own product, or 0 outside the box), and each term c * sigma_nu
-    adds c * c(nu, lambda_{s-1}; lambda_s^vee), lambda_s^vee being the box
-    complement of the last class.  A lone class is paired with the unit.
-    Level builds call it below the middle only."""
-    *head, lam, last = [()] * (2 - len(partitions)) + list(partitions)
-    last = tuple(last) + (0,) * (r - len(last))
-    dual = [n - r - x for x in reversed(last)]
+    its own product; off the box its term below vanishes), and each term
+    c * sigma_nu adds c * c(nu, lambda_{s-1}; lambda_s^vee), lambda_s^vee
+    being the box complement of the last class.  A lone class is paired
+    with the unit.  Level builds call it below the middle only."""
+    *head, lam, last = ([()] * (2 - len(partitions))
+                        + [normalize_partition(p) for p in partitions])
+    dual = normalize_partition([n - r - x for x in reversed(last + (0,) * (r - len(last)))])
     if len(head) == 1:
-        return (lr_coefficient(head[0], lam, dual)
-                if fits_box(head[0], r, n - r) else 0)
-    return sum(c * lr_coefficient(nu, lam, dual)
+        return _lr(head[0], lam, dual)
+    return sum(c * _lr(nu, lam, dual)
                for nu, c in schubert_product(head, (r, n)).items())
 
 

@@ -396,6 +396,18 @@ class TestGoldenBytes:
             "b9f105e10c75309e280a4075dbbfae757cdc7f858c37a0a917653d1e3c2a8270",
         ("system", "--r", "6", "--sigma", "3", "--format", "csv"):
             "40200c8638abc7f6d34510336524d8de9cf11e6614bf68ac285fc548523404b1",
+        # 191,998 bytes; then a two-cycle type, four summands, a system
+        # without chamber rows and one with rows of every dimension
+        ("system", "--r", "7", "--format", "csv"):
+            "9dbce4cb1a0837d930f9965949fb33114ed5b471820853dbe0ffab015e101341",
+        ("system", "--r", "5", "--sigma", "1,2", "--format", "csv"):
+            "89ef7329301f3dc917387ecbfba4cca8951e3ff65601bd5b52ee0bf18cb9aa96",
+        ("system", "--r", "4", "--s", "4", "--format", "csv"):
+            "e8149751f414204479bcdc4576d8039570fea83337ce480c853443a5f0b75864",
+        ("system", "--r", "2", "--level", "min00", "--format", "csv"):
+            "7f8c7f7423f1f0d6f8c2f31b833fb807aeed43dd87c3f7a093518a6c9c66798a",
+        ("system", "--r", "4", "--level", "all", "--format", "csv"):
+            "b2507600fd2240fa0b554f8f8a470c39520f033b0f1d416d84898d8de1982437",
         ("redundancy", "--r", "2", "--minimize"):
             "bc775ad50c6cae5577743eb3f82f54f263ffc5ee8012aae0ec8e2d9b8acbd825",
         ("redundancy", "--r", "4", "--sigma", "3", "--format", "csv"):

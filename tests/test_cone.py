@@ -1,8 +1,12 @@
+import csv
+import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +254,43 @@ class TestGenerateSystem:
         lines = system.to_csv().strip().split("\n")
         assert len(lines) == 1 + system.count
         assert lines[0].startswith("kind,d,tuple,L1[1]")
+
+    @pytest.mark.parametrize("r, s, sigma, level", [
+        (1, 3, None, "full0"), (4, 1, None, "full0"), (3, 2, None, "all"),
+        (2, 3, None, "min00"), (2, 4, (4,), "all"), (5, 3, (1, 2), "min00"),
+        (4, 4, (2, 2), "all"), (8, 3, None, "full0")])
+    def test_csv_as_the_csv_module_writes_it(self, r, s, sigma, level):
+        # from the matrix and each row's metadata; s = d = 1 leaves the
+        # tuple text unquoted, (4,) at r = 2 has entries 4 > r in its trace
+        # and Horn rows, and rank 8 has levels of 2,120 and 3,516 rows,
+        # which span several chunks
+        system = generate_system(r, s, sigma, level)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["kind", "d", "tuple", *(
+            f"L{min(c)}[{j}]" for c in system.cycles for j in range(1, r + 1)), "t"])
+        for con, row in zip(system.constraints(), system.matrix.tolist()):
+            head = ([con.kind, "", ""] if con.kind != "horn" else
+                    ["horn", con.meta.d, json.dumps(con.meta.tup.to_json())])
+            writer.writerow(head + row)
+        assert system.to_csv() == buf.getvalue()
+
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="rank-10 CSV of 191,382 rows; set RUN_OPTIONAL=1")
+    def test_rank10_plain_csv(self):
+        system = generate_system(10, 3, None, "full0", HornStore(arity=3))
+        tracemalloc.start()
+        try:
+            text = system.to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = text.encode()
+        assert len(data) == 24_185_028
+        assert hashlib.sha256(data).hexdigest() == \
+            "bb961c92cc79dba789dd3797dfe88688a2a1a9d1920736b8c692c71ca6e4c4f4"
+        # the text grows in place, a chunk at a time, and no matrix is built
+        assert peak < len(text) + 4 * 2**20, peak
 
 
 def definition_excess(system, con, point):

@@ -135,6 +135,17 @@ class TestTableOnFirstUse:
             with pytest.raises(ValueError, match="arity"):
                 HornStore(arity=arity)
 
+    def test_arity_must_be_an_integer(self):
+        # a float or bool arity used to construct and then fail with a
+        # TypeError at the first table
+        for arity in (3.0, True, "3", 0):
+            with pytest.raises(ValueError):
+                HornStore(arity=arity)
+        store = HornStore(arity=np.int64(3))
+        assert type(store.arity) is int
+        assert np.array_equal(store.table(1, 2).rows,
+                              HornStore(arity=3).table(1, 2).rows)
+
     def test_horn_check_on_an_empty_store(self, store):
         fresh = HornStore(arity=3)
         for n in range(1, 5):

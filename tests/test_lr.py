@@ -1,12 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from _oracles import all_tuples, naive_lr, subset_to_schubert_partition
 from horncone.lr import (
     classify,
-    fits_box,
     lr_coefficient,
     normalize_partition,
     point_coefficient,
@@ -70,6 +70,23 @@ class TestLrCoefficient:
             normalize_partition((1, 2))
         with pytest.raises(ValueError):
             normalize_partition((1, -1))
+
+    def test_parts_must_be_integers(self):
+        # a valid partition equal to each bad one is memoized first: a bad
+        # input must still raise, on every call, and never be kept
+        assert normalize_partition((2, 1)) == (2, 1)
+        assert normalize_partition((1,)) == (1,)
+        for parts in [(2.5, 1), (2.0, 1), (2, True), (True,), ("2",), (2, "1")]:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    normalize_partition(parts)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                lr_coefficient((1.5,), (1,), (2,))
+            with pytest.raises(ValueError):
+                point_coefficient([(1,), (1.0,), ()], 2, 4)
+        got = normalize_partition(np.array([3, 1, 0]))
+        assert got == (3, 1) and all(type(x) is int for x in got)
 
 
 class TestSchubertProduct:
@@ -155,7 +172,8 @@ class TestSubsetPartitionBridge:
 
     def test_box_fit(self):
         for sub in all_subsets(2, 5):
-            assert fits_box(sub.schubert_partition(), 2, 3)
+            p = normalize_partition(sub.schubert_partition())
+            assert len(p) <= 2 and (not p or p[0] <= 3)
 
 
 class TestClassify:
