@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 cross-check mismatch, 2 invalid options/input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import sys
@@ -15,6 +16,8 @@ import sys
 from . import cone, horn, lp, witness
 from .subsets import Permutation, group_into_orbits
 from .horn import HornStore
+
+_SLICE = 1 << 20  # characters per write in _emit
 
 
 class UsageError(Exception):
@@ -37,13 +40,13 @@ def _store(args, s):
 def _emit(args, **formats):
     """Write the text of the renderer ``formats[args.format]``, or of
     ``formats["json"]`` for a command without --format; only the chosen
-    renderer runs."""
+    renderer runs.  One write of the whole text would encode it into a
+    second object of the same size, so it goes out in slices."""
     text = formats[getattr(args, "format", "json")]()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for lo in range(0, len(text), _SLICE):
+            fh.write(text[lo:lo + _SLICE])
 
 
 def _json(payload):
@@ -215,7 +218,7 @@ def cmd_crosscheck(args):
     return 0 if report.clean else 1
 
 
-SYSTEM_LEVELS = ("full0", "min00", "all")
+SYSTEM_LEVELS = tuple(cone.LEVEL_FLAGS)
 
 
 def build_parser():

@@ -39,9 +39,9 @@ LEVEL_FLAGS = {"full0": "zero_dim", "min00": "point", "all": None}
 
 def _frac(x):
     """An exact rational with Python int parts: a numpy integer's would
-    wrap around or lack ``bit_length``."""
-    if isinstance(x, float):
-        raise TypeError("spectra must be exact rationals, not floats")
+    wrap around or lack ``bit_length``.  A float or bool is a TypeError."""
+    if isinstance(x, (float, bool, np.bool_)):
+        raise TypeError(f"spectra must be exact rationals, not {x!r}")
     x = Fraction(x)
     return Fraction(int(x.numerator), int(x.denominator))
 
@@ -51,8 +51,8 @@ class SpectrumFamily:
     """s spectra of length r plus the scalar t, all exact rationals.
 
     Spectra are expected weakly decreasing, but a violation is a
-    reportable state (see :meth:`chamber_violations`), not a construction
-    error.
+    reportable state (a full0 system's ``decide`` names the chamber row it
+    breaks), not a construction error.
     """
 
     __slots__ = ("spectra", "t")
@@ -83,16 +83,6 @@ class SpectrumFamily:
     def total(self):
         """Sum of every entry of every spectrum."""
         return sum(sum(spec) for spec in self.spectra)
-
-    def chamber_violations(self):
-        """(l, i) pairs where spectrum l increases from position i to i+1
-        (1-indexed)."""
-        out = []
-        for l, spec in enumerate(self.spectra, start=1):
-            for i in range(len(spec) - 1):
-                if spec[i] < spec[i + 1]:
-                    out.append((l, i + 1))
-        return out
 
     def is_stable(self, perm):
         return perm.act(self.spectra) == self.spectra
@@ -220,13 +210,11 @@ class InequalitySystem:
                 "chamber": self.chamber_count,
                 "horn": self.count - 2 - self.chamber_count}
 
-    @property
-    def num_vars(self):
-        return len(self.cycles) * self.r + 1
-
     def constraint(self, k):
         """Row k in canonical order, built alone: the two trace directions,
-        chamber rows by (cycle, position), Horn rows by (level, mask key)."""
+        chamber rows by (cycle, position), Horn rows by (level, mask key).
+        ValueError unless ``k`` is an integer, IndexError unless a row."""
+        k = _integer(k)
         if not 0 <= k < self.count:
             raise IndexError(f"row {k} of a system of {self.count} rows")
         if k < 2:
@@ -256,7 +244,7 @@ class InequalitySystem:
     @cached_property
     def matrix(self):
         """Exact integer coefficients as one read-only ``int64`` array of
-        shape (count, num_vars), one row per constraint in canonical
+        shape (count, cycles * r + 1), one row per constraint in canonical
         order: row a means ``a . x <= 0``, where x holds the spectrum of
         each cycle (columns ``c*r`` to ``c*r + r - 1``) followed by t; the
         Horn rows of each level are ``horn.horn_rows``."""
@@ -419,10 +407,12 @@ def generate_system(r, s=3, sigma=None, level="full0", store=None):
     product is the point class (the reduced description; at r = 2, s = 3
     the chamber rows are dropped as well since the Horn rows imply them),
     and "all" every intersecting tuple regardless of expected dimension
-    (valid but heavily redundant).
+    (valid but heavily redundant).  ValueError unless r >= 1 and s are
+    integers (numpy ones too, bools not).
     """
     if level not in LEVEL_FLAGS:
         raise ValueError(f"unknown level {level!r}")
+    r, s = _integer(r), _integer(s)
     if r < 1:
         raise ValueError(f"rank {r} is not positive")
     sigma = normalize_cycle_type(sigma, s)

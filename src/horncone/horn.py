@@ -12,14 +12,14 @@ sets), and cross-checks the recursion against the Littlewood-Richardson
 backend.
 
 One numpy kernel, ``_horn_survivors``, evaluates the Horn rows of
-``horn_rows``, which ``cone`` stacks into its systems, for every arity
-and cycle type, in chunks of bounded size; it serves the lower half of
-the level tables and the census ``count_intersecting``.  Swaps of
-equal-length cycles change neither a tuple's verdict nor the test sets
-(the Schubert product is commutative), so the kernel tests one sorted
-representative per orbit of them: the census weights it by its orbit
-size, and a level build expands the orbits once.  ``_index`` holds, as
-arrays, what the kernel and the dual map read of each subset.
+``horn_rows``, which ``cone`` stacks into its systems, for every arity and
+cycle type, in chunks of bounded size; it serves the lower half of the
+level tables and the census ``count_intersecting``.  Swaps of equal-length
+cycles change neither a tuple's verdict nor the test sets (the Schubert
+product is commutative), so the kernel tests one sorted representative per
+orbit, one index per cycle: the census weights it by its orbit size, and a
+level build expands the orbits once.  ``_index`` holds, as arrays, what
+the kernel and the dual map read of each subset.
 
 A level is its members' index rows, in mask-key order, and a point
 flag per row; the zero-dim flag is read off the rows by ``_zero_dim``.
@@ -206,10 +206,9 @@ class HornStore:
         self.cache_dir = cache_dir
 
     def table(self, size, ambient, sigma=None):
-        """The level (size, ambient, sigma), built on first use."""
-        if not 1 <= size <= ambient:
-            raise ValueError(f"level (size={size}, ambient={ambient}) needs "
-                             "1 <= size <= ambient")
+        """The level (size, ambient, sigma), built on first use; ValueError
+        unless 1 <= size <= ambient are integers, C(ambient, size) <= 65536."""
+        size, ambient = _level(size, ambient)
         if comb(ambient, size) > 1 << 16:
             raise ValueError(f"level (size={size}, ambient={ambient}) needs "
                              f"C({ambient}, {size}) <= 65536 uint16 positions")
@@ -276,13 +275,14 @@ class HornStore:
 
     def build_level(self, size, ambient_max, sigma=None):
         """Build the tables (size, n) for every n in [size..ambient_max]."""
-        for n in range(size, ambient_max + 1):
+        for n in range(_integer(size), _integer(ambient_max) + 1):
             self.table(size, n, sigma)
         return self
 
     def build_through(self, size_max, ambient_max, sigma=None):
         """Build every level up to ``size_max`` with ambients up to
         ``ambient_max`` (which must be >= size_max)."""
+        size_max, ambient_max = _integer(size_max), _integer(ambient_max)
         if ambient_max < size_max:
             raise ValueError("ambient_max must be at least size_max")
         for size in range(1, size_max + 1):
@@ -314,9 +314,9 @@ class HornStore:
         # mask-key order) of every permutation of the cycles that keeps
         # their lengths, then sort and dedupe it.  np.unique would import
         # numpy.ma for its hash path, about 0.5 MB resident.
-        free = np.concatenate([np.zeros((0, len(lengths)), dtype=np.intp), *(
-            reps[:, starts] for reps in _horn_survivors(
-                size, ambient, s, sigma, self._test_sets(size, sigma)))]).T
+        free = np.hstack([np.zeros((len(lengths), 0), dtype=np.intp),
+                          *_horn_survivors(size, ambient, s, sigma,
+                                           self._test_sets(size, sigma))])
         perms = [p for p in itertools.permutations(range(len(lengths)))
                  if [lengths[i] for i in p] == list(lengths)]
         keys = np.empty((len(perms), free.shape[1]), dtype=np.int64)
@@ -344,6 +344,15 @@ class HornStore:
         point = np.zeros(len(rows), dtype=bool)
         point[zero_dim] = is_point[which.reshape(-1)]
         return HornTable(size, ambient, s, sigma, rows, point)
+
+
+def _level(size, ambient):
+    """(size, ambient) as ints; ValueError unless 1 <= size <= ambient."""
+    size, ambient = _integer(size), _integer(ambient)
+    if not 1 <= size <= ambient:
+        raise ValueError(f"level (size={size}, ambient={ambient}) needs "
+                         "1 <= size <= ambient")
+    return size, ambient
 
 
 _Index = namedtuple("_Index", "elements dims partitions incidence dual")
@@ -391,13 +400,13 @@ def horn_rows(d, rows, r, lengths):
 
 
 def _horn_survivors(size, ambient, s, sigma, tests):
-    """Yield, in mask-key order, chunks of the (M, s) index rows into
-    all_subsets(size, ambient) of one representative per orbit of the
-    tuples that are fixed by the cycle type ``sigma`` (None: every
+    """Yield, in mask-key order, chunks of one representative per orbit
+    of the tuples that are fixed by the cycle type ``sigma`` (None: every
     tuple), have nonnegative expected dimension and pass every test level
     in ``tests``: pairs (d, rows) of zero-expected-dimension tuples as
     (K, s) index rows into all_subsets(d, size), each closed under the
-    swaps below, as the rows of every level are.
+    swaps below, as the rows of every level are.  A chunk holds, per
+    cycle, its parts' index into all_subsets(size, ambient): (cycles, M).
 
     The orbits are those of the swaps of cycles of equal length (for
     None, all s! permutations of the parts), which leave each of these
@@ -413,7 +422,6 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     them in place, and its survivors are compacted once per level.
     """
     lengths = (1,) * s if sigma is None else sigma
-    column = np.repeat(np.arange(len(lengths)), lengths)
     _, dims, partitions, _, _ = _index(size, ambient)
     # the expected dimension is nonnegative iff the dims sum to at least
     threshold = (s - 1) * size * (ambient - size)
@@ -446,7 +454,7 @@ def _horn_survivors(size, ambient, s, sigma, tests):
         if k == len(lengths):
             free = passing(free)
             if free.shape[1]:
-                yield free[column].T
+                yield free
             return
         gain = lengths[k] * dims
         for lo in range(0, len(sums), step):
@@ -475,11 +483,14 @@ def count_intersecting(size, ambient, store):
     """Count the intersecting tuples of Subsets(size, ambient, s) without
     materializing them, using the store's lower levels.  Each sorted
     representative the kernel yields stands for its s!/prod(m!)
-    orderings, m running over the multiplicities of its parts."""
+    orderings, m running over the multiplicities of its parts.  ValueError
+    unless 1 <= size <= ambient are integers."""
+    size, ambient = _level(size, ambient)
     s = store.arity
     total, diagonal = 0, [np.zeros((0, s), dtype=np.intp)]
-    for rows in _horn_survivors(size, ambient, s, None,
+    for free in _horn_survivors(size, ambient, s, None,
                                 store._test_sets(size, None)):
+        rows = free.T  # one cycle per part
         # run: how many parts so far equal this one; ties: prod(m!)
         run = ties = np.ones(len(rows), dtype=np.int64)
         for k in range(1, s):

@@ -121,10 +121,6 @@ class RedundancyReport(NamedTuple):
     fix_t_zero: bool
     verdicts: tuple
 
-    @property
-    def essential_count(self):
-        return sum(1 for v in self.verdicts if v.essential)
-
     def to_json(self):
         return {
             "level": self.system_level,

@@ -21,12 +21,19 @@ complex arithmetic for one Hermitian matrix of small order.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
+from .subsets import _integer
+
 MAX_ORDER = 12
+
+# hermitian_eigh's off-diagonal threshold (times the matrix norm) and
+# sweep limit, and find_witness's stall window in iterations
+_JACOBI_TOL = 1e-13
+_JACOBI_SWEEPS = 60
+_STALL_WINDOW = 150
 
 # After attempt 0, a search runs its restarts in waves of at most this
 # many, so its memory does not grow with ``restarts``.
@@ -45,12 +52,12 @@ def _frobenius(x):
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def hermitian_eigh(a, tol=1e-13, max_sweeps=60):
+def hermitian_eigh(a):
     """Eigen-decomposition of one Hermitian matrix by cyclic Jacobi
     rotations, in Python complex arithmetic.  Returns (eigenvalues sorted
     decreasing, unitary V) with ``a ~= V diag(w) V*``.  Raises
-    NumericalFailure if the off-diagonal norm does not fall below ``tol``
-    (scaled by the matrix norm) within ``max_sweeps`` sweeps, and
+    NumericalFailure if the off-diagonal norm does not fall below
+    _JACOBI_TOL (times the matrix norm) within _JACOBI_SWEEPS sweeps, and
     ValueError unless ``a`` is one square matrix with finite entries."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -59,16 +66,16 @@ def hermitian_eigh(a, tol=1e-13, max_sweeps=60):
         raise ValueError("matrix entries must be finite")
     m = (m + m.conj().T) / 2
     n = len(m)
-    threshold = tol * max(1.0, _frobenius(m))
+    threshold = _JACOBI_TOL * max(1.0, _frobenius(m))
     a = m.tolist()
     v = np.eye(n, dtype=complex).tolist()
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(_JACOBI_SWEEPS + 1):
         off = np.array(a, dtype=complex).reshape(n, n)
         np.fill_diagonal(off, 0)
         off = _frobenius(off)
         if off <= threshold:
             break
-        if sweep == max_sweeps:
+        if sweep == _JACOBI_SWEEPS:
             raise NumericalFailure(
                 f"Jacobi sweep limit reached, off-diagonal norm {off:.3e}")
         small = threshold / (n * n)
@@ -273,14 +280,7 @@ class _Attempt:
             self.since_best += 1
 
 
-def _start(spectra, seed, attempt):
-    """The starting family of an attempt, seeded from (seed, attempt)."""
-    seeds = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt])
-    return _orbit_points(spectra, seeds.spawn(len(spectra)))
-
-
-def _wave(indices, spectra, ascending, t, seed, max_iters, tol, stall_window,
-          logging):
+def _wave(indices, spectra, ascending, t, seed, max_iters, tol, logging):
     """Run the attempts ``indices`` (increasing) together as one
     (k, s, r, r) stack.  Returns, in attempt order, the attempts a search
     running them one after another would have run: those up to the
@@ -289,7 +289,8 @@ def _wave(indices, spectra, ascending, t, seed, max_iters, tol, stall_window,
     s, r = spectra.shape
     target = t * np.eye(r)
     live = [_Attempt(i) for i in indices]
-    xs = np.stack([_start(spectra, seed, i) for i in indices])
+    xs = np.stack([_orbit_points(spectra, np.random.SeedSequence(
+        [seed & 0xFFFFFFFF, i]).spawn(s)) for i in indices])
     diffs = xs.sum(axis=1) - target
     done = []
     for it in range(1, max_iters + 1):
@@ -304,7 +305,7 @@ def _wave(indices, spectra, ascending, t, seed, max_iters, tol, stall_window,
                 full = verify_witness(xs[j], spectra, t)
                 if full <= tol:
                     attempt.residual, attempt.converged = full, True
-            if (attempt.converged or attempt.since_best >= stall_window
+            if (attempt.converged or attempt.since_best >= _STALL_WINDOW
                     and attempt.best > 10 * tol or it == max_iters):
                 attempt.matrices = xs[j].copy()
                 done.append(attempt)
@@ -324,14 +325,14 @@ def _wave(indices, spectra, ascending, t, seed, max_iters, tol, stall_window,
 
 
 def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
-                 restarts=20, stall_window=150, residual_log=None):
+                 restarts=20, residual_log=None):
     """Search for Hermitian matrices with given spectra summing to t*I.
 
     Alternating projections from random starting points, one attempt
     per restart.  Each attempt is seeded deterministically from (seed,
     attempt index).  Non-convergence is data, not an error: for families
     outside the cone the distance stalls at a positive level, detected
-    when the best residual stops improving over ``stall_window``
+    when the best residual stops improving over ``_STALL_WINDOW`` (150)
     iterations while still far from ``tol``.
 
     Attempt 0 runs alone, since interior members nearly always converge
@@ -351,16 +352,14 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
 
     ``residual_log`` may be a writable text file for per-iteration CSV
     diagnostics.  ValueError, before any attempt runs, unless restarts,
-    max_iters, stall_window and seed are integers (numpy ones too), the
-    first three at least 1, tol is positive and finite, and the spectra
-    and t are finite."""
-    counts = (restarts, max_iters, stall_window)
-    if (not all(isinstance(x, Integral) for x in (*counts, seed))
-            or min(counts) < 1 or not 0 < tol < math.inf):
-        raise ValueError(f"need integer restarts, max_iters and stall_window "
-                         f">= 1, an integer seed and a finite tol > 0, got "
-                         f"{restarts}, {max_iters}, {stall_window}, {seed}, "
-                         f"{tol}")
+    max_iters and seed are integers (numpy ones too, bools not), the
+    first two at least 1, tol is a positive finite number, and the
+    spectra and t are finite."""
+    restarts, max_iters, seed = map(_integer, (restarts, max_iters, seed))
+    if (min(restarts, max_iters) < 1 or isinstance(tol, (bool, np.bool_))
+            or not 0 < tol < math.inf):
+        raise ValueError(f"need restarts and max_iters >= 1 and a finite tol "
+                         f"> 0, got {restarts}, {max_iters}, {tol}")
     spectra, t = _family(spectra, t)
     lams = [_check_spectrum(l) for l in spectra]
     if not lams or any(l.size != lams[0].size for l in lams):
@@ -370,7 +369,7 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     if log is not None:
         log.write("attempt,iteration,residual\n")
     options = (stacked, stacked[:, ::-1], t, seed, max_iters, tol,
-               stall_window, log is not None)
+               log is not None)
     iterations, monotone, best, pending = 0, True, None, []
     lo = 0
     while lo < restarts:
@@ -401,4 +400,4 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
         return WitnessResult(tuple(last.matrices), last.residual, iterations,
                              True, last.index + 1, monotone)
     return WitnessResult(tuple(best.matrices), best.residual, iterations,
-                         False, int(restarts), monotone)
+                         False, restarts, monotone)

@@ -1,12 +1,15 @@
 import hashlib
+import io
 import json
 import pathlib
 import shlex
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from horncone import cli
 from horncone.cli import build_parser, main
 from horncone.horn import HornStore
 
@@ -386,6 +389,25 @@ class TestOutputFile:
         run(capsys, "tuples", "--d", "2", "--r", "5", "--level", "00",
             "--orbits", "-o", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_text_is_written_in_slices(self, capsys, tmp_path, monkeypatch):
+        # every slice but the last is full, and the bytes are the text's
+        argv = ["system", "--r", "5", "--format", "csv"]
+        _, text, _ = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_SLICE", 1000)
+        sizes = []
+
+        class Recorder(io.StringIO):
+            def write(self, s):
+                sizes.append(len(s))
+                return super().write(s)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(argv) == 0
+        assert sys.stdout.getvalue() == text
+        assert sizes == [1000] * (len(text) // 1000) + [len(text) % 1000]
+        assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 0
+        assert (tmp_path / "out.csv").read_bytes() == text.encode()
 
 
 class TestGoldenBytes:

@@ -59,9 +59,26 @@ class TestSpectrumFamily:
         with pytest.raises(TypeError):
             SpectrumFamily([[0.5, 0.0]], 0)
 
-    def test_chamber_violations_reported_not_raised(self):
+    def test_bools_rejected(self):
+        # Fraction takes a Python bool as 0 or 1
+        point = fam([[1, 0]] * 3)
+        for bool_ in (True, np.True_):
+            with pytest.raises(TypeError):
+                SpectrumFamily([[bool_, 0]], 1)
+            with pytest.raises(TypeError):
+                SpectrumFamily([[1, 0]], bool_)
+            with pytest.raises(TypeError):
+                shift_rescale(point, [0, 0, 0], bool_)
+            with pytest.raises(TypeError):
+                shift_rescale(point, [bool_, 0, 0], 1)
+
+    def test_chamber_violations_reported_not_raised(self, store):
+        # a full0 system reports the chamber rows an unsorted family breaks
         f = fam([[0, 1], [1, 0], [2, -3]])
-        assert f.chamber_violations() == [(1, 1)]
+        system = generate_system(2, 3, None, "full0", store)
+        numerators, _ = system.excesses(f)
+        broken = [system.constraint(k) for k in np.flatnonzero(numerators > 0)]
+        assert [c.meta for c in broken if c.kind == "chamber"] == [(0, 1)]
 
     def test_json_roundtrip(self):
         f = fam([[Fraction(1, 2), Fraction(-1, 3)], [1, 0], [0, 0]], Fraction(7, 6))
@@ -198,6 +215,14 @@ class TestGenerateSystem:
             with pytest.raises(ValueError, match="rank"):
                 generate_system(r, 3, None, "full0", store)
 
+    @pytest.mark.parametrize("r, s", [(3.0, 3), (True, 3), (3, 3.0)])
+    def test_rank_and_arity_must_be_integers(self, store, r, s):
+        # generate_system(True) was a rank-1 system, 3.0 a TypeError
+        with pytest.raises(ValueError, match="not an integer"):
+            generate_system(r, s, None, "full0", store)
+        with pytest.raises(ValueError, match="not an integer"):
+            generate_system(r, s)
+
     def test_store_of_another_arity(self):
         with pytest.raises(ValueError, match="arity 4"):
             generate_system(3, 3, store=HornStore(arity=4))
@@ -248,6 +273,14 @@ class TestGenerateSystem:
         for k in (-1, system.count):
             with pytest.raises(IndexError):
                 system.constraint(k)
+        assert system.constraint(np.int64(2)) == system.constraint(2)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.True_, "2"])
+    def test_row_index_must_be_an_integer(self, store, k):
+        # 2.5 was a chamber row with position 1.5, True the trace_ge row
+        system = generate_system(3, 3, None, "full0", store)
+        with pytest.raises(ValueError, match="not an integer"):
+            system.constraint(k)
 
     def test_csv_shape(self, store):
         system = generate_system(2, 3, None, "full0", store)
@@ -359,10 +392,10 @@ class TestCoefficientMatrix:
         # shares it), or with t = 1
         for system in three_systems:
             r, p = system.r, len(system.cycles)
-            assert system.matrix.shape == (system.count, system.num_vars)
+            assert system.matrix.shape == (system.count, p * r + 1)
             assert system.matrix.dtype == np.int64
             units = []
-            for col in range(system.num_vars):
+            for col in range(p * r + 1):
                 flat = [0] * (p * r)
                 if col < p * r:
                     flat[col] = 1

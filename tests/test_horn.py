@@ -40,13 +40,13 @@ def T(*lists, ambient):
 
 
 def orbits(reps, s, sigma=None):
-    """The orbit of each kernel representative under the swaps of
-    equal-length cycles, as a set of index-row tuples."""
+    """The orbit of each kernel representative, one index per cycle,
+    under the swaps of equal-length cycles, as a set of index-row tuples
+    (one index per part)."""
     lengths = sigma or (1,) * s
-    starts = [sum(lengths[:k]) for k in range(len(lengths))]
     swaps = [p for p in itertools.permutations(range(len(lengths)))
              if all(lengths[i] == lengths[k] for k, i in enumerate(p))]
-    return [{tuple(row[starts[i]] for k, i in enumerate(p)
+    return [{tuple(row[i] for k, i in enumerate(p)
                    for _ in range(lengths[k])) for p in swaps}
             for row in reps]
 
@@ -119,6 +119,30 @@ class TestTableOnFirstUse:
         fresh = HornStore(arity=3)
         with pytest.raises(ValueError, match="1 <= size <= ambient"):
             fresh.table(size, ambient)
+        assert not fresh.tables
+
+    @pytest.mark.parametrize("size, ambient", [(2.0, 4), (2, 4.0), (True, 2),
+                                               (np.True_, 2), ("2", 4)])
+    def test_sizes_must_be_integers(self, size, ambient):
+        # floats raised a TypeError from math.comb or range, and True
+        # passed as 1
+        fresh = HornStore(arity=3)
+        for build in (fresh.table, fresh.build_level, fresh.build_through,
+                      lambda d, n: cross_check(d, n, fresh),
+                      lambda d, n: count_intersecting(d, n, fresh)):
+            with pytest.raises(ValueError, match="not an integer"):
+                build(size, ambient)
+        assert not fresh.tables
+        assert fresh.table(np.int64(2), np.int64(4)) is fresh.table(2, 4)
+        assert all(type(x) is int for key in fresh.tables for x in key[:2])
+
+    @pytest.mark.parametrize("size, ambient",
+                             [(0, 6), (7, 6), (-1, 2), (1, 0)])
+    def test_census_key_outside_the_levels(self, size, ambient):
+        # (0, 6) and (7, 6) raised an IndexError
+        fresh = HornStore(arity=3)
+        with pytest.raises(ValueError, match="1 <= size <= ambient"):
+            count_intersecting(size, ambient, fresh)
         assert not fresh.tables
 
     @pytest.mark.parametrize("size, ambient", [(1, 70000), (2, 363)])
@@ -376,7 +400,7 @@ class TestAlternativeTestSets:
                     tests.append((d, table.rows[point]))
                 reps = [row
                         for chunk in _horn_survivors(r, n, 3, None, tests)
-                        for row in chunk.tolist()]
+                        for row in chunk.T.tolist()]
                 assert expanded(reps, 3) == \
                     list(map(tuple, store.table(r, n).rows.tolist()))
 
@@ -430,8 +454,8 @@ class TestKernelAgainstHornCheck:
         tests = store._test_sets(3, None)
         chunks = list(_horn_survivors(3, 6, 3, None, tests))
         assert len(chunks) > 1
-        assert max(len(c) for c in chunks) <= 100
-        reps = [row for c in chunks for row in c.tolist()]
+        assert max(c.shape[1] for c in chunks) <= 100
+        reps = [row for c in chunks for row in c.T.tolist()]
         assert expanded(reps, 3) == \
             list(map(tuple, store.table(3, 6).rows.tolist()))
 
@@ -443,17 +467,18 @@ class TestKernelAgainstHornCheck:
     def test_one_representative_per_orbit(self, s, sigma):
         store = HornStore(arity=s)
         lengths = sigma or (1,) * s
-        starts = [sum(lengths[:k]) for k in range(len(lengths))]
         for n in range(1, 6):
             for r in range(1, n + 1):
-                reps = [row for chunk in _horn_survivors(
-                            r, n, s, sigma, store._test_sets(r, sigma))
-                        for row in chunk.tolist()]
+                chunks = list(_horn_survivors(r, n, s, sigma,
+                                              store._test_sets(r, sigma)))
+                # one index per cycle, a representative per column
+                assert all(c.shape[0] == len(lengths) for c in chunks)
+                reps = [row for c in chunks for row in c.T.tolist()]
                 # indices do not decrease within a run of equal lengths
                 for row in reps:
                     for k in range(1, len(lengths)):
                         if lengths[k] == lengths[k - 1]:
-                            assert row[starts[k]] >= row[starts[k - 1]], row
+                            assert row[k] >= row[k - 1], row
                 # the orbits are disjoint and make up the level
                 found = orbits(reps, s, sigma)
                 members = set(map(tuple, store.table(r, n, sigma).rows.tolist()))

@@ -145,7 +145,7 @@ class TestRedundancy:
         system = generate_system(2, 3, None, "min00", store)
         assert system.count == 5
         report = redundancy_report(system)
-        assert report.essential_count == 5
+        assert sum(v.essential for v in report.verdicts) == 5
 
     def test_rank6_sigma_slice_example(self, store):
         system = generate_system(6, 3, (3,), "full0", store)
@@ -164,7 +164,7 @@ class TestRedundancy:
     def test_rank5_reduced_rows_all_essential(self, store):
         system = generate_system(5, 3, None, "min00", store)
         report = redundancy_report(system)
-        assert report.essential_count == system.count == 156
+        assert sum(v.essential for v in report.verdicts) == system.count == 156
 
     @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
                         reason="539 exact LPs (~10 s); set RUN_OPTIONAL=1")
@@ -173,7 +173,7 @@ class TestRedundancy:
         # exactly those whose LR coefficient is 1 (the point flag)
         system = generate_system(6, 3, None, "full0", store)
         report = redundancy_report(system)
-        assert report.essential_count == 538 == system.count - 1
+        assert sum(v.essential for v in report.verdicts) == 538 == system.count - 1
         cons = system.constraints()
         [star] = [v for v in report.verdicts if not v.essential]
         horn = cons[star.index].meta
@@ -194,6 +194,19 @@ class TestRedundancy:
 
         monkeypatch.setattr(lp, "solve_lp", no_lp)
         with pytest.raises(IndexError, match=f"row {index} of a system of 8"):
+            is_redundant(system, index)
+
+    @pytest.mark.parametrize("index", [1.0, True])
+    def test_row_index_must_be_an_integer(self, store, monkeypatch, index):
+        # 1.0 raised a TypeError deep inside, True a misleading "every LP
+        # row needs 1 integer entries"
+        system = generate_system(2, 3, None, "full0", store)
+
+        def no_lp(*args):
+            raise AssertionError("solved an LP for a row that is not there")
+
+        monkeypatch.setattr(lp, "solve_lp", no_lp)
+        with pytest.raises(ValueError, match="not an integer"):
             is_redundant(system, index)
 
     def test_report_json(self, store):

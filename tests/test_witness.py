@@ -50,10 +50,21 @@ class TestJacobi:
         with pytest.raises(ValueError):
             hermitian_eigh(np.zeros((2, 3)))
 
-    def test_sweep_exhaustion_raises(self):
+    def test_sweep_exhaustion_raises(self, monkeypatch):
         rng = np.random.default_rng(3)
+        monkeypatch.setattr(witness, "_JACOBI_SWEEPS", 0)
         with pytest.raises(NumericalFailure):
-            hermitian_eigh(random_hermitian(rng, 4), max_sweeps=0)
+            hermitian_eigh(random_hermitian(rng, 4))
+
+    def test_threshold_and_sweeps_are_not_arguments(self):
+        # as arguments, tol=1.0 or max_sweeps=-1 returned the unrotated
+        # diagonal [1, 1]
+        w, v = hermitian_eigh([[1, 1], [1, 1]])
+        assert np.allclose(w, [2, 0])
+        assert np.allclose(np.abs(v), np.sqrt(0.5))
+        for option in ({"tol": 1.0}, {"max_sweeps": -1}):
+            with pytest.raises(TypeError):
+                hermitian_eigh([[1, 1], [1, 1]], **option)
 
     def test_one_matrix_only(self):
         with pytest.raises(ValueError):
@@ -61,7 +72,7 @@ class TestJacobi:
         with pytest.raises(ValueError):
             hermitian_eigh(np.ones(3))
 
-    def test_matrix_kinds_decompose_without_warnings(self):
+    def test_matrix_kinds_decompose_without_warnings(self, monkeypatch):
         # a dense matrix, nearly diagonal ones (fewer sweeps, and tangents
         # so large that 1 + tau^2 rounds to tau^2), a block-diagonal one
         # whose cross-block rotations are all skipped, and a diagonal one
@@ -84,9 +95,10 @@ class TestJacobi:
                     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
                     assert err < 1e-10 * max(1.0, np.abs(m).max())
         # the dense matrix needs more sweeps than the nearly diagonal one
-        hermitian_eigh(near, max_sweeps=2)
+        monkeypatch.setattr(witness, "_JACOBI_SWEEPS", 2)
+        hermitian_eigh(near)
         with pytest.raises(NumericalFailure):
-            hermitian_eigh(dense, max_sweeps=2)
+            hermitian_eigh(dense)
 
 
 class TestSampleOrbit:
@@ -285,19 +297,27 @@ class TestFindWitness:
     @pytest.mark.parametrize("option", [{"restarts": 0}, {"restarts": -3},
                                         {"max_iters": 0}, {"tol": 0.0},
                                         {"tol": -1.0}, {"tol": float("nan")},
-                                        {"tol": float("inf")},
-                                        {"stall_window": 0},
-                                        {"stall_window": -1}])
+                                        {"tol": float("inf")}])
     def test_out_of_range_options_raise(self, option):
         with pytest.raises(ValueError):
             find_witness([[1, -1]] * 3, 0, seed=2, **option)
 
     @pytest.mark.parametrize("option", [{"restarts": 2.5},
                                         {"max_iters": 300.5},
-                                        {"stall_window": 2.5},
-                                        {"seed": 1.5}])
+                                        {"seed": 1.5}, {"seed": 2.0}])
     def test_non_integral_options_raise_before_any_attempt(self, option,
                                                            monkeypatch):
+        self.check_no_attempt(option, monkeypatch)
+
+    @pytest.mark.parametrize("option", ["restarts", "max_iters", "seed",
+                                        "tol"])
+    def test_bool_options_raise_before_any_attempt(self, option,
+                                                   monkeypatch):
+        # restarts=True ran one attempt: a bool is an Integral
+        for value in (True, np.True_):
+            self.check_no_attempt({option: value}, monkeypatch)
+
+    def check_no_attempt(self, option, monkeypatch):
         waves = []
         wave = witness._wave
 
@@ -310,10 +330,10 @@ class TestFindWitness:
             find_witness([[1, -1]] * 3, 0, **option)
         assert not waves
 
-    def test_numpy_integer_options(self):
+    def test_numpy_integer_options(self, monkeypatch):
+        monkeypatch.setattr(witness, "_STALL_WINDOW", 20)
         family = [[0, 0], [0, 0], [1, -1]]
-        options = {"restarts": 3, "max_iters": 40, "stall_window": 20,
-                   "seed": 2}
+        options = {"restarts": 3, "max_iters": 40, "seed": 2}
         plain = find_witness(family, 0, **options)
         for kind in (np.int64, np.int32):
             res = find_witness(family, 0, **{k: kind(v)
@@ -404,19 +424,24 @@ class TestStackedSearch:
     STALL = [[3, 0, -3], [1, 0, -1], [1, 0, -1]]
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_equals_serial_search(self, case):
-        self.check_serial(*self.CASES[case])
+    def test_equals_serial_search(self, case, monkeypatch):
+        self.check_serial(*self.CASES[case], monkeypatch)
 
     @pytest.mark.parametrize("case", sorted(WAVE_CASES))
     def test_waves_equal_serial_search(self, case, monkeypatch):
         monkeypatch.setattr(witness, "_WAVE", 2)
-        self.check_serial(*self.WAVE_CASES[case])
+        self.check_serial(*self.WAVE_CASES[case], monkeypatch)
 
-    def check_serial(self, spectra, t, options):
+    def check_serial(self, spectra, t, options, monkeypatch):
+        # the search's stall window is a module constant, the oracle's an
+        # argument
+        options = dict(options)
+        window = options.pop("stall_window", witness._STALL_WINDOW)
+        monkeypatch.setattr(witness, "_STALL_WINDOW", window)
         log, serial_log = io.StringIO(), io.StringIO()
         res = find_witness(spectra, t, residual_log=log, **options)
         ref = serial_find_witness(spectra, t, residual_log=serial_log,
-                                  **options)
+                                  stall_window=window, **options)
         assert len(res.matrices) == len(ref.matrices)
         for m, m_ref in zip(res.matrices, ref.matrices):
             assert np.array_equal(m, m_ref)
