@@ -79,16 +79,8 @@ class SpectrumFamily:
     def length(self):
         return len(self.spectra[0])
 
-    @property
-    def total(self):
-        """Sum of every entry of every spectrum."""
-        return sum(sum(spec) for spec in self.spectra)
-
     def is_stable(self, perm):
         return perm.act(self.spectra) == self.spectra
-
-    def permuted(self, perm):
-        return SpectrumFamily(perm.act(self.spectra), self.t)
 
     def __repr__(self):
         return f"SpectrumFamily({[[str(x) for x in s] for s in self.spectra]}, t={self.t})"

@@ -363,14 +363,15 @@ def _index(size, ambient):
     """all_subsets(size, ambient) as read-only arrays, built without
     Subsets, a row per subset I in mask order: its elements, dim and
     Schubert partition (int32), incidence (bool, a column per j) and
-    (size < ambient) the rank of its dual {ambient + 1 - j : j not in I}."""
+    (size < ambient) the rank of its dual {ambient + 1 - j : j not in I},
+    uint16 up to 65,536 subsets and uint32 past them."""
     # mask order is the lex order of {ambient + 1 - j : j in I}, reversed
     lex = np.array(list(itertools.combinations(range(1, ambient + 1), size)))
     elements = ambient + 1 - lex[::-1, ::-1]
     incidence = np.zeros((len(lex), ambient), dtype=bool)
     np.put_along_axis(incidence, elements - 1, True, axis=1)
     # lexsort compares its last key (element ambient) first, as masks do
-    dual = np.empty(len(lex), dtype=np.uint16)
+    dual = np.empty(len(lex), np.uint16 if len(lex) <= 1 << 16 else np.uint32)
     dual[np.lexsort(~incidence.T[::-1])] = np.arange(len(lex))
     dims = elements.sum(axis=1) - size * (size + 1) // 2
     partitions = np.arange(1, size + 1) - elements + ambient - size

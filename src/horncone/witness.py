@@ -10,12 +10,17 @@ result is advisory only -- exact membership always comes from the cone
 description.
 
 Each projection step moves whole families at once: the restarts that
-run together stack their (s, r, r) families into one (k, s, r, r) array,
-which LAPACK (``numpy.linalg.eigh``) diagonalizes in a single call, and
-each attempt comes out bit for bit as it would alone.  A candidate
-witness is then confirmed, one family and one matrix at a time, by an
-independent eigensolver: ``hermitian_eigh``, cyclic Jacobi in Python
-complex arithmetic for one Hermitian matrix of small order.
+run together stack their (s, r, r) families into one (k, s, r, r)
+complex128 array, which one call of numpy's own LAPACK kernel
+diagonalizes, and each attempt comes out bit for bit as it would alone.
+The kernel is ``numpy.linalg._umath_linalg.eigh_lo`` with signature
+``D->dD``, the gufunc ``numpy.linalg.eigh`` runs on complex input, so
+the same bits without that wrapper's per-call conversions; it runs under
+eigh's error state (``_eigh_errstate``), which a search enters once per
+wave and ``project_to_orbit`` once per call.  A candidate witness is
+then confirmed, one family and one matrix at a time, by an independent
+eigensolver: ``hermitian_eigh``, cyclic Jacobi in Python complex
+arithmetic for one Hermitian matrix of small order.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .subsets import _integer
 
@@ -42,6 +49,19 @@ _WAVE = 32
 
 class NumericalFailure(RuntimeError):
     """The eigensolver failed to reach its off-diagonal threshold."""
+
+
+def _eigenvalues_did_not_converge(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh_errstate():
+    """The error state ``numpy.linalg.eigh`` runs its kernel under: the
+    kernel reports LAPACK's non-convergence by the invalid flag, which
+    raises LinAlgError; overflow, division and underflow are ignored.
+    Array arithmetic run inside it follows it too."""
+    return np.errstate(call=_eigenvalues_did_not_converge, invalid="call",
+                       over="ignore", divide="ignore", under="ignore")
 
 
 def _frobenius(x):
@@ -120,9 +140,24 @@ def _rotate(a, v, p, q):
     a[p][p], a[q][q] = complex(a[p][p].real), complex(a[q][q].real)
 
 
+def _reject_bools(x):
+    """ValueError if ``x``, a number or a nested sequence or array of
+    them, holds a Python or numpy bool: ``float`` would read it as 0 or
+    1."""
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        found = x.dtype == bool
+    else:
+        found = any(isinstance(v, (bool, np.bool_))
+                    for v in np.asarray(x, dtype=object).flat)
+    if found:
+        raise ValueError(f"spectra and t must be numbers, not bools: {x!r}")
+
+
 def _check_spectrum(lam, stack=False):
     """One spectrum, or with ``stack`` an array of them along the last
-    axis.  ValueError unless nonempty, finite and weakly decreasing."""
+    axis.  ValueError unless nonempty, finite, weakly decreasing and free
+    of bools."""
+    _reject_bools(lam)
     lam = np.asarray(lam, dtype=float)
     if lam.ndim == 0 or lam.shape[-1] == 0 or (lam.ndim > 1 and not stack):
         raise ValueError("spectrum must be a nonempty sequence")
@@ -136,6 +171,7 @@ def _check_spectrum(lam, stack=False):
 
 
 def _check_t(t):
+    _reject_bools(t)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -143,8 +179,10 @@ def _check_t(t):
 
 
 def _conjugate(q, lam):
-    """q diag(lam) q* for a stack of unitaries q, hermitized in place."""
-    y = (q * lam[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    """q diag(lam) q* for a stack of unitaries q, hermitized in place;
+    ``lam`` holds the spectra as rows (..., 1, r) that scale q's
+    columns."""
+    y = (q * lam) @ q.conj().swapaxes(-1, -2)
     y += y.conj().swapaxes(-1, -2)
     y /= 2
     return y
@@ -160,7 +198,7 @@ def _orbit_points(spectra, seeds):
         z.append(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
     q, rr = np.linalg.qr(np.stack(z) / math.sqrt(2))
     d = rr.diagonal(axis1=-2, axis2=-1)
-    return _conjugate(q * (d / np.abs(d))[..., None, :], spectra)
+    return _conjugate(q * (d / np.abs(d))[..., None, :], spectra[:, None])
 
 
 def sample_orbit(lam, seed=0):
@@ -176,15 +214,24 @@ def project_to_orbit(x, lam):
     the eigenvectors of x, replace its decreasing eigenvalues by lam.
 
     ``x`` may be one (r, r) matrix or a stack (..., r, r) with spectra
-    (..., r); the stack is diagonalized by one LAPACK call."""
-    return _project(x, _check_spectrum(lam, stack=True)[..., ::-1])
+    (..., r); the stack is diagonalized by one LAPACK call.  ``x`` is
+    read as complex128 and the result is complex128, for a real ``x``
+    too.  LinAlgError unless ``x`` is square in its last two axes, and
+    if the eigensolver does not converge."""
+    ascending = _check_spectrum(lam, stack=True)[..., None, ::-1]
+    x = np.asarray(x, dtype=complex)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise LinAlgError(f"need square matrices, got shape {x.shape}")
+    with _eigh_errstate():
+        return _project(x, ascending)
 
 
 def _project(x, ascending):
-    """``project_to_orbit`` on spectra already checked and reversed:
-    ``eigh`` returns ascending eigenvalues, so its eigenvectors are
-    paired with the reversed targets."""
-    return _conjugate(np.linalg.eigh(x)[1], ascending)
+    """``project_to_orbit`` on a complex128 stack and on spectra already
+    checked, reversed and given as rows (..., 1, r): the kernel returns
+    ascending eigenvalues, so its eigenvectors are paired with the
+    reversed targets.  Call it under ``_eigh_errstate()``."""
+    return _conjugate(_eigh_lo(x, signature="D->dD")[1], ascending)
 
 
 class WitnessResult(NamedTuple):
@@ -285,7 +332,9 @@ def _wave(indices, spectra, ascending, t, seed, max_iters, tol, logging):
     (k, s, r, r) stack.  Returns, in attempt order, the attempts a search
     running them one after another would have run: those up to the
     lowest one that converged, or all of them.  Each keeps a copy of its
-    last family, not a view of the stack."""
+    last family, not a view of the stack.  ``ascending`` is ``spectra``
+    reversed, as rows (s, 1, r); the iterations run under one
+    ``_eigh_errstate()``."""
     s, r = spectra.shape
     target = t * np.eye(r)
     live = [_Attempt(i) for i in indices]
@@ -293,32 +342,33 @@ def _wave(indices, spectra, ascending, t, seed, max_iters, tol, logging):
         [seed & 0xFFFFFFFF, i]).spawn(s)) for i in indices])
     diffs = xs.sum(axis=1) - target
     done = []
-    for it in range(1, max_iters + 1):
-        xs -= diffs[:, None] / s
-        xs = _project(xs, ascending)
-        diffs = xs.sum(axis=1) - target
-        keep = []
-        for j, attempt in enumerate(live):
-            res = _frobenius(diffs[j])
-            attempt.step(it, res, logging)
-            if res <= tol * 0.9:
-                full = verify_witness(xs[j], spectra, t)
-                if full <= tol:
-                    attempt.residual, attempt.converged = full, True
-            if (attempt.converged or attempt.since_best >= _STALL_WINDOW
-                    and attempt.best > 10 * tol or it == max_iters):
-                attempt.matrices = xs[j].copy()
-                done.append(attempt)
-                if attempt.converged:
-                    # the attempts above this one would never have run
+    with _eigh_errstate():
+        for it in range(1, max_iters + 1):
+            xs -= diffs[:, None] / s
+            xs = _project(xs, ascending)
+            diffs = xs.sum(axis=1) - target
+            keep = []
+            for j, attempt in enumerate(live):
+                res = _frobenius(diffs[j])
+                attempt.step(it, res, logging)
+                if res <= tol * 0.9:
+                    full = verify_witness(xs[j], spectra, t)
+                    if full <= tol:
+                        attempt.residual, attempt.converged = full, True
+                if (attempt.converged or attempt.since_best >= _STALL_WINDOW
+                        and attempt.best > 10 * tol or it == max_iters):
+                    attempt.matrices = xs[j].copy()
+                    done.append(attempt)
+                    if attempt.converged:
+                        # the attempts above this one would never have run
+                        break
+                else:
+                    keep.append(j)
+            if len(keep) < len(live):
+                live = [live[j] for j in keep]
+                if not live:
                     break
-            else:
-                keep.append(j)
-        if len(keep) < len(live):
-            live = [live[j] for j in keep]
-            if not live:
-                break
-            xs, diffs = xs[keep], diffs[keep]
+                xs, diffs = xs[keep], diffs[keep]
     done.sort(key=lambda a: a.index)
     last = next((a.index for a in done if a.converged), indices[-1])
     return [a for a in done if a.index <= last]
@@ -354,7 +404,8 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     diagnostics.  ValueError, before any attempt runs, unless restarts,
     max_iters and seed are integers (numpy ones too, bools not), the
     first two at least 1, tol is a positive finite number, and the
-    spectra and t are finite."""
+    spectra and t are finite numbers, bools not.  LinAlgError if LAPACK
+    does not converge."""
     restarts, max_iters, seed = map(_integer, (restarts, max_iters, seed))
     if (min(restarts, max_iters) < 1 or isinstance(tol, (bool, np.bool_))
             or not 0 < tol < math.inf):
@@ -368,7 +419,7 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     log = residual_log
     if log is not None:
         log.write("attempt,iteration,residual\n")
-    options = (stacked, stacked[:, ::-1], t, seed, max_iters, tol,
+    options = (stacked, stacked[:, None, ::-1], t, seed, max_iters, tol,
                log is not None)
     iterations, monotone, best, pending = 0, True, None, []
     lo = 0

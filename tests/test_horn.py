@@ -581,6 +581,15 @@ class TestIndex:
                                           np.arange(len(dual)))
                 assert all(not a.flags.writeable for a in index)
 
+    def test_dual_past_uint16(self):
+        # C(19, 9) = 92,378 subsets: uint16 positions wrapped to 65,536
+        # distinct values
+        assert _index(8, 16).dual.dtype == np.uint16  # 12,870 subsets
+        dual = _index(9, 19).dual
+        assert dual.dtype == np.uint32
+        assert np.array_equal(np.sort(dual), np.arange(92378))
+        assert np.array_equal(_index(10, 19).dual[dual], np.arange(92378))
+
 
 class TestOtherArities:
     def test_two_factor_levels_match_classification(self):

@@ -19,6 +19,21 @@ from horncone.witness import (
 )
 
 
+def check_no_attempt(monkeypatch, spectra, t, **options):
+    """find_witness raises ValueError before any attempt runs."""
+    waves = []
+    wave = witness._wave
+
+    def counting_wave(*args):
+        waves.append(args)
+        return wave(*args)
+
+    monkeypatch.setattr(witness, "_wave", counting_wave)
+    with pytest.raises(ValueError):
+        find_witness(spectra, t, **options)
+    assert not waves
+
+
 def random_hermitian(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (z + z.conj().T) / 2
@@ -207,6 +222,78 @@ class TestProjectToOrbit:
         with pytest.raises(ValueError):
             project_to_orbit(np.zeros((2, 2, 2)), [[1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (), (3, 2, 1)])
+    def test_non_square_input_is_linalg_error(self, shape):
+        # as numpy.linalg.eigh raised it
+        with pytest.raises(np.linalg.LinAlgError):
+            project_to_orbit(np.zeros(shape), [1.0, 0.0])
+
+    def test_real_input_returns_complex(self):
+        p = project_to_orbit(np.diag([2.0, 0.0]), [1.0, -1.0])
+        assert p.dtype == np.complex128
+        assert np.array_equal(p, project_to_orbit(np.diag([2.0, 0.0]) + 0j,
+                                                  [1.0, -1.0]))
+
+
+class TestKernel:
+    """The search projects through numpy's LAPACK eigh gufunc, called
+    directly under numpy.linalg.eigh's error state."""
+
+    def test_equals_public_eigh(self):
+        # the kernel is the gufunc numpy.linalg.eigh runs on complex
+        # input, so the projections agree bit for bit
+        rng = np.random.default_rng(31)
+        for r in range(1, 13):
+            q, _ = np.linalg.qr(random_hermitian(rng, r))
+            repeated = (q * np.repeat([2.0, -1.0], [r // 2, r - r // 2])) \
+                @ q.conj().T
+            xs = np.stack([random_hermitian(rng, r) for _ in range(5)]
+                          + [repeated, np.zeros((r, r), dtype=complex)])
+            xs = xs.reshape(7, 1, r, r)
+            lams = np.sort(rng.standard_normal((7, 1, r)), axis=-1)[..., ::-1]
+            # repeated targets too: the top one r // 2 + 1 times
+            lams[-2:, 0, : r // 2 + 1] = lams[-2:, 0, :1]
+            ascending = lams[..., None, ::-1]
+            with witness._eigh_errstate():
+                got = witness._project(xs, ascending)
+            ref = witness._conjugate(np.linalg.eigh(xs)[1], ascending)
+            assert got.dtype == ref.dtype == np.complex128
+            assert np.array_equal(got, ref)
+            assert np.array_equal(project_to_orbit(xs, lams), ref)
+
+    def test_invalid_flag_raises_and_error_state_is_restored(
+            self, monkeypatch):
+        # LAPACK non-convergence reaches numpy as the invalid flag
+        kernel = witness._eigh_lo
+
+        def failing(x, signature):
+            result = kernel(x, signature=signature)
+            np.sqrt(np.array(-1.0))
+            return result
+
+        monkeypatch.setattr(witness, "_eigh_lo", failing)
+
+        def handler(err, flag):
+            pass
+
+        with np.errstate(call=handler, invalid="raise", over="warn",
+                         divide="ignore", under="print"):
+            state, call = np.geterr(), np.geterrcall()
+            with pytest.raises(np.linalg.LinAlgError):
+                find_witness([[1, -1]] * 3, 0, seed=2)
+            with pytest.raises(np.linalg.LinAlgError):
+                project_to_orbit(np.eye(2), [1.0, -1.0])
+            assert np.geterr() == state and np.geterrcall() is call
+        before = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError):
+            find_witness([[1, -1]] * 3, 0, seed=2, restarts=3)
+        assert np.geterr() == before
+
+    def test_search_leaves_error_state_alone(self):
+        before, call = np.geterr(), np.geterrcall()
+        assert find_witness([[1, -1]] * 3, 0, seed=2).converged
+        assert np.geterr() == before and np.geterrcall() is call
+
 
 class TestFindWitness:
     def test_member_converges(self):
@@ -307,7 +394,7 @@ class TestFindWitness:
                                         {"seed": 1.5}, {"seed": 2.0}])
     def test_non_integral_options_raise_before_any_attempt(self, option,
                                                            monkeypatch):
-        self.check_no_attempt(option, monkeypatch)
+        check_no_attempt(monkeypatch, [[1, -1]] * 3, 0, **option)
 
     @pytest.mark.parametrize("option", ["restarts", "max_iters", "seed",
                                         "tol"])
@@ -315,20 +402,7 @@ class TestFindWitness:
                                                    monkeypatch):
         # restarts=True ran one attempt: a bool is an Integral
         for value in (True, np.True_):
-            self.check_no_attempt({option: value}, monkeypatch)
-
-    def check_no_attempt(self, option, monkeypatch):
-        waves = []
-        wave = witness._wave
-
-        def counting_wave(*args):
-            waves.append(args)
-            return wave(*args)
-
-        monkeypatch.setattr(witness, "_wave", counting_wave)
-        with pytest.raises(ValueError):
-            find_witness([[1, -1]] * 3, 0, **option)
-        assert not waves
+            check_no_attempt(monkeypatch, [[1, -1]] * 3, 0, **{option: value})
 
     def test_numpy_integer_options(self, monkeypatch):
         monkeypatch.setattr(witness, "_STALL_WINDOW", 20)
@@ -404,6 +478,13 @@ class TestStackedSearch:
         # can still win: attempt 0 with the first wave, then each wave
         "rank6_two_waves": (RANK6, 0, {"seed": 3, "restarts": 40}),
         "rank8": (RANK8, 0, {"seed": 5, "restarts": 20}),
+        # a rank-4 member with the options of the benchmark's witness
+        # searches
+        "rank4_benchmark_options": ([[2.7, -0.42, -2.17, -3.63],
+                                     [2.05, 0.58, -0.22, -2.73],
+                                     [6.43, 4.01, 1.76, -0.36]], 2,
+                                    {"seed": 1, "tol": 1e-6,
+                                     "max_iters": 500}),
     }
 
     # with waves of two: attempts 0 | 1 2 | 3 4 | 5 6 | 7 8 | ...
@@ -517,6 +598,34 @@ class TestStackedSearch:
         assert res.converged and res.attempts == 3
         assert runs == {0: 60, 1: 60, 2: 36}
         assert res.iterations == 156
+
+
+class TestBools:
+    """float() reads a bool as 0 or 1; SpectrumFamily rejects bools and
+    so does every witness entry point."""
+
+    BAD_SPECTRA = [[True, False], [1, False], [True, 0.5],
+                   np.array([True, False]), [np.True_, 0.0],
+                   np.array([True, 0.5], dtype=object)]
+
+    @pytest.mark.parametrize("t", [True, False, np.True_, np.array(True)])
+    def test_t(self, t, monkeypatch):
+        # find_witness([[1, -1]] * 3, True) ran with t = 1.0
+        check_no_attempt(monkeypatch, [[1, -1]] * 3, t)
+        with pytest.raises(ValueError):
+            verify_witness(np.zeros((3, 2, 2)), [[1, -1]] * 3, t)
+
+    @pytest.mark.parametrize("bad", BAD_SPECTRA)
+    def test_spectrum_entries(self, bad, monkeypatch):
+        check_no_attempt(monkeypatch, [[1, -1], [1, -1], bad], 0)
+        # verify_witness(np.zeros((3, 2, 2)), [[True, False]] * 3, True)
+        # returned 1.414
+        with pytest.raises(ValueError):
+            verify_witness(np.zeros((3, 2, 2)), [[1, -1], [1, -1], bad], 0)
+        with pytest.raises(ValueError):
+            sample_orbit(bad)
+        with pytest.raises(ValueError):
+            project_to_orbit(np.eye(2), bad)
 
 
 class TestNonFinite:
