@@ -12,14 +12,16 @@ sets), and cross-checks the recursion against the Littlewood-Richardson
 backend.
 
 One numpy kernel, ``_horn_survivors``, evaluates the Horn rows of
-``horn_rows``, which ``cone`` stacks into its systems, for every arity and
-cycle type, in chunks of bounded size; it serves the lower half of the
-level tables and the census ``count_intersecting``.  Swaps of equal-length
-cycles change neither a tuple's verdict nor the test sets (the Schubert
-product is commutative), so the kernel tests one sorted representative per
-orbit, one index per cycle: the census weights it by its orbit size, and a
-level build expands the orbits once.  ``_index`` holds, as arrays, what
-the kernel and the dual map read of each subset.
+``horn_rows`` (``cone`` stacks them into its systems) for the lower half
+of the level tables and the census ``count_intersecting``, for every arity
+and cycle type, in chunks of bounded size.  Swaps of equal-length cycles
+change neither a tuple's verdict nor the test sets (the Schubert product
+is commutative), so it tests one sorted representative per orbit, one
+index per cycle: the census weights it by its orbit size, and a level
+build expands the orbits once.  It enumerates every cycle but the last,
+whose indices it decides by bitsets: one AND per group of test rows that
+share the last cycle's part.  ``_index`` holds, as arrays, what the kernel
+and the dual map read of each subset.
 
 A level is its members' index rows, in mask-key order, and a point
 flag per row; the zero-dim flag is read off the rows by ``_zero_dim``.
@@ -404,10 +406,10 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     """Yield, in mask-key order, chunks of one representative per orbit
     of the tuples that are fixed by the cycle type ``sigma`` (None: every
     tuple), have nonnegative expected dimension and pass every test level
-    in ``tests``: pairs (d, rows) of zero-expected-dimension tuples as
-    (K, s) index rows into all_subsets(d, size), each closed under the
-    swaps below, as the rows of every level are.  A chunk holds, per
-    cycle, its parts' index into all_subsets(size, ambient): (cycles, M).
+    in ``tests``: pairs (d, rows) of zero-expected-dimension tuples fixed
+    by ``sigma`` and closed under the swaps below, as every level's rows
+    are, as (K, s) index rows into all_subsets(d, size).  A chunk holds,
+    per cycle, its parts' index into all_subsets(size, ambient): (cycles, M).
 
     The orbits are those of the swaps of cycles of equal length (for
     None, all s! permutations of the parts), which leave each of these
@@ -418,9 +420,9 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     longer reach the threshold, and each growth step is split to hold
     about _CHUNK_ROWS rows.  A candidate passes level d when it satisfies
     the level's ``horn_rows`` at x = its cycles' Schubert partitions,
-    t = ambient - size: a chunk gathers about _CHUNK_ROWS // 4 entries
-    from one int32 table per cycle into two buffers it reuses, summing
-    them in place, and its survivors are compacted once per level.
+    t = ambient - size.  The entries are nonnegative: every cycle but the
+    last leaves each row a slack, and the last indices that fit are an AND
+    of one bitset per slack and group of rows sharing the last column.
     """
     lengths = (1,) * s if sigma is None else sigma
     _, dims, partitions, _, _ = _index(size, ambient)
@@ -428,37 +430,44 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     threshold = (s - 1) * size * (ambient - size)
     # reach[k]: the most the cycles k, k+1, ... can still add
     reach = np.cumsum([0] + [w * dims.max() for w in lengths[::-1]])[::-1]
-    # per test level, one (N, K) table per cycle: each part's share of
-    # each row, in int32, as an entry is at most s * d * (ambient - size)
-    horn = [(partitions @ horn_rows(d, rows, size, lengths)[:, :-1].T.reshape(
-                len(lengths), size, len(rows)).astype(np.int32),
-             d * (ambient - size)) for d, rows in tests if len(rows)]
+    # every test row and, as level (size, size)'s row, the codimension
+    # bound of a nonnegative expected dimension; a row repeats each cycle's
+    # part, so a level's rows with one last part share a column: a group
+    tests = [(d, rows[np.argsort(rows[:, -1], kind="stable")]) for d, rows in
+             [(size, np.zeros((1, s), np.intp)), *tests] if len(rows)]
+    a = np.concatenate([horn_rows(d, rows, size, lengths) for d, rows in tests])
+    starts = np.flatnonzero(np.concatenate([
+        np.append(True, rows[1:, -1] != rows[:-1, -1]) for _, rows in tests]))
+    # per cycle, each part's share of each row (int32, as an entry is at
+    # most s * size * (ambient - size)); fits[g, m]: as bits (little
+    # order), the last cycle's indices whose entry in group g is <= m
+    tables = partitions @ a[:, :-1].T.reshape(-1, size, len(a)).astype(np.int32)
+    bound = ((ambient - size) * -a[None, :, -1]).astype(np.int32)
+    columns = tables[-1].T[starts]
+    fits = np.stack([np.packbits(columns <= m, 1, "little")
+                     for m in range(size * (ambient - size) + 1)], axis=1)
     step = max(1, _CHUNK_ROWS // len(dims))
 
-    def passing(free):
-        # free: one row of in-range indices per cycle; "clip" skips the checks
-        for tables, bound in horn:
-            width = max(1, _CHUNK_ROWS // 4 // tables.shape[2])
-            ok, ones = np.empty(free.shape[1], bool), np.ones(tables.shape[2], bool)
-            total, part = np.empty((2, width, tables.shape[2]), np.int32)
-            for lo in range(0, len(ok), width):
-                t, p = total[:len(ok) - lo], part[:len(ok) - lo]
-                tables[0].take(free[0, lo:lo + width], 0, t, "clip")
-                for table, g in zip(tables[1:], free[1:, lo:lo + width]):
-                    t += table.take(g, 0, p, "clip")
-                # a boolean product: numpy's row max over few entries is slow
-                ok[lo:lo + width] = ~((t > bound) @ ones)
-            free = free[:, ok]
-        return free
+    def finish(free):
+        # each group's least slack, for one step's prefixes
+        slack = np.minimum.reduceat(bound - sum(
+            table[i] for table, i in zip(tables, free)), starts, axis=1)
+        free, slack = free[:, (ok := slack.min(axis=1) >= 0)], slack[ok]
+        bits = np.bitwise_and.reduce(fits[np.arange(len(starts))[:, None],
+                                          slack.T], axis=0)
+        if len(lengths) > 1 and lengths[-1] == lengths[-2]:
+            bits &= _at_least(len(dims))[free[-1]]
+        i, j = np.divmod(np.flatnonzero(np.unpackbits(
+            bits, axis=1, count=len(dims), bitorder="little")), len(dims))
+        if len(j):
+            yield np.vstack((free[:, i], j))
 
     def grow(free, sums, k):
-        if k == len(lengths):
-            free = passing(free)
-            if free.shape[1]:
-                yield free
-            return
         gain = lengths[k] * dims
         for lo in range(0, len(sums), step):
+            if k == len(lengths) - 1:
+                yield from finish(free[:, lo:lo + step])
+                continue
             keep = sums[lo:lo + step, None] + gain >= threshold - reach[k + 1]
             if k and lengths[k] == lengths[k - 1]:
                 keep &= np.arange(len(dims)) >= free[k - 1, lo:lo + step, None]
@@ -468,6 +477,12 @@ def _horn_survivors(size, ambient, s, sigma, tests):
                             k + 1)
 
     yield from grow(np.zeros((0, 1), dtype=np.intp), np.zeros(1, np.int64), 0)
+
+
+@lru_cache(maxsize=None)
+def _at_least(n):
+    """Bitsets (little order) over range(n): row i holds the j >= i."""
+    return np.packbits(np.arange(n) >= np.arange(n)[:, None], 1, "little")
 
 
 class IntersectingCount(NamedTuple):

@@ -46,6 +46,11 @@ _STALL_WINDOW = 150
 # many, so its memory does not grow with ``restarts``.
 _WAVE = 32
 
+# A search or a verification refuses s spectra of order r and a t with
+# an entry above _MAX_SCALE / (r * (s + 1)) in magnitude: below it, no
+# entry of sum - t*I exceeds _MAX_SCALE / r, so no residual overflows.
+_MAX_SCALE = 1e150
+
 
 class NumericalFailure(RuntimeError):
     """The eigensolver failed to reach its off-diagonal threshold."""
@@ -178,6 +183,17 @@ def _check_t(t):
     return t
 
 
+def _check_scale(lams, t):
+    """ValueError unless the entries of the (s, r) spectra ``lams`` and
+    ``t`` are at most _MAX_SCALE / (r * (s + 1)) in magnitude."""
+    bound = _MAX_SCALE / (lams.shape[1] * (len(lams) + 1))
+    largest = max(float(np.abs(lams).max()), abs(t))
+    if largest > bound:
+        raise ValueError(f"spectrum entries and t must be at most {bound:.3g}"
+                         f" in magnitude (1e150 / (order * (spectra + 1))), "
+                         f"got {largest:.3g}")
+
+
 def _conjugate(q, lam):
     """q diag(lam) q* for a stack of unitaries q, hermitized in place;
     ``lam`` holds the spectra as rows (..., 1, r) that scale q's
@@ -283,7 +299,8 @@ def verify_witness(matrices, spectra, t):
     larger of the Frobenius norm of (sum - t*I) and the sup-norm distance
     of each spectrum, recomputed by Jacobi one matrix at a time, to its
     target.  ``matrices`` is one family (s, r, r); ValueError unless it
-    has one (r, r) matrix per spectrum."""
+    has one (r, r) matrix per spectrum, and unless the spectra and t are
+    at most 1e150 / (r * (s + 1)) in magnitude, for s spectra."""
     lams = _check_spectrum(spectra, stack=True)
     t = _check_t(t)
     family = np.asarray(matrices)
@@ -291,6 +308,7 @@ def verify_witness(matrices, spectra, t):
     if lams.ndim != 2 or family.shape != (len(lams), r, r):
         raise ValueError("matrices must be a family of one (r, r) matrix "
                          "per spectrum")
+    _check_scale(lams, t)
     spec = max(np.abs(hermitian_eigh(m)[0] - lam).max()
                for m, lam in zip(family, lams))
     return max(_frobenius(family.sum(axis=0) - t * np.eye(r)), float(spec))
@@ -404,8 +422,9 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     diagnostics.  ValueError, before any attempt runs, unless restarts,
     max_iters and seed are integers (numpy ones too, bools not), the
     first two at least 1, tol is a positive finite number, and the
-    spectra and t are finite numbers, bools not.  LinAlgError if LAPACK
-    does not converge."""
+    spectra and t are finite numbers, bools not, at most 1e150 / (r * (s +
+    1)) in magnitude for s spectra of order r, so that no residual
+    overflows.  LinAlgError if LAPACK does not converge."""
     restarts, max_iters, seed = map(_integer, (restarts, max_iters, seed))
     if (min(restarts, max_iters) < 1 or isinstance(tol, (bool, np.bool_))
             or not 0 < tol < math.inf):
@@ -416,6 +435,7 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
     if not lams or any(l.size != lams[0].size for l in lams):
         raise ValueError("need one or more spectra, all of the same length")
     stacked = np.stack(lams)
+    _check_scale(stacked, t)
     log = residual_log
     if log is not None:
         log.write("attempt,iteration,residual\n")

@@ -10,7 +10,9 @@ the subset algebra the Horn inequalities are defined by, ``entry_sum``
 and ``slope`` the spectrum sums they compare; the library evaluates
 them in closed form (``horn.horn_rows``).
 ``horn_check`` is the definitional one-tuple Horn check that the level
-tables are compared against, and ``subset_to_schubert_partition`` the
+tables are compared against, ``gather_sum_survivors`` the Horn filter
+that sums one table entry per cycle for every candidate, the reference
+for the library's bitset kernel, and ``subset_to_schubert_partition`` the
 checked form of a subset's Schubert partition, and ``subset_index`` the
 per-subset arrays of a level built from ``Subset`` objects one by one.
 ``reference_lp`` is a general two-phase simplex over ``Fraction`` with
@@ -27,7 +29,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from horncone.horn import NotSigmaStable, normalize_cycle_type
+from horncone import horn
+from horncone.horn import NotSigmaStable, horn_rows, normalize_cycle_type
 from horncone.subsets import (
     Permutation,
     Subset,
@@ -234,6 +237,46 @@ def horn_check(tup, store, sigma=None):
             if expected_dim(compose(tup, test)) < expected_dim(test):
                 return False
     return True
+
+
+def gather_sum_survivors(size, ambient, s, sigma, tests):
+    """The chunks ``horn._horn_survivors`` yields, from the same growth of
+    representatives and the same chunk bounds, but each candidate is
+    decided on its own: per test level, one int32 table per cycle holds
+    each part's share of each Horn row, and a candidate passes when the
+    entries its cycles gather sum to at most the level's bound."""
+    lengths = (1,) * s if sigma is None else sigma
+    _, dims, partitions, _, _ = horn._index(size, ambient)
+    threshold = (s - 1) * size * (ambient - size)
+    reach = np.cumsum([0] + [w * dims.max() for w in lengths[::-1]])[::-1]
+    levels = [(partitions @ horn_rows(d, rows, size, lengths)[:, :-1].T.reshape(
+                  len(lengths), size, len(rows)).astype(np.int32),
+               d * (ambient - size)) for d, rows in tests if len(rows)]
+    step = max(1, horn._CHUNK_ROWS // len(dims))
+
+    def passing(free):
+        for tables, bound in levels:
+            total = sum(table[i] for table, i in zip(tables, free))
+            free = free[:, (total <= bound).all(axis=1)]
+        return free
+
+    def grow(free, sums, k):
+        if k == len(lengths):
+            free = passing(free)
+            if free.shape[1]:
+                yield free
+            return
+        gain = lengths[k] * dims
+        for lo in range(0, len(sums), step):
+            keep = sums[lo:lo + step, None] + gain >= threshold - reach[k + 1]
+            if k and lengths[k] == lengths[k - 1]:
+                keep &= np.arange(len(dims)) >= free[k - 1, lo:lo + step, None]
+            i, j = np.nonzero(keep)
+            i += lo
+            yield from grow(np.vstack((free[:, i], j)), sums[i] + gain[j],
+                            k + 1)
+
+    yield from grow(np.zeros((0, 1), dtype=np.intp), np.zeros(1, np.int64), 0)
 
 
 def subset_to_schubert_partition(subset, n=None):

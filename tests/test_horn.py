@@ -11,7 +11,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from _oracles import all_tuples, compose, horn_check, orbit, subset_index
+from _oracles import (
+    all_tuples,
+    compose,
+    gather_sum_survivors,
+    horn_check,
+    orbit,
+    subset_index,
+)
 from horncone import horn, lr
 from horncone.cone import SpectrumFamily
 from horncone.horn import (
@@ -484,6 +491,64 @@ class TestKernelAgainstHornCheck:
                 members = set(map(tuple, store.table(r, n, sigma).rows.tolist()))
                 assert sum(map(len, found)) == len(members)
                 assert set().union(*found) == members
+
+
+def assert_same_chunks(got, want):
+    """The kernel's chunks are the oracle's, column for column, in order."""
+    count = 0
+    for g, w in itertools.zip_longest(got, want):
+        assert g is not None and w is not None, f"chunk {count} is missing"
+        assert g.dtype == w.dtype and g.tolist() == w.tolist(), count
+        count += 1
+    return count
+
+
+class TestKernelAgainstGatherSum:
+    """The bitset kernel yields the chunks of the gather-sum filter, which
+    sums each candidate's Horn rows on its own."""
+
+    @pytest.mark.parametrize("s, sigma, ambient_max", [
+        (3, None, 8), (3, (3,), 11), (3, (1, 2), 7),
+        (4, (2, 2), 6), (4, (1, 3), 6),
+    ])
+    def test_every_level(self, s, sigma, ambient_max):
+        store = HornStore(arity=s)
+        chunks = 0
+        for n in range(1, ambient_max + 1):
+            for r in range(1, n + 1):
+                tests = store._test_sets(r, sigma)
+                chunks += assert_same_chunks(
+                    _horn_survivors(r, n, s, sigma, tests),
+                    gather_sum_survivors(r, n, s, sigma, tests))
+        assert chunks > ambient_max
+
+    def test_small_chunks(self, store, monkeypatch):
+        # many chunks per level, each a few prefixes
+        monkeypatch.setattr(horn, "_CHUNK_ROWS", 100)
+        tests = store._test_sets(4, None)
+        assert assert_same_chunks(
+            _horn_survivors(4, 8, 3, None, tests),
+            gather_sum_survivors(4, 8, 3, None, tests)) > 10
+
+    def test_point_class_test_sets(self, store):
+        for n in range(1, 6):
+            for r in range(1, min(n, 4) + 1):
+                tests = [(d, store.table(d, r).select("point")[0])
+                         for d in range(1, r)]
+                assert_same_chunks(_horn_survivors(r, n, 3, None, tests),
+                                   gather_sum_survivors(r, n, 3, None, tests))
+
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="(5,11) census against the gather-sum filter "
+                               "is optional; set RUN_OPTIONAL=1")
+    def test_census_5_11(self, monkeypatch):
+        store = HornStore(arity=3)
+        tests = store._test_sets(5, None)
+        assert_same_chunks(_horn_survivors(5, 11, 3, None, tests),
+                           gather_sum_survivors(5, 11, 3, None, tests))
+        want = count_intersecting(5, 11, store)
+        monkeypatch.setattr(horn, "_horn_survivors", gather_sum_survivors)
+        assert count_intersecting(5, 11, store) == want
 
 
 class TestTableRows:

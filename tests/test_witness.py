@@ -656,3 +656,38 @@ class TestNonFinite:
             hermitian_eigh(a)
         with pytest.raises(ValueError):
             hermitian_eigh(np.diag([1.0, bad]))
+
+
+class TestMagnitude:
+    """Spectra whose own arithmetic overflows float64 are refused before
+    any attempt runs, with the bound in the message."""
+
+    @pytest.mark.parametrize("value", [1e300, 1.7e308])
+    def test_huge_spectra(self, value, monkeypatch):
+        # at 1e300 the search returned residual inf; at 1.7e308 it raised
+        # LinAlgError("Eigenvalues did not converge")
+        spectra = [[value, -value]] * 3
+        check_no_attempt(monkeypatch, spectra, 0)
+        with pytest.raises(ValueError, match=r"at most 1\.25e\+149"):
+            find_witness(spectra, 0, restarts=2, max_iters=200)
+        with pytest.raises(ValueError, match=r"at most 1\.25e\+149"):
+            verify_witness(np.zeros((3, 2, 2)), spectra, 0)
+
+    def test_huge_t(self, monkeypatch):
+        check_no_attempt(monkeypatch, [[1, -1]] * 3, 1e300)
+        with pytest.raises(ValueError, match="in magnitude"):
+            verify_witness(np.zeros((3, 2, 2)), [[1, -1]] * 3, 1e300)
+
+    @pytest.mark.parametrize("s, r", [(3, 2), (3, 4), (5, 12)])
+    def test_bound_is_accepted_and_does_not_overflow(self, s, r):
+        # at the bound no entry of sum - t*I exceeds 1e150 / r, so the
+        # residuals stay finite, with RuntimeWarning an error or not
+        bound = 1e150 / (r * (s + 1))
+        spectra = [[bound] + [0.0] * (r - 2) + [-bound]] * s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = find_witness(spectra, bound, restarts=2, max_iters=50)
+            assert math.isfinite(res.residual)
+            assert math.isfinite(verify_witness(res.matrices, spectra, bound))
+        with pytest.raises(ValueError):
+            find_witness(spectra, bound * 1.01, restarts=2, max_iters=50)
