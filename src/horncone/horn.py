@@ -17,26 +17,27 @@ of the level tables and the census ``count_intersecting``, for every arity
 and cycle type, in chunks of bounded size.  Swaps of equal-length cycles
 change neither a tuple's verdict nor the test sets (the Schubert product
 is commutative), so it tests one sorted representative per orbit, one
-index per cycle: the census weights it by its orbit size, and a level
-build expands the orbits once.  It enumerates every cycle but the last,
-whose indices it decides by bitsets: one AND per group of test rows that
-share the last cycle's part.  ``_index`` holds, as arrays, what the kernel
-and the dual map read of each subset.
+index per cycle.  It enumerates every cycle but the last, whose indices
+it yields as bitsets, one AND per group of test rows that share the last
+cycle's part: the census weights them by orbit size from popcounts, and a
+level build unpacks them and expands the orbits once.  ``_index`` holds,
+as arrays, what the kernel and the dual map read of each subset.
 
 A level is its members' index rows, in mask-key order, and a point
 flag per row; the zero-dim flag is read off the rows by ``_zero_dim``.
-A level (d, n) with d <= n/2 or d = n is the kernel's output, its
-orbits expanded, with one ``lr.point_coefficient`` per distinct
-multiset of parts among the zero-dim rows.  Every other level is read
-off its Grassmann dual (n - d, n): Gr(d, n) = Gr(n - d, n) sends each
-part I to {n + 1 - j : j not in I} and keeps expected dimensions and LR
-coefficients, so the dual's rows are mapped and re-sorted with their
-point flags, and no kernel or LR call runs.  Tables are immutable once
-published and keyed by (size, ambient, cycle type-or-None).  The key
-alone fixes the levels a build reads, so ``HornStore.table`` hands out
-any level on first use, building those levels as it needs them.  A
-store may persist each table as one raw file (schema 5): a sha256 of
-the key and payload, then the index rows and the point flags.
+Gr(n, n) is a point: level (n, n) is one row, flagged point.  A level
+(d, n) with d <= n/2 is the kernel's output, with one ``lr._is_point``
+(a count capped at 2) per distinct multiset of zero-dim parts.  Every
+other level is read off its Grassmann dual (n - d, n): Gr(d, n) =
+Gr(n - d, n) sends each part I to {n + 1 - j : j not in I} and keeps
+expected dimensions and LR coefficients, so the dual's rows are mapped
+and re-sorted with their point flags, and no kernel or LR call runs.
+Tables are immutable once published and keyed by (size, ambient, cycle
+type-or-None).  The key alone fixes the levels a build reads, so
+``HornStore.table`` hands out any level on first use, building those
+levels as it needs them.  A store may persist each table as one raw file
+(schema 5): a sha256 of the key and payload, then the index rows and the
+point flags.
 """
 
 from __future__ import annotations
@@ -298,7 +299,10 @@ class HornStore:
         return [(t.size, t.rows[t._zero_dim]) for t in tables]
 
     def _compute_table(self, size, ambient, sigma):
-        if not size < ambient < 2 * size:
+        if size == ambient:  # Gr(n, n) is a point: one row, the point class
+            return HornTable(size, ambient, self.arity, sigma,
+                             np.zeros((1, self.arity), np.uint16), [True])
+        if not ambient < 2 * size:
             return self._kernel_table(size, ambient, sigma)
         # above the middle: read off the Grassmann dual (module docstring)
         low = self.table(ambient - size, ambient, sigma)
@@ -317,8 +321,8 @@ class HornStore:
         # their lengths, then sort and dedupe it.  np.unique would import
         # numpy.ma for its hash path, about 0.5 MB resident.
         free = np.hstack([np.zeros((len(lengths), 0), dtype=np.intp),
-                          *_horn_survivors(size, ambient, s, sigma,
-                                           self._test_sets(size, sigma))])
+                          *_survivor_chunks(size, ambient, s, sigma,
+                                            self._test_sets(size, sigma))])
         perms = [p for p in itertools.permutations(range(len(lengths)))
                  if [lengths[i] for i in p] == list(lengths)]
         keys = np.empty((len(perms), free.shape[1]), dtype=np.int64)
@@ -339,10 +343,9 @@ class HornStore:
         # the product is commutative: one coefficient per multiset of parts
         multisets, which = np.unique(np.sort(rows[zero_dim], axis=1), axis=0,
                                      return_inverse=True)
-        partitions = _index(size, ambient).partitions.tolist()
-        is_point = np.array([lr.point_coefficient([partitions[j] for j in row],
-                                                  size, ambient) == 1
-                             for row in multisets.tolist()], dtype=bool)
+        is_point = np.array([lr._is_point(parts.tolist(), size, ambient) for
+                             parts in _index(size, ambient).partitions[multisets]],
+                            dtype=bool)
         point = np.zeros(len(rows), dtype=bool)
         point[zero_dim] = is_point[which.reshape(-1)]
         return HornTable(size, ambient, s, sigma, rows, point)
@@ -368,7 +371,8 @@ def _index(size, ambient):
     (size < ambient) the rank of its dual {ambient + 1 - j : j not in I},
     uint16 up to 65,536 subsets and uint32 past them."""
     # mask order is the lex order of {ambient + 1 - j : j in I}, reversed
-    lex = np.array(list(itertools.combinations(range(1, ambient + 1), size)))
+    lex = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(1, ambient + 1), size)), np.int64).reshape(-1, size)
     elements = ambient + 1 - lex[::-1, ::-1]
     incidence = np.zeros((len(lex), ambient), dtype=bool)
     np.put_along_axis(incidence, elements - 1, True, axis=1)
@@ -403,13 +407,15 @@ def horn_rows(d, rows, r, lengths):
 
 
 def _horn_survivors(size, ambient, s, sigma, tests):
-    """Yield, in mask-key order, chunks of one representative per orbit
+    """Yield, in mask-key order, blocks of one representative per orbit
     of the tuples that are fixed by the cycle type ``sigma`` (None: every
     tuple), have nonnegative expected dimension and pass every test level
     in ``tests``: pairs (d, rows) of zero-expected-dimension tuples fixed
     by ``sigma`` and closed under the swaps below, as every level's rows
-    are, as (K, s) index rows into all_subsets(d, size).  A chunk holds,
-    per cycle, its parts' index into all_subsets(size, ambient): (cycles, M).
+    are, as (K, s) index rows into all_subsets(d, size).  A block pairs
+    prefixes, (cycles - 1, M) indices into all_subsets(size, ambient),
+    with bits (little order) of the last indices that complete each;
+    ``_survivor_chunks`` unpacks them.
 
     The orbits are those of the swaps of cycles of equal length (for
     None, all s! permutations of the parts), which leave each of these
@@ -422,7 +428,8 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     the level's ``horn_rows`` at x = its cycles' Schubert partitions,
     t = ambient - size.  The entries are nonnegative: every cycle but the
     last leaves each row a slack, and the last indices that fit are an AND
-    of one bitset per slack and group of rows sharing the last column.
+    of one bitset per slack and group of rows sharing the last column (of
+    one comparison per group with one cycle, whose slack is the bound).
     """
     lengths = (1,) * s if sigma is None else sigma
     _, dims, partitions, _, _ = _index(size, ambient)
@@ -444,6 +451,11 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     tables = partitions @ a[:, :-1].T.reshape(-1, size, len(a)).astype(np.int32)
     bound = ((ambient - size) * -a[None, :, -1]).astype(np.int32)
     columns = tables[-1].T[starts]
+    if len(lengths) == 1:
+        slack = np.minimum.reduceat(bound[0], starts)[:, None]
+        yield np.zeros((0, 1), np.intp), np.packbits(
+            (columns <= slack).all(axis=0), -1, "little")[None]
+        return
     fits = np.stack([np.packbits(columns <= m, 1, "little")
                      for m in range(size * (ambient - size) + 1)], axis=1)
     step = max(1, _CHUNK_ROWS // len(dims))
@@ -455,12 +467,10 @@ def _horn_survivors(size, ambient, s, sigma, tests):
         free, slack = free[:, (ok := slack.min(axis=1) >= 0)], slack[ok]
         bits = np.bitwise_and.reduce(fits[np.arange(len(starts))[:, None],
                                           slack.T], axis=0)
-        if len(lengths) > 1 and lengths[-1] == lengths[-2]:
+        if lengths[-1] == lengths[-2]:
             bits &= _at_least(len(dims))[free[-1]]
-        i, j = np.divmod(np.flatnonzero(np.unpackbits(
-            bits, axis=1, count=len(dims), bitorder="little")), len(dims))
-        if len(j):
-            yield np.vstack((free[:, i], j))
+        if len(bits):
+            yield free, bits
 
     def grow(free, sums, k):
         gain = lengths[k] * dims
@@ -479,6 +489,17 @@ def _horn_survivors(size, ambient, s, sigma, tests):
     yield from grow(np.zeros((0, 1), dtype=np.intp), np.zeros(1, np.int64), 0)
 
 
+def _survivor_chunks(size, ambient, s, sigma, tests):
+    """The survivors of ``_horn_survivors``, unpacked as a level build
+    reads them: (cycles, K) index arrays, one per block that holds any."""
+    n = comb(ambient, size)
+    for free, bits in _horn_survivors(size, ambient, s, sigma, tests):
+        i, j = np.divmod(np.flatnonzero(np.unpackbits(
+            bits, axis=1, count=n, bitorder="little")), n)
+        if len(j):
+            yield np.vstack((free[:, i], j))
+
+
 @lru_cache(maxsize=None)
 def _at_least(n):
     """Bitsets (little order) over range(n): row i holds the j >= i."""
@@ -495,28 +516,41 @@ class IntersectingCount(NamedTuple):
     diagonal_zero_dim: int
 
 
+# numpy 1.24 has no bitwise_count
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+
+
 def count_intersecting(size, ambient, store):
     """Count the intersecting tuples of Subsets(size, ambient, s) without
     materializing them, using the store's lower levels.  Each sorted
-    representative the kernel yields stands for its s!/prod(m!)
-    orderings, m running over the multiplicities of its parts.  ValueError
-    unless 1 <= size <= ambient are integers."""
+    representative the kernel yields stands for its s!/prod(m!) orderings,
+    m running over the multiplicities of its parts: s!/ties for each bit
+    a prefix's popcount counts, but s!/(ties * (run + 1)) for its own last
+    index.  ValueError unless 1 <= size <= ambient are integers."""
     size, ambient = _level(size, ambient)
     s = store.arity
-    total, diagonal = 0, [np.zeros((0, s), dtype=np.intp)]
-    for free in _horn_survivors(size, ambient, s, None,
-                                store._test_sets(size, None)):
-        rows = free.T  # one cycle per part
-        # run: how many parts so far equal this one; ties: prod(m!)
-        run = ties = np.ones(len(rows), dtype=np.int64)
-        for k in range(1, s):
-            run = np.where(rows[:, k] == rows[:, k - 1], run + 1, 1)
+    # whether the diagonal (j, ..., j) has expected dimension zero
+    zero = s * _index(size, ambient).dims == (s - 1) * size * (ambient - size)
+    total = diagonal = diagonal_zero_dim = 0
+    for free, bits in _horn_survivors(size, ambient, s, None,
+                                      store._test_sets(size, None)):
+        count = _POPCOUNT[bits].sum(axis=1, dtype=np.int64)
+        if s == 1:  # one block, no prefix: every member is diagonal
+            on = _POPCOUNT[bits & np.packbits(zero, -1, "little")]
+            return IntersectingCount(int(count[0]), int(count[0]), int(on.sum()))
+        last = free[-1]
+        # run: how many parts so far equal the last one; ties: prod(m!)
+        run = ties = np.ones(len(last), dtype=np.int64)
+        for k in range(1, s - 1):
+            run = np.where(free[k] == free[k - 1], run + 1, 1)
             ties = ties * run
-        total += int((factorial(s) // ties).sum())
-        diagonal.append(rows[(rows == rows[:, :1]).all(axis=1)])
-    diagonal = np.concatenate(diagonal)
-    return IntersectingCount(total, len(diagonal),
-                             int(_zero_dim(diagonal, size, ambient).sum()))
+        hit = (bits[np.arange(len(last)), last >> 3] >> (last & 7)) & 1
+        weight = factorial(s) // ties
+        total += int((weight * (count - hit) + weight // (run + 1) * hit).sum())
+        on = hit.astype(bool) & (run == s - 1)
+        diagonal += int(on.sum())
+        diagonal_zero_dim += int(zero[last[on]].sum())
+    return IntersectingCount(total, diagonal, diagonal_zero_dim)
 
 
 class CrossCheckReport(NamedTuple):

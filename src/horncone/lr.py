@@ -8,7 +8,8 @@ here by direct enumeration of skew tableaux with lattice-word pruning.
 Coefficients are plain Python ints, so they never overflow.
 
 :func:`point_coefficient` reads the point-class coefficient of a product
-without expanding it; level builds call it.  Each distinct partition is
+without expanding it (the cross-check backend); level builds ask whether
+it is 1 from the same count capped at 2.  Each distinct partition is
 checked once (memoized), and internal paths take checked ones.
 :func:`classify` expands the whole product of a subset tuple's classes
 and decides whether it is zero, nonzero, a multiple of the point class,
@@ -46,48 +47,57 @@ def lr_coefficient(lam, mu, nu):
     return _lr(*map(normalize_partition, (lam, mu, nu)))
 
 
-def _lr(lam, mu, nu):  # lr_coefficient of normalized partitions
+@lru_cache(maxsize=256)
+def _skew_cells(nu, lam):
+    """The cells of nu/lam in reverse reading order (rows top to bottom,
+    right to left): their count, and per cell the positions of its right
+    and upper neighbours, both earlier; a missing one reads the slot
+    count + 1 or count.  Level builds meet each shape a few times."""
+    lam_pad = lam + (0,) * (len(nu) - len(lam))
+    cells = [(i, j) for i, (lo, hi) in enumerate(zip(lam_pad, nu))
+             for j in range(hi - 1, lo - 1, -1)]
+    last, where = len(cells), {cell: pos for pos, cell in enumerate(cells)}
+    return (last, tuple(where.get((i, j + 1), last + 1) for i, j in cells),
+            tuple(where.get((i - 1, j), last) for i, j in cells))
+
+
+def _lr(lam, mu, nu, cap=None):
+    """lr_coefficient of normalized partitions, counted up to ``cap``: the
+    fillings of nu/lam are enumerated by iterative backtracking over its
+    cells (``_skew_cells``), pruning on row/column conditions, content and
+    the lattice prefix; slot last + 1 reads len(mu), slot last 0."""
     if len(lam) > len(nu) or any(a < b for a, b in zip(nu, lam)):
         return 0
     if sum(nu) != sum(lam) + sum(mu):
         return 0
-    if not mu:
-        return 1
-    return _count_skew_lattice_fillings(nu, lam, mu)
-
-
-def _count_skew_lattice_fillings(nu, lam, mu):
-    """Count the fillings by backtracking over cells in reverse reading
-    order (rows top to bottom, right to left), pruning on row/column
-    conditions, content and the lattice prefix condition."""
-    lam_pad = lam + (0,) * (len(nu) - len(lam))
-    cells = [(i, j) for i, (lo, hi) in enumerate(zip(lam_pad, nu))
-             for j in range(hi - 1, lo - 1, -1)]
-    nvals = len(mu)
-    counts = [0] * nvals
-    grid = [[0] * hi for hi in nu]
-    total = 0
-
-    def fill(pos):
-        nonlocal total
-        if pos == len(cells):
+    last, right, above = _skew_cells(nu, lam)
+    value = [0] * (last + 1) + [len(mu)]
+    counts = [0] * (len(mu) + 1)  # counts[v]: cells holding v >= 1
+    total = pos = 0
+    while pos >= 0:
+        if pos == last:  # a filling: back to the last cell
             total += 1
-            return
-        i, j = cells[pos]
-        right = grid[i][j + 1] if j + 1 < nu[i] else nvals
-        above = grid[i - 1][j] if i > 0 and j >= lam_pad[i - 1] else 0
-        for v in range(above + 1, right + 1):
-            if counts[v - 1] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v - 2] <= counts[v - 1]:
-                continue
-            grid[i][j] = v
-            counts[v - 1] += 1
-            fill(pos + 1)
-            counts[v - 1] -= 1
-        grid[i][j] = 0
-
-    fill(0)
+            if total == cap:
+                break
+            pos -= 1
+            continue
+        v = value[pos]
+        if v:  # back at this cell: give up its value, try the next
+            counts[v] -= 1
+        else:  # entering it: start above the cell above
+            v = value[above[pos]]
+        v += 1
+        top = value[right[pos]]
+        while v <= top and (counts[v] >= mu[v - 1]
+                            or v > 1 and counts[v - 1] <= counts[v]):
+            v += 1
+        if v <= top:
+            value[pos] = v
+            counts[v] += 1
+            pos += 1
+        else:
+            value[pos] = 0
+            pos -= 1
     return total
 
 
@@ -134,19 +144,30 @@ def schubert_product(partitions, grassmannian):
 
 def point_coefficient(partitions, r, n):
     """Coefficient of the point class in the product of the Schubert
-    classes ``partitions`` (inside the r x (n-r) box) in H*(Gr(r, n)): the
-    first s - 2 classes are multiplied out (for s = 3, the first class is
-    its own product; off the box its term below vanishes), and each term
-    c * sigma_nu adds c * c(nu, lambda_{s-1}; lambda_s^vee), lambda_s^vee
-    being the box complement of the last class.  A lone class is paired
-    with the unit.  Level builds call it below the middle only."""
-    *head, lam, last = ([()] * (2 - len(partitions))
-                        + [normalize_partition(p) for p in partitions])
-    dual = normalize_partition([n - r - x for x in reversed(last + (0,) * (r - len(last)))])
-    if len(head) == 1:
-        return _lr(head[0], lam, dual)
-    return sum(c * _lr(nu, lam, dual)
-               for nu, c in schubert_product(head, (r, n)).items())
+    classes ``partitions`` (inside the r x (n-r) box) in H*(Gr(r, n)).  It
+    is symmetric in them: the smallest, mu, is the content (fewest cells),
+    the next, lambda, is complemented, and each term c * sigma_nu of the
+    others' product (the unit if none) adds c * c(nu, mu; lambda^vee)."""
+    return _point_count(partitions, r, n)
+
+
+def _is_point(partitions, r, n):
+    """point_coefficient(...) == 1, counting to 2: what level builds ask."""
+    return _point_count(partitions, r, n, 2) == 1
+
+
+def _point_count(partitions, r, n, cap=None):
+    # point_coefficient, or a number >= cap once it reaches cap
+    *head, lam, mu = sorted([()] * (2 - len(partitions))
+                            + [normalize_partition(p) for p in partitions],
+                            key=sum, reverse=True)
+    dual = normalize_partition([n - r - x for x in reversed(lam + (0,) * (r - len(lam)))])
+    total = 0
+    for nu, c in schubert_product(head, (r, n)).items():
+        total += c * _lr(nu, mu, dual, cap)
+        if cap and total >= cap:
+            break
+    return total
 
 
 KIND_ZERO = "zero"

@@ -12,7 +12,9 @@ them in closed form (``horn.horn_rows``).
 ``horn_check`` is the definitional one-tuple Horn check that the level
 tables are compared against, ``gather_sum_survivors`` the Horn filter
 that sums one table entry per cycle for every candidate, the reference
-for the library's bitset kernel, and ``subset_to_schubert_partition`` the
+for the library's bitset kernel, ``weighted_census`` the census of its
+chunks that weights each unpacked row by its orderings, the reference for
+the library's popcount census, and ``subset_to_schubert_partition`` the
 checked form of a subset's Schubert partition, and ``subset_index`` the
 per-subset arrays of a level built from ``Subset`` objects one by one.
 ``reference_lp`` is a general two-phase simplex over ``Fraction`` with
@@ -30,7 +32,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from horncone import horn
-from horncone.horn import NotSigmaStable, horn_rows, normalize_cycle_type
+from horncone.horn import (
+    IntersectingCount,
+    NotSigmaStable,
+    horn_rows,
+    normalize_cycle_type,
+)
 from horncone.subsets import (
     Permutation,
     Subset,
@@ -240,11 +247,12 @@ def horn_check(tup, store, sigma=None):
 
 
 def gather_sum_survivors(size, ambient, s, sigma, tests):
-    """The chunks ``horn._horn_survivors`` yields, from the same growth of
-    representatives and the same chunk bounds, but each candidate is
-    decided on its own: per test level, one int32 table per cycle holds
-    each part's share of each Horn row, and a candidate passes when the
-    entries its cycles gather sum to at most the level's bound."""
+    """The chunks ``horn._survivor_chunks`` unpacks from the kernel's
+    blocks, from the same growth of representatives and the same chunk
+    bounds, but each candidate is decided on its own: per test level, one
+    int32 table per cycle holds each part's share of each Horn row, and a
+    candidate passes when the entries its cycles gather sum to at most the
+    level's bound."""
     lengths = (1,) * s if sigma is None else sigma
     _, dims, partitions, _, _ = horn._index(size, ambient)
     threshold = (s - 1) * size * (ambient - size)
@@ -277,6 +285,26 @@ def gather_sum_survivors(size, ambient, s, sigma, tests):
                             k + 1)
 
     yield from grow(np.zeros((0, 1), dtype=np.intp), np.zeros(1, np.int64), 0)
+
+
+def weighted_census(chunks, size, ambient, s):
+    """``horn.count_intersecting`` from plain (cycle type None) chunks of
+    sorted representatives, one column each: a row stands for its
+    s!/prod(m!) orderings, m running over the multiplicities of its
+    parts, and the diagonal rows are kept to count their zero-dim ones."""
+    total, diagonal = 0, [np.zeros((0, s), dtype=np.intp)]
+    for free in chunks:
+        rows = free.T  # one cycle per part
+        # run: how many parts so far equal this one; ties: prod(m!)
+        run = ties = np.ones(len(rows), dtype=np.int64)
+        for k in range(1, s):
+            run = np.where(rows[:, k] == rows[:, k - 1], run + 1, 1)
+            ties = ties * run
+        total += int((math.factorial(s) // ties).sum())
+        diagonal.append(rows[(rows == rows[:, :1]).all(axis=1)])
+    diagonal = np.concatenate(diagonal)
+    return IntersectingCount(total, len(diagonal),
+                             int(horn._zero_dim(diagonal, size, ambient).sum()))
 
 
 def subset_to_schubert_partition(subset, n=None):

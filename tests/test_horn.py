@@ -18,14 +18,15 @@ from _oracles import (
     horn_check,
     orbit,
     subset_index,
+    weighted_census,
 )
 from horncone import horn, lr
 from horncone.cone import SpectrumFamily
 from horncone.horn import (
     HornStore,
     NotSigmaStable,
-    _horn_survivors,
     _index,
+    _survivor_chunks,
     count_intersecting,
     cross_check,
     horn_rows,
@@ -406,7 +407,7 @@ class TestAlternativeTestSets:
                     point = np.array(table.point, dtype=bool)
                     tests.append((d, table.rows[point]))
                 reps = [row
-                        for chunk in _horn_survivors(r, n, 3, None, tests)
+                        for chunk in _survivor_chunks(r, n, 3, None, tests)
                         for row in chunk.T.tolist()]
                 assert expanded(reps, 3) == \
                     list(map(tuple, store.table(r, n).rows.tolist()))
@@ -459,7 +460,7 @@ class TestKernelAgainstHornCheck:
 
         monkeypatch.setattr(horn_mod, "_CHUNK_ROWS", 100)
         tests = store._test_sets(3, None)
-        chunks = list(_horn_survivors(3, 6, 3, None, tests))
+        chunks = list(_survivor_chunks(3, 6, 3, None, tests))
         assert len(chunks) > 1
         assert max(c.shape[1] for c in chunks) <= 100
         reps = [row for c in chunks for row in c.T.tolist()]
@@ -476,8 +477,8 @@ class TestKernelAgainstHornCheck:
         lengths = sigma or (1,) * s
         for n in range(1, 6):
             for r in range(1, n + 1):
-                chunks = list(_horn_survivors(r, n, s, sigma,
-                                              store._test_sets(r, sigma)))
+                chunks = list(_survivor_chunks(r, n, s, sigma,
+                                               store._test_sets(r, sigma)))
                 # one index per cycle, a representative per column
                 assert all(c.shape[0] == len(lengths) for c in chunks)
                 reps = [row for c in chunks for row in c.T.tolist()]
@@ -509,7 +510,7 @@ class TestKernelAgainstGatherSum:
 
     @pytest.mark.parametrize("s, sigma, ambient_max", [
         (3, None, 8), (3, (3,), 11), (3, (1, 2), 7),
-        (4, (2, 2), 6), (4, (1, 3), 6),
+        (4, (2, 2), 6), (4, (1, 3), 6), (1, None, 9), (4, (4,), 10),
     ])
     def test_every_level(self, s, sigma, ambient_max):
         store = HornStore(arity=s)
@@ -518,7 +519,7 @@ class TestKernelAgainstGatherSum:
             for r in range(1, n + 1):
                 tests = store._test_sets(r, sigma)
                 chunks += assert_same_chunks(
-                    _horn_survivors(r, n, s, sigma, tests),
+                    _survivor_chunks(r, n, s, sigma, tests),
                     gather_sum_survivors(r, n, s, sigma, tests))
         assert chunks > ambient_max
 
@@ -527,7 +528,7 @@ class TestKernelAgainstGatherSum:
         monkeypatch.setattr(horn, "_CHUNK_ROWS", 100)
         tests = store._test_sets(4, None)
         assert assert_same_chunks(
-            _horn_survivors(4, 8, 3, None, tests),
+            _survivor_chunks(4, 8, 3, None, tests),
             gather_sum_survivors(4, 8, 3, None, tests)) > 10
 
     def test_point_class_test_sets(self, store):
@@ -535,20 +536,19 @@ class TestKernelAgainstGatherSum:
             for r in range(1, min(n, 4) + 1):
                 tests = [(d, store.table(d, r).select("point")[0])
                          for d in range(1, r)]
-                assert_same_chunks(_horn_survivors(r, n, 3, None, tests),
+                assert_same_chunks(_survivor_chunks(r, n, 3, None, tests),
                                    gather_sum_survivors(r, n, 3, None, tests))
 
     @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
                         reason="(5,11) census against the gather-sum filter "
                                "is optional; set RUN_OPTIONAL=1")
-    def test_census_5_11(self, monkeypatch):
+    def test_census_5_11(self):
         store = HornStore(arity=3)
         tests = store._test_sets(5, None)
-        assert_same_chunks(_horn_survivors(5, 11, 3, None, tests),
+        assert_same_chunks(_survivor_chunks(5, 11, 3, None, tests),
                            gather_sum_survivors(5, 11, 3, None, tests))
-        want = count_intersecting(5, 11, store)
-        monkeypatch.setattr(horn, "_horn_survivors", gather_sum_survivors)
-        assert count_intersecting(5, 11, store) == want
+        assert count_intersecting(5, 11, store) == weighted_census(
+            gather_sum_survivors(5, 11, 3, None, tests), 5, 11, 3)
 
 
 class TestTableRows:
@@ -603,25 +603,108 @@ class TestTableRows:
                               (4, None, 4, 5)])
     def test_one_point_coefficient_per_multiset(self, monkeypatch, s, sigma,
                                                 size_max, ambient_max):
+        # builds ask the capped flag, once per multiset
         calls = {}
-        point_coefficient = lr.point_coefficient
+        is_point = lr._is_point
 
         def counted(partitions, r, n):
             calls[r, n] = calls.get((r, n), 0) + 1
-            return point_coefficient(partitions, r, n)
+            return is_point(partitions, r, n)
 
-        monkeypatch.setattr(lr, "point_coefficient", counted)
+        monkeypatch.setattr(lr, "_is_point", counted)
         built = HornStore(arity=s).build_through(size_max, ambient_max, sigma)
         repeated = 0
         for (r, n, _), table in built.tables.items():
             rows = table.zero_dim_members()
             distinct = {tuple(sorted(p.elements for p in t.parts)) for t in rows}
-            # a level above the middle is read off its dual: no calls
-            dual = r < n < 2 * r
-            assert calls.get((r, n), 0) == (0 if dual else len(distinct)), (r, n)
+            # a level above the middle is read off its dual, and Gr(n, n)
+            # is a point: no calls
+            asked = n >= 2 * r
+            assert calls.get((r, n), 0) == (len(distinct) if asked else 0), (r, n)
             repeated += len(rows) - len(distinct)
         # a (1, 2)-stable row (a, b, b) is the only row of its multiset
         assert (repeated > 0) == (sigma is None)
+
+    def test_capped_flag_is_the_full_count(self):
+        # the flag builds read, against point_coefficient == 1, on every
+        # zero-dim multiset of these levels, c = 2 and c >= 3 among them
+        seen = set()
+        for s, sigma, size_max, ambient_max in [(3, None, 4, 9),
+                                                (3, (3,), 12, 12),
+                                                (4, None, 3, 6)]:
+            store = HornStore(arity=s)
+            for n in range(1, ambient_max + 1):
+                for r in range(1, min(n, size_max) + 1):
+                    table = store.table(r, n, sigma)
+                    rows, point = table.select("zero_dim")
+                    partitions = _index(r, n).partitions.tolist()
+                    multisets = np.unique(np.sort(rows, axis=1), axis=0)
+                    for row in multisets.tolist():
+                        parts = [partitions[j] for j in row]
+                        c = lr.point_coefficient(parts, r, n)
+                        assert lr._is_point(parts, r, n) == (c == 1), parts
+                        seen.add(min(c, 3))
+        assert {2, 3} <= seen
+
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="sigma = (3,) systems through rank 18 against "
+                               "the full count are optional; set RUN_OPTIONAL=1")
+    def test_sigma3_rank18_flags_are_the_full_count(self):
+        from horncone.cone import generate_system
+
+        store = HornStore(arity=3)
+        checked = 0
+        for r in range(1, 19):
+            system = generate_system(r, 3, (3,), store=store)
+            assert system.count > 0
+            if r < 13:
+                continue
+            for d in range(1, r):
+                rows, point = store.table(d, r, (3,)).select("zero_dim")
+                partitions = _index(d, r).partitions.tolist()
+                for row, flag in zip(rows.tolist(), point.tolist()):
+                    parts = [partitions[j] for j in row]
+                    assert flag == (lr.point_coefficient(parts, d, r) == 1), \
+                        (d, r, row)
+                    checked += 1
+        assert checked > 0
+
+
+class TestPointLevels:
+    """Gr(n, n) is a point: level (n, n) is its one tuple of empty
+    partitions, the point class, built with no kernel or LR call."""
+
+    @pytest.mark.parametrize("s, sigma", [
+        (1, None), (2, None), (2, (2,)), (3, None), (3, (1, 2)), (3, (3,)),
+        (4, None), (4, (1, 1, 2)), (4, (2, 2)), (4, (1, 3)), (4, (4,)),
+    ])
+    def test_one_point_row(self, s, sigma):
+        # against the gather-sum filter over the lower levels and the
+        # full point count
+        store = HornStore(arity=s)
+        for n in range(1, 7):
+            tests = store._test_sets(n, sigma)
+            rows = [row for chunk in gather_sum_survivors(n, n, s, sigma, tests)
+                    for row in chunk.T.tolist()]
+            assert expanded(rows, s, sigma) == [(0,) * s]
+            assert lr.point_coefficient([()] * s, n, n) == 1
+            fresh = HornStore(arity=s)
+            table = fresh.table(n, n, sigma)
+            assert table.rows.tolist() == [[0] * s], n
+            assert table.zero_dim == table.point == (True,)
+            # no lower level was read
+            assert list(fresh.tables) == [(n, n, sigma)]
+
+    def test_no_kernel_or_lr_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called for a point level")
+
+        monkeypatch.setattr(horn, "_horn_survivors", refuse)
+        monkeypatch.setattr(HornStore, "_test_sets", refuse)
+        monkeypatch.setattr(lr, "_is_point", refuse)
+        store = HornStore(arity=3)
+        for n in range(1, 7):
+            assert store.table(n, n, (3,)).point == (True,)
 
 
 class TestIndex:
@@ -711,6 +794,18 @@ class TestCountIntersecting:
             assert cnt.diagonal_zero_dim == sum(
                 1 for t in diag if expected_dim(t) == 0
             )
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_against_weighted_rows(self, s):
+        # the popcount census against the census of the gather-sum
+        # filter's unpacked rows, every plain level through ambient 8
+        store = HornStore(arity=s)
+        for n in range(1, 9):
+            for r in range(1, n + 1):
+                tests = store._test_sets(r, None)
+                want = weighted_census(
+                    gather_sum_survivors(r, n, s, None, tests), r, n, s)
+                assert count_intersecting(r, n, store) == want, (s, r, n)
 
     def test_vector_path_used_at_scale(self, store):
         cnt = count_intersecting(3, 6, store)
