@@ -40,13 +40,18 @@ def _store(args, s):
 def _emit(args, **formats):
     """Write the text of the renderer ``formats[args.format]``, or of
     ``formats["json"]`` for a command without --format; only the chosen
-    renderer runs.  One write of the whole text would encode it into a
-    second object of the same size, so it goes out in slices."""
-    text = formats[getattr(args, "format", "json")]()
+    renderer runs.  The str it returns, or the pieces it yields, go out in
+    full _SLICE-character slices, so a yielded text is never held whole."""
+    pieces = formats[getattr(args, "format", "json")]()
     with (open(args.output, "w", encoding="utf-8") if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:
-        for lo in range(0, len(text), _SLICE):
-            fh.write(text[lo:lo + _SLICE])
+        buf = ""
+        for piece in [pieces] if isinstance(pieces, str) else pieces:
+            buf += piece
+            for lo in range(0, len(buf) - _SLICE + 1, _SLICE):
+                fh.write(buf[lo:lo + _SLICE])
+            buf = buf[len(buf) - len(buf) % _SLICE:]
+        fh.write(buf)
 
 
 def _json(payload):
@@ -109,7 +114,7 @@ def cmd_system(args):
         return "\n".join(lines) + "\n"
 
     _emit(args, table=table, json=lambda: _json(system.to_json()),
-          csv=system.to_csv)
+          csv=system.csv_pieces)
     return 0
 
 

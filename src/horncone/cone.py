@@ -11,7 +11,7 @@ fixed by it and the chamber rows to one run per cycle.
 
 A system keeps its Horn rows as index arrays and builds one int64
 coefficient array on first use, which decisions and LPs read; the CSV
-renders chunks of rows without it; row objects are built where read.
+is yielded in pieces rendered without it; row objects are built where read.
 
 All arithmetic is exact: spectra and t are `fractions.Fraction` values,
 serialized as "p/q" strings.
@@ -363,17 +363,23 @@ class InequalitySystem:
         return system
 
     def to_csv(self):
-        """One row per constraint with the coefficient columns; a Horn
-        row's tuple text joins the JSON text of its parts' subsets.  Horn
-        rows come from ``horn.horn_rows`` 1,024 at a time, not the matrix,
-        and a chunk is one join of texts looked up in tables: of the few
-        values entries take, and of each level's subsets."""
+        """The text of ``csv_pieces``, grown in place, not joined from a list."""
+        text = ""
+        for piece in self.csv_pieces():
+            text += piece
+        return text
+
+    def csv_pieces(self):
+        """Yield the CSV text, one row per constraint and its coefficients:
+        the header and leading rows, then a piece per 1,024 Horn rows from
+        ``horn.horn_rows`` (not the matrix), each one join of texts looked up
+        in tables of the few values entries take and of each level's subsets."""
         # a Horn entry is a cycle's count, at most s, or -d > -r
         b = max(self.r, self.s)
         cells = np.array([f",{v}" for v in range(-b, b + 1)], dtype=object)
         names = [f"L{min(cyc)}[{j}]" for cyc in self.cycles for j in range(1, self.r + 1)]
         kinds = ["trace_le", "trace_ge"] + ["chamber"] * self.chamber_count
-        text = ",".join(["kind", "d", "tuple", *names, "t"]) + "\n" + "".join(
+        yield ",".join(["kind", "d", "tuple", *names, "t"]) + "\n" + "".join(
             f"{k},,,{','.join(map(str, a))}\n" for k, a in zip(kinds, self._leading_rows().tolist()))
         for d, rows, _ in self.levels:
             # csv quotes the tuple text as it holds a comma: unless s = d = 1
@@ -382,12 +388,10 @@ class InequalitySystem:
             tables = [f"horn,{d},{q}[" + js] + [", " + js] * (self.s - 1)
             tables[-1] = tables[-1] + f"]{q}"
             for chunk in np.split(rows, range(1024, len(rows), 1024)):
-                # CPython extends a str that only this frame holds in place
-                text += "".join(np.column_stack(
+                yield "".join(np.column_stack(
                     [*(t[i] for t, i in zip(tables, chunk.T)),
                      cells[horn_rows(d, chunk, self.r, self.lengths) + b],
                      np.full(len(chunk), "\n", dtype=object)]).ravel().tolist())
-        return text
 
 
 def generate_system(r, s=3, sigma=None, level="full0", store=None):

@@ -36,7 +36,7 @@ Tables are immutable once published and keyed by (size, ambient, cycle
 type-or-None).  The key alone fixes the levels a build reads, so
 ``HornStore.table`` hands out any level on first use, building those
 levels as it needs them.  A store may persist each table as one raw file
-(schema 5): a sha256 of the key and payload, then the index rows and the
+(schema 6): a CRC-32 of the key and payload, then the index rows and the
 point flags.
 """
 
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import zlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,7 +59,7 @@ from . import lr
 from .subsets import (Permutation, SubsetTuple, _integer,  # noqa: F401
                       all_subsets, expected_dim, stable_tuples)
 
-CACHE_SCHEMA = 5
+CACHE_SCHEMA = 6
 
 # The Horn filter holds about this many candidate rows at once.
 _CHUNK_ROWS = 1 << 16
@@ -175,14 +176,14 @@ class HornTable:
         return (self.size, self.ambient, self.arity, self.sigma)
 
     def _digest(self):
-        """The 32-byte sha256 of the canonical payload: the schema and key,
-        then the rows and point flags as little-endian bytes."""
-        import hashlib  # loads OpenSSL (3.5 MB resident) in cache users only
-
-        h = hashlib.sha256(repr((CACHE_SCHEMA, self.key)).encode())
-        for a in (self.rows.astype("<u2"), self._point):
-            h.update(a.tobytes())
-        return h.digest()
+        """The CRC-32, 4 bytes little-endian, of the schema, key, rows (<u2)
+        and point flags: like the unkeyed sha256 before it, it detects damage,
+        not tampering.  It catches every burst of up to 32 bits, and a read
+        also checks the length, the row range and point flags within zero-dim."""
+        crc = zlib.crc32(repr((CACHE_SCHEMA, self.key)).encode())
+        for a in (np.ascontiguousarray(self.rows, "<u2"), self._point):
+            crc = zlib.crc32(a, crc)
+        return crc.to_bytes(4, "little")
 
 
 class HornStore:
@@ -194,8 +195,8 @@ class HornStore:
     from its dual level (ambient - size, ambient).  An all-ones cycle
     type fixes every tuple, so it names the plain level.
     ``cache_dir``, when given, keeps one ``.level`` file per level under
-    ``v5/``: its 32-byte ``_digest``, then its rows as little-endian
-    uint16 and its point flags as bytes.  A file that is absent,
+    ``v6/``: its 4-byte ``_digest``, its rows as little-endian uint16 and
+    its point flags as bytes, 4 + m(2s + 1) in all.  A file that is absent,
     unreadable, of a length no row count of the arity gives, misshapen
     (a point off the zero-dim rows too) or does not match the digest of
     the level asked for is a miss, and the level is built again.
@@ -242,10 +243,10 @@ class HornStore:
         try:
             with open(self._cache_path(key), "rb") as fh:
                 # the digest, then m rows of s little-endian uint16, m flags
-                m, extra = divmod(os.fstat(fh.fileno()).st_size - 32, 2 * s + 1)
+                m, extra = divmod(os.fstat(fh.fileno()).st_size - 4, 2 * s + 1)
                 if m < 0 or extra:
                     return None
-                digest = fh.read(32)
+                digest = fh.read(4)
                 table = HornTable(*key[:2], s, key[2],
                                   np.fromfile(fh, "<u2", m * s).reshape(m, s),
                                   np.fromfile(fh, np.uint8, m))

@@ -1,17 +1,23 @@
+import argparse
 import hashlib
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from horncone import cli
 from horncone.cli import build_parser, main
+from horncone.cone import InequalitySystem, generate_system
 from horncone.horn import HornStore
+from test_cone import CSV_CASES
 
 
 def run(capsys, *argv):
@@ -333,6 +339,31 @@ class TestCache:
         assert code == 2 and out == ""
         assert not any(tmp_path.rglob("*.level"))
 
+    def test_no_openssl(self, tmp_path):
+        # a run that writes the cache and one that reads it back import
+        # neither hashlib nor OpenSSL's _hashlib
+        script = """if True:
+            import sys
+            from horncone import cli, horn
+            argv = ["tables", "--rmax", "4", "--cache-dir", sys.argv[1]]
+            assert cli.main(argv + ["-o", sys.argv[2] + ".cold"]) == 0
+            horn.HornStore._compute_table = None  # every level is read
+            assert cli.main(argv + ["-o", sys.argv[2] + ".warm"]) == 0
+            print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+        """
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = tmp_path / "tables"
+        done = subprocess.run([sys.executable, "-c", script,
+                               str(tmp_path / "cache"), str(out)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+        assert any((tmp_path / "cache").rglob("*.level"))
+        assert pathlib.Path(f"{out}.cold").read_text() == \
+            pathlib.Path(f"{out}.warm").read_text()
+
 
 class TestCacheIntegrity:
     # a damaged cache file is a miss: the level is rebuilt, and the output
@@ -344,15 +375,15 @@ class TestCacheIntegrity:
         store = HornStore(arity=3, cache_dir=str(tmp_path))
         path = store._cache_path(key)
         # damage the rows or the flags, then save the file again under
-        # its old digest (a None leaves the part out)
+        # its old 4-byte checksum (a None leaves the part out)
         with open(path, "rb") as fh:
             raw = fh.read()
-        m = (len(raw) - 32) // 7
-        data = {"rows": np.frombuffer(raw, "<u2", 3 * m, 32).reshape(m, 3),
-                "point": np.frombuffer(raw, bool, m, 32 + 6 * m)}
+        m = (len(raw) - 4) // 7
+        data = {"rows": np.frombuffer(raw, "<u2", 3 * m, 4).reshape(m, 3),
+                "point": np.frombuffer(raw, bool, m, 4 + 6 * m)}
         damage(data)
         with open(path, "wb") as fh:
-            fh.write(raw[:32] + b"".join(
+            fh.write(raw[:4] + b"".join(
                 data[k].tobytes() for k in ("rows", "point")
                 if data[k] is not None))
         assert store._load_cached(key) is None
@@ -408,6 +439,57 @@ class TestOutputFile:
         assert sizes == [1000] * (len(text) // 1000) + [len(text) % 1000]
         assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 0
         assert (tmp_path / "out.csv").read_bytes() == text.encode()
+
+    def test_first_slice_leaves_before_the_last_piece(self, monkeypatch):
+        # the CSV goes out while its pieces are still being rendered
+        monkeypatch.setattr(cli, "_SLICE", 1000)
+        pieces, events = InequalitySystem.csv_pieces, []
+
+        def recorded(system):
+            yield from pieces(system)
+            events.append("exhausted")
+
+        class Recorder(io.StringIO):
+            def write(self, s):
+                events.append("write")
+                return super().write(s)
+
+        monkeypatch.setattr(InequalitySystem, "csv_pieces", recorded)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["system", "--r", "5", "--format", "csv"]) == 0
+        assert events[0] == "write" and events.count("exhausted") == 1
+
+    @pytest.mark.parametrize("r, s, sigma, level", CSV_CASES)
+    def test_csv_is_the_systems_csv(self, capsys, monkeypatch, r, s, sigma,
+                                    level):
+        # slices of an odd length straddle the pieces
+        monkeypatch.setattr(cli, "_SLICE", 997)
+        argv = ["system", "--r", str(r), "--s", str(s), "--level", level,
+                "--format", "csv"]
+        if sigma:
+            argv += ["--sigma", ",".join(map(str, sigma))]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == generate_system(r, s, sigma, level).to_csv()
+
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="rank-10 CSV of 191,382 rows; set RUN_OPTIONAL=1")
+    def test_rank10_plain_csv_is_streamed(self, tmp_path):
+        system = generate_system(10, 3, None, "full0", HornStore(arity=3))
+        out = tmp_path / "system10.csv"
+        args = argparse.Namespace(format="csv", output=str(out))
+        tracemalloc.start()
+        try:
+            cli._emit(args, csv=system.csv_pieces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = out.read_bytes()
+        assert len(data) == 24_185_028
+        assert hashlib.sha256(data).hexdigest() == \
+            "bb961c92cc79dba789dd3797dfe88688a2a1a9d1920736b8c692c71ca6e4c4f4"
+        # a slice and a piece at a time, never the 24 MB text
+        assert peak < 4 * 2**20, peak
 
 
 class TestGoldenBytes:

@@ -24,6 +24,14 @@ from horncone.horn import HornStore, NotSigmaStable
 from horncone.subsets import Permutation, expected_dim, stable_tuples
 
 
+# systems whose CSV is checked: s = d = 1, entries above r, a cycle type,
+# and (rank 8) levels that span several pieces
+CSV_CASES = [
+    (1, 3, None, "full0"), (4, 1, None, "full0"), (3, 2, None, "all"),
+    (2, 3, None, "min00"), (2, 4, (4,), "all"), (5, 3, (1, 2), "min00"),
+    (4, 4, (2, 2), "all"), (8, 3, None, "full0")]
+
+
 def fam(spectra, t=0):
     return SpectrumFamily(spectra, t)
 
@@ -288,10 +296,7 @@ class TestGenerateSystem:
         assert len(lines) == 1 + system.count
         assert lines[0].startswith("kind,d,tuple,L1[1]")
 
-    @pytest.mark.parametrize("r, s, sigma, level", [
-        (1, 3, None, "full0"), (4, 1, None, "full0"), (3, 2, None, "all"),
-        (2, 3, None, "min00"), (2, 4, (4,), "all"), (5, 3, (1, 2), "min00"),
-        (4, 4, (2, 2), "all"), (8, 3, None, "full0")])
+    @pytest.mark.parametrize("r, s, sigma, level", CSV_CASES)
     def test_csv_as_the_csv_module_writes_it(self, r, s, sigma, level):
         # from the matrix and each row's metadata; s = d = 1 leaves the
         # tuple text unquoted, (4,) at r = 2 has entries 4 > r in its trace

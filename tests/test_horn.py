@@ -6,6 +6,7 @@ import random
 import shutil
 import time
 import tracemalloc
+import zlib
 from math import comb
 
 import numpy as np
@@ -888,15 +889,15 @@ class TestCache:
         stale = table._digest()
         monkeypatch.undo()
         path = store._cache_path((1, 3, None))
-        resave(path, **dict(members(path), sha256=stale))
+        resave(path, **dict(members(path), checksum=stale))
         assert store._load_cached((1, 3, None)) is None
         fresh = HornStore(arity=3, cache_dir=str(tmp_path))
         assert fresh.table(1, 3).members == table.members
-        assert members(path)["sha256"] == table._digest()
+        assert members(path)["checksum"] == table._digest()
 
     def test_v1_directory_is_ignored(self, tmp_path):
         # files of earlier schemas are never read: the level is rebuilt
-        # into the v5 directory and the old files are left as they were
+        # into the v6 directory and the old files are left as they were
         old = tmp_path / "v1" / "int_d1_r2_s3_full.json"
         old.parent.mkdir()
         old.write_text('{"schema": 1, "size": 1, "ambient": 2, "arity": 3, '
@@ -927,14 +928,34 @@ class TestCache:
         want = HornStore(arity=3).table(1, 2)
         assert len(want) and store.table(1, 2).members == want.members
         path = store._cache_path((1, 2, None))
-        assert path == str(tmp_path / "v5" / "int_d1_r2_s3_full.level")
+        assert path == str(tmp_path / "v6" / "int_d1_r2_s3_full.level")
         assert pathlib.Path(path).read_bytes() == (
-            want._digest() + want.rows.astype("<u2").tobytes()
-            + want._point.tobytes())
+            checksum((1, 2, 3, None), want.rows, want._point)
+            + want.rows.astype("<u2").tobytes() + want._point.tobytes())
         assert old.read_text().startswith('{"schema": 1,')
         assert json2.read_text() == '{"schema": 2, "rows": [1, 1, 1]}'
         assert npz3.read_bytes() == v3 and npz4.read_bytes() == v4
         assert sorted(os.listdir(npz4.parent)) == [npz4.name]
+
+    def test_v5_tree_is_ignored(self, tmp_path):
+        # a leftover schema-5 tree: every level an empty file under the
+        # sha256 a schema-5 reader would accept, which a read would take
+        # for a level without members
+        cold = HornStore(arity=3).build_through(3, 4)
+        v5 = {}
+        for size, ambient, _ in cold.tables:
+            h = hashlib.sha256(repr((5, (size, ambient, 3, None))).encode())
+            v5[f"int_d{size}_r{ambient}_s3_full.level"] = h.digest()
+        (tmp_path / "v5").mkdir()
+        for name, data in v5.items():
+            (tmp_path / "v5" / name).write_bytes(data)
+        store = HornStore(arity=3, cache_dir=str(tmp_path)).build_through(3, 4)
+        for key, table in cold.tables.items():
+            got = store.table(*key)
+            assert np.array_equal(got.rows, table.rows) and got.point == table.point
+        assert sorted(os.listdir(tmp_path)) == ["v5", "v6"]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "v5").iterdir()} == v5
+        assert len(os.listdir(tmp_path / "v6")) == len(cold.tables)
 
     def test_file_of_another_level_is_a_miss(self, tmp_path):
         store = HornStore(arity=3, cache_dir=str(tmp_path))
@@ -972,17 +993,27 @@ class TestCache:
 
 
 def members(path, arity=3):
-    """The digest, index rows and point flags of a schema-5 cache file."""
+    """The checksum, index rows and point flags of a schema-6 cache file."""
     raw = pathlib.Path(path).read_bytes()
-    m = (len(raw) - 32) // (2 * arity + 1)
-    return {"sha256": raw[:32],
-            "rows": np.frombuffer(raw, "<u2", m * arity, 32).reshape(m, arity),
-            "point": np.frombuffer(raw, bool, m, 32 + 2 * m * arity)}
+    m = (len(raw) - 4) // (2 * arity + 1)
+    return {"checksum": raw[:4],
+            "rows": np.frombuffer(raw, "<u2", m * arity, 4).reshape(m, arity),
+            "point": np.frombuffer(raw, bool, m, 4 + 2 * m * arity)}
 
 
-def resave(path, sha256=b"", rows=(), point=()):
-    pathlib.Path(path).write_bytes(sha256 + np.asarray(rows, "<u2").tobytes()
+def resave(path, checksum=b"", rows=(), point=()):
+    pathlib.Path(path).write_bytes(checksum + np.asarray(rows, "<u2").tobytes()
                                    + np.asarray(point, bool).tobytes())
+
+
+def checksum(key, rows, point):
+    """The 4 bytes a schema-6 file of level ``key`` (size, ambient, arity,
+    sigma) begins with: the CRC-32, little-endian, of the schema and key,
+    then the rows as little-endian uint16 and the point flags."""
+    crc = zlib.crc32(repr((horn.CACHE_SCHEMA, key)).encode())
+    for a in (np.asarray(rows, "<u2"), np.asarray(point, bool)):
+        crc = zlib.crc32(a.tobytes(), crc)
+    return crc.to_bytes(4, "little")
 
 
 def _truncate(path):
@@ -998,32 +1029,25 @@ def _drop_member(path):
 
 
 def _zero_d_rows(path):
-    # rows of another width (two parts), under a digest taken of them
+    # rows of another width (two parts), under a checksum taken of them
     data = members(path)
     rows = data["rows"][:, :2]
-    h = hashlib.sha256(repr((horn.CACHE_SCHEMA, (2, 4, 3, None))).encode())
-    for a in (rows.astype("<u2"), data["point"]):
-        h.update(a.tobytes())
-    resave(path, **dict(data, rows=rows, sha256=h.digest()))
+    resave(path, **dict(data, rows=rows,
+                        checksum=checksum((2, 4, 3, None), rows, data["point"])))
 
 
 def _point_off_zero_dim(path):
-    # a point flag on a row of nonzero expected dimension, under a digest
+    # a point flag on a row of nonzero expected dimension, under a checksum
     # recomputed the way _digest computes it, so only the table's own
     # check can reject the file
     data = members(path)
-
-    def digest(point):
-        h = hashlib.sha256(repr((horn.CACHE_SCHEMA, (2, 4, 3, None))).encode())
-        for a in (data["rows"].astype("<u2"), point):
-            h.update(a.tobytes())
-        return h.digest()
-
-    assert digest(data["point"]) == data["sha256"]
+    key = (2, 4, 3, None)
+    assert checksum(key, data["rows"], data["point"]) == data["checksum"]
     zero_dim = HornStore(arity=3).table(2, 4).zero_dim
     point = data["point"].copy()
     point[zero_dim.index(False)] = True
-    resave(path, **dict(data, point=point, sha256=digest(point)))
+    resave(path, **dict(data, point=point,
+                        checksum=checksum(key, data["rows"], point)))
 
 
 def _plain_npy(path):
@@ -1052,6 +1076,37 @@ def _other_level(path):
     shutil.copyfile(store._cache_path((2, 4, (3,))), path)
 
 
+def _renamed_level(path):
+    # the file of level (1, 4) under this level's name: its rows and flags
+    # fit the length check of arity 3
+    store = HornStore(arity=3, cache_dir=os.path.dirname(os.path.dirname(path)))
+    store.table(1, 4)
+    os.replace(store._cache_path((1, 4, None)), path)
+
+
+def _flip(part):
+    """A damage that changes one bit of the checksum, of the last row (a
+    row without a point flag) or of the first row's point flag, and leaves
+    a file that only the checksum rejects."""
+    def damage(path):
+        raw = bytearray(pathlib.Path(path).read_bytes())
+        m = (len(raw) - 4) // 7
+        raw[{"checksum": 0, "row": 4 + 6 * m - 2, "flag": 4 + 6 * m}[part]] ^= 1
+        pathlib.Path(path).write_bytes(raw)
+        data = members(path)
+        # the damaged rows and flags still make a table of the level
+        horn.HornTable(2, 4, 3, None, data["rows"], data["point"])
+        assert checksum((2, 4, 3, None), data["rows"], data["point"]) \
+            != data["checksum"]
+    return damage
+
+
+def _to_the_checksum(path):
+    # cut to the checksum alone: the length of a level without rows
+    data = pathlib.Path(path).read_bytes()
+    pathlib.Path(path).write_bytes(data[:4])
+
+
 @pytest.mark.parametrize("damage", [
     lambda path: pathlib.Path(path).write_bytes(b"not a zip archive"),
     lambda path: pathlib.Path(path).write_bytes(b""),
@@ -1063,9 +1118,15 @@ def _other_level(path):
     _short_by_a_row,
     _trailing_byte,
     _other_level,
+    _flip("checksum"),
+    _flip("row"),
+    _flip("flag"),
+    _to_the_checksum,
+    _renamed_level,
 ], ids=["non_zip", "empty", "truncated", "missing_member", "zero_d_rows",
         "plain_npy", "point_off_zero_dim", "short_by_a_row", "trailing_byte",
-        "other_level"])
+        "other_level", "flipped_checksum_byte", "flipped_row_byte",
+        "flipped_flag_byte", "truncated_to_checksum", "renamed_level"])
 def test_damaged_cache_file_is_a_miss(tmp_path, damage):
     key = (2, 4, None)
     want = HornStore(arity=3, cache_dir=str(tmp_path)).table(*key)
