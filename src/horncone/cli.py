@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 
 from . import cone, horn, lp, witness
@@ -41,17 +42,28 @@ def _emit(args, **formats):
     """Write the text of the renderer ``formats[args.format]``, or of
     ``formats["json"]`` for a command without --format; only the chosen
     renderer runs.  The str it returns, or the pieces it yields, go out in
-    full _SLICE-character slices, so a yielded text is never held whole."""
+    full _SLICE-character slices, so a yielded text is never held whole.  A
+    regular or new -o file is written beside itself and renamed into place,
+    so a failed render leaves it as it was; a link, device or pipe is not."""
     pieces = formats[getattr(args, "format", "json")]()
-    with (open(args.output, "w", encoding="utf-8") if args.output
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        buf = ""
-        for piece in [pieces] if isinstance(pieces, str) else pieces:
-            buf += piece
-            for lo in range(0, len(buf) - _SLICE + 1, _SLICE):
-                fh.write(buf[lo:lo + _SLICE])
-            buf = buf[len(buf) - len(buf) % _SLICE:]
-        fh.write(buf)
+    path = args.output
+    part = path and not os.path.islink(path) and (
+        os.path.isfile(path) or not os.path.exists(path)) and f"{path}.{os.getpid()}.part"
+    try:
+        with (open(part or path, "w", encoding="utf-8") if path
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            buf = ""
+            for piece in [pieces] if isinstance(pieces, str) else pieces:
+                buf += piece
+                for lo in range(0, len(buf) - _SLICE + 1, _SLICE):
+                    fh.write(buf[lo:lo + _SLICE])
+                buf = buf[len(buf) - len(buf) % _SLICE:]
+            fh.write(buf)
+        if part:
+            os.replace(part, path)
+    finally:
+        if part and os.path.exists(part):
+            os.unlink(part)
 
 
 def _json(payload):

@@ -245,6 +245,24 @@ class InequalitySystem:
         matrix.flags.writeable = False
         return matrix
 
+    @cached_property
+    def orbits(self):
+        """For each row, the first row of its orbit under the permutations
+        of cycles' column blocks (t fixed) that map the row multiset onto
+        itself: x -> πx carries one row's box LP onto another's, optimum
+        included.  The trace row weighs each block by its cycle's length."""
+        M, r = self.matrix, self.r
+        row = np.dtype((np.void, M.itemsize * M.shape[1]))  # a row's bytes
+        rows = M.view(row).ravel().tolist()
+        first = {key: k for k, key in reversed(list(enumerate(rows)))}
+        ordered, reps = sorted(rows), np.array([first[key] for key in rows])
+        for blocks in itertools.permutations(range(len(self.cycles))):
+            cols = [b * r + i for b in blocks for i in range(r)] + [len(M.T) - 1]
+            image = M.take(cols, axis=1).view(row).ravel().tolist()
+            if sorted(image) == ordered:
+                reps = np.minimum(reps, [first[key] for key in image])
+        return reps
+
     def _leading_rows(self):
         """The matrix rows before the Horn rows: trace, then chamber."""
         r, lengths = self.r, self.lengths

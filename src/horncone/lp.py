@@ -5,7 +5,8 @@ subject to integer rows ``a . x <= 0`` and the box [-1, 1]^n.  Since
 every constraint of a cone description is homogeneous, a row is implied
 by the others over the cone exactly when it is implied over the cone's
 section by the box; the box also keeps every program feasible (x = 0)
-and bounded.
+and bounded.  Redundancy verdicts solve one LP per row orbit, as rows
+of one orbit under ``InequalitySystem.orbits`` have equal optima.
 
 The solver is the simplex method with Bland's smallest-index rule on a
 fraction-free tableau (Edmonds 1967, Bareiss 1968): the entries are
@@ -20,6 +21,7 @@ is one vectorised update.  It is ``int64`` while every entry is below
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from numbers import Integral
 from typing import NamedTuple
@@ -27,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 _INT64_SAFE = 2 ** 31
+_OPTIMA = weakref.WeakKeyDictionary()  # system: {(orbit, fix_t_zero): optimum}
 
 
 class LpResult(NamedTuple):
@@ -142,16 +145,23 @@ def _row_verdict(system, index, active, fix_t_zero):
 
 def is_redundant(system, index, fix_t_zero=False):
     """Verdict for one constraint of an inequality system, tested against
-    every other constraint.
+    every other constraint: one LP per row orbit (``system.orbits``),
+    kept for the system's lifetime, as an orbit's rows have equal optima.
 
     ``fix_t_zero`` restricts to the slice t = 0 (the integral-weight
     picture)."""
-    return _row_verdict(system, index, np.ones(system.count, bool), fix_t_zero)
+    kind = system.constraint(index).kind  # an IndexError before any LP
+    key = (int(system.orbits[index]), bool(fix_t_zero))
+    optima = _OPTIMA.setdefault(system, {})
+    if key not in optima:
+        optima[key] = _row_verdict(system, key[0], np.ones(system.count, bool),
+                                   fix_t_zero).optimum
+    return RowVerdict(index, kind, optima[key] > 0, optima[key])
 
 
 def redundancy_report(system, fix_t_zero=False):
-    """Independent verdicts for every constraint, each tested against
-    all the others."""
+    """A verdict for every constraint, each tested against all the
+    others: one LP per row orbit."""
     verdicts = tuple(is_redundant(system, k, fix_t_zero)
                      for k in range(system.count))
     return RedundancyReport(system.level, fix_t_zero, verdicts)

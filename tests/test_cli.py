@@ -472,6 +472,55 @@ class TestOutputFile:
         assert (code, err) == (0, "")
         assert out == generate_system(r, s, sigma, level).to_csv()
 
+    @pytest.mark.parametrize("previous", [None, "previous text\n"])
+    def test_failed_render_leaves_no_partial_file(self, capsys, monkeypatch,
+                                                  tmp_path, previous):
+        # the first piece would reach the file before the render fails
+        monkeypatch.setattr(cli, "_SLICE", 10)
+        pieces = InequalitySystem.csv_pieces
+
+        def failing(system):
+            yield next(pieces(system))
+            raise ValueError("render failed")
+
+        out = tmp_path / "out.csv"
+        if previous is not None:
+            out.write_text(previous)
+        monkeypatch.setattr(InequalitySystem, "csv_pieces", failing)
+        code, _, err = run(capsys, "system", "--r", "4", "--format", "csv",
+                           "-o", str(out))
+        assert (code, err) == (2, "error: render failed\n")
+        assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None
+                                                        else ["out.csv"])
+        if previous is not None:
+            assert out.read_text() == previous
+
+    def test_written_file_is_the_printed_text(self, capsys, tmp_path):
+        # a longer file is replaced whole, and the bytes are stdout's
+        argv = ["system", "--r", "4", "--format", "csv"]
+        _, text, _ = run(capsys, *argv)
+        out = tmp_path / "out.csv"
+        out.write_text("x" * (2 * len(text)))
+        assert run(capsys, *argv, "-o", str(out)) == (0, "", "")
+        assert out.read_bytes() == text.encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_link_and_device_are_written_through(self, capsys, tmp_path):
+        argv = ["system", "--r", "3", "--format", "csv"]
+        _, text, _ = run(capsys, *argv)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert run(capsys, *argv, "-o", str(link)) == (0, "", "")
+        assert link.is_symlink() and target.read_text() == text
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "horncone.cli", *argv, "-o", "/dev/stdout"],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
+
     @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
                         reason="rank-10 CSV of 191,382 rows; set RUN_OPTIONAL=1")
     def test_rank10_plain_csv_is_streamed(self, tmp_path):

@@ -7,7 +7,9 @@ import pytest
 
 from horncone import lp
 from horncone.cone import InequalitySystem, SpectrumFamily, generate_system, member
+from horncone.horn import HornStore
 from horncone.lp import (
+    RowVerdict,
     is_redundant,
     minimize_system,
     redundancy_report,
@@ -140,6 +142,11 @@ class TestRedundancy:
         assert doubled.horn == system.horn + (system.horn[0],)
         dup_idx = doubled.constraints()[-1].index
         assert not is_redundant(doubled, dup_idx).essential
+        # the copy shares its twin's orbit, and every verdict is its own
+        assert doubled.orbits[dup_idx] == doubled.orbits[2 + doubled.chamber_count]
+        for fix_t_zero in (False, True):
+            assert list(redundancy_report(doubled, fix_t_zero).verdicts) == \
+                direct_verdicts(doubled, fix_t_zero)
 
     def test_rank2_minimal_rows_all_essential(self, store):
         system = generate_system(2, 3, None, "min00", store)
@@ -167,7 +174,7 @@ class TestRedundancy:
         assert sum(v.essential for v in report.verdicts) == system.count == 156
 
     @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
-                        reason="539 exact LPs (~10 s); set RUN_OPTIONAL=1")
+                        reason="119 exact LPs (~2 s); set RUN_OPTIONAL=1")
     def test_rank6_plain_rows_essential_iff_point(self, store):
         # Knutson-Tao-Woodward and Belkale: the essential Horn rows are
         # exactly those whose LR coefficient is 1 (the point flag)
@@ -181,6 +188,19 @@ class TestRedundancy:
         assert [p.elements for p in horn.tup.parts] == [(2, 4, 6)] * 3
         assert not horn.is_point and star.optimum == 0
         for verdict, con in zip(report.verdicts, cons):
+            assert verdict.essential == (con.kind != "horn"
+                                         or con.meta.is_point), con.index
+
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="414 exact LPs (~40 s); set RUN_OPTIONAL=1")
+    def test_rank7_plain_rows_essential_iff_point(self):
+        # at rank 7 the 20 zero-dim rows that are not point rows, and no
+        # other row, are redundant
+        system = generate_system(7, 3, None, "full0", HornStore(arity=3))
+        report = redundancy_report(system)
+        assert system.count == 2082 and len(set(system.orbits.tolist())) == 414
+        assert sum(not v.essential for v in report.verdicts) == 20
+        for verdict, con in zip(report.verdicts, system.constraints()):
             assert verdict.essential == (con.kind != "horn"
                                          or con.meta.is_point), con.index
 
@@ -216,6 +236,87 @@ class TestRedundancy:
         for row in data["rows"]:
             assert row["verdict"] in ("essential", "redundant")
             Fraction(row["optimum"])  # parses as p/q
+
+
+_DIRECT = {}
+
+
+def direct_verdicts(system, fix_t_zero):
+    """Every row's verdict from its own box LP, no orbit and no memo; the
+    optima of equal matrices are solved once."""
+    A = system.matrix[:, :-1] if fix_t_zero else system.matrix
+    key = (A.shape, A.tobytes())
+    if key not in _DIRECT:
+        _DIRECT[key] = [solve_lp(A[k], np.delete(A, k, axis=0)).value
+                        for k in range(len(A))]
+    return [RowVerdict(k, system.constraint(k).kind, value > 0, value)
+            for k, value in enumerate(_DIRECT[key])]
+
+
+def asymmetric_rank4(store):
+    """Plain rank 4 less the last Horn row of its first six-row orbit:
+    no block permutation but the identity maps its rows onto themselves."""
+    system = generate_system(4, 3, None, "full0", store)
+    orbit_sizes = np.bincount(system.orbits)
+    drop = np.flatnonzero(orbit_sizes[system.orbits] == 6)[5]
+    j = drop - 2 - system.chamber_count
+    levels = []
+    for d, rows, point in system.levels:
+        keep = np.arange(len(point)) != j
+        levels.append((d, rows[keep], point[keep]))
+        j -= len(point)
+    return InequalitySystem(4, 3, None, "full0", levels)
+
+
+class TestOrbits:
+    # a report solves one LP per orbit: each verdict must be the row's own
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("level", ["full0", "min00"])
+    def test_plain_reports_match_per_row_lps(self, store, r, level):
+        system = generate_system(r, 3, None, level, store)
+        for fix_t_zero in (False, True):
+            assert list(redundancy_report(system, fix_t_zero).verdicts) == \
+                direct_verdicts(system, fix_t_zero)
+
+    @pytest.mark.parametrize("r, s, sigma, orbits", [
+        (6, 3, (3,), 10), (5, 3, (1, 2), 32), (3, 4, None, 8),
+        (3, 4, (2, 2), 6)])
+    def test_restricted_reports_match_per_row_lps(self, r, s, sigma, orbits):
+        system = generate_system(r, s, sigma, "full0")
+        assert len(set(system.orbits.tolist())) == orbits
+        for fix_t_zero in (False, True):
+            assert list(redundancy_report(system, fix_t_zero).verdicts) == \
+                direct_verdicts(system, fix_t_zero)
+
+    def test_asymmetric_row_set(self, store):
+        system = asymmetric_rank4(store)
+        assert system.count == 51
+        assert system.orbits.tolist() == list(range(51))
+        assert list(redundancy_report(system).verdicts) == \
+            direct_verdicts(system, False)
+
+    def test_plain_orbit_counts(self, store):
+        counts = [len(set(generate_system(r, 3, None, "full0", store)
+                          .orbits.tolist())) for r in range(3, 7)]
+        assert counts == [8, 17, 42, 119]
+
+    def test_one_lp_per_orbit_and_setting(self, store, monkeypatch):
+        # the LPs go through the module's solve_lp, once per orbit and
+        # t setting over the system's lifetime
+        calls = []
+
+        def counted(objective, rows):
+            calls.append(len(rows))
+            return solve_lp(objective, rows)
+
+        monkeypatch.setattr(lp, "solve_lp", counted)
+        system = generate_system(4, 3, None, "full0", store)
+        for fix_t_zero in (False, True, False, 1):
+            redundancy_report(system, fix_t_zero)
+        assert calls == [51] * 34
+        assert is_redundant(system, 51, fix_t_zero=True) == \
+            redundancy_report(system, True).verdicts[51]
+        assert len(calls) == 34
 
 
 class TestMinimize:
