@@ -167,7 +167,8 @@ class InequalitySystem:
     The advertised ``count`` follows the convention that the trace
     equality contributes two inequalities and the chamber rows are
     included.  ``levels`` holds the Horn rows in order as (d, rows,
-    point) triples: (K, s) positions in all_subsets(d, r), K flags.
+    point) triples: (K, s) positions in all_subsets(d, r), in the dtype
+    of the tables' rows (a list becomes intp), and K flags.
     """
 
     def __init__(self, r, s, sigma, level, levels):
@@ -178,8 +179,9 @@ class InequalitySystem:
         self.cycles = tuple(
             Permutation.from_cycle_type(self.sigma or (1,) * s).cycles())
         self.lengths = tuple(len(cyc) for cyc in self.cycles)
-        self.levels = tuple((d, np.asarray(rows, dtype=np.intp).reshape(len(point), s),
-                             np.asarray(point, dtype=bool)) for d, rows, point in levels)
+        self.levels = tuple((d, np.asarray(rows, getattr(rows, "dtype", np.intp))
+                             .reshape(len(point), s), np.asarray(point, dtype=bool))
+                            for d, rows, point in levels)
         # at rank 2 (plain or all-ones cycle type, three summands) the
         # reduced system drops the chamber rows: the trace equality plus
         # the Horn rows imply them
@@ -349,8 +351,9 @@ class InequalitySystem:
     def from_json(cls, data):
         """The system ``to_json`` wrote.  ValueError unless r, s and each
         d are integers, its levels run once each in increasing order below
-        r, every row is fixed by the cycle type, and the level name and
-        counts are the ones it has."""
+        r, every row is fixed by the cycle type, its ``is00`` and
+        ``sigma_stable`` are JSON booleans, the latter true exactly when
+        sigma is given, and the level name and counts are the ones it has."""
         if data.get("schema") != 1:
             raise ValueError("unsupported system schema")
         r, s, level = _integer(data["r"]), _integer(data["s"]), data["level"]
@@ -372,6 +375,11 @@ class InequalitySystem:
             if not all(t.is_stable(perm) for t in tuples):
                 raise ValueError(f"a level-{d} row is not fixed by the "
                                  "cycle type")
+            if any(type(h["is00"]) is not bool
+                   or h["sigma_stable"] is not (data["sigma"] is not None)
+                   for h in group):
+                raise ValueError(f"a level-{d} row's is00 or sigma_stable is "
+                                 "not the boolean the system gives it")
             levels.append((d, [[p.rank() for p in t] for t in tuples],
                            [h["is00"] for h in group]))
         system = cls(r, s, data["sigma"], level, levels)

@@ -14,14 +14,15 @@ backend.
 One numpy kernel, ``_horn_survivors``, evaluates the Horn rows of
 ``horn_rows`` (``cone`` stacks them into its systems) for the lower half
 of the level tables and the census ``count_intersecting``, for every arity
-and cycle type, in chunks of bounded size.  Swaps of equal-length cycles
-change neither a tuple's verdict nor the test sets (the Schubert product
-is commutative), so it tests one sorted representative per orbit, one
-index per cycle.  It enumerates every cycle but the last, whose indices
-it yields as bitsets, one AND per group of test rows that share the last
-cycle's part: the census weights them by orbit size from popcounts, and a
-level build unpacks them and expands the orbits once.  ``_index`` holds,
-as arrays, what the kernel and the dual map read of each subset.
+and cycle type, in chunks of bounded size, one index per cycle.  It
+enumerates every cycle but the last, whose indices it yields as bitsets,
+one AND per group of test rows that share the last cycle's part.  A level
+build asks for every tuple and unpacks the bitsets once into its rows,
+already in mask-key order.  Swaps of equal-length cycles change neither a
+tuple's verdict nor the test sets (the Schubert product is commutative),
+so the census asks for one sorted representative per orbit and weights
+it by orbit size from popcounts.  ``_index`` holds, as arrays, what the
+kernel and the dual map read of each subset.
 
 A level is its members' index rows, in mask-key order, and a point
 flag per row; the zero-dim flag is read off the rows by ``_zero_dim``.
@@ -63,6 +64,9 @@ CACHE_SCHEMA = 6
 
 # The Horn filter holds about this many candidate rows at once.
 _CHUNK_ROWS = 1 << 16
+
+# numpy 1.24 has no bitwise_count
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 class NotSigmaStable(ValueError):
@@ -313,33 +317,23 @@ class HornStore:
                          low._point[order])
 
     def _kernel_table(self, size, ambient, sigma):
-        """The level as the Horn filter and the LR backend build it."""
+        """The level as the Horn filter and the LR backend build it: the
+        kernel yields every member in mask-key order, and its blocks are
+        unpacked once into rows counted from their popcounts, each cycle's
+        index written to each of its parts' columns."""
         s, n = self.arity, comb(ambient, size)
         lengths = (1,) * s if sigma is None else sigma
-        starts = np.cumsum((0,) + lengths[:-1])
-        # expand each orbit: fill one array with the integer keys (in
-        # mask-key order) of every permutation of the cycles that keeps
-        # their lengths, then sort and dedupe it.  np.unique would import
-        # numpy.ma for its hash path, about 0.5 MB resident.
-        free = np.hstack([np.zeros((len(lengths), 0), dtype=np.intp),
-                          *_survivor_chunks(size, ambient, s, sigma,
-                                            self._test_sets(size, sigma))])
-        perms = [p for p in itertools.permutations(range(len(lengths)))
-                 if [lengths[i] for i in p] == list(lengths)]
-        keys = np.empty((len(perms), free.shape[1]), dtype=np.int64)
-        for k, p in enumerate(perms):
-            keys[k] = np.ravel_multi_index(free[list(p)], (n,) * len(lengths))
-        del free
-        keys = keys.reshape(-1)
-        keys.sort()
-        keys = keys[np.append(True, keys[1:] != keys[:-1])]
-        # unravel one cycle at a time, straight into the uint16 rows
-        rows = np.empty((len(keys), s), dtype=np.uint16)
-        for lo, width in reversed(list(zip(starts, lengths))):
-            for c in range(lo, lo + width):
-                np.remainder(keys, n, out=rows[:, c], casting="unsafe")
-            keys //= n
-        del keys
+        cycle = np.repeat(np.arange(len(lengths)), lengths)
+        blocks = list(_horn_survivors(size, ambient, s, sigma,
+                                      self._test_sets(size, sigma), every=True))
+        counts = [int(_POPCOUNT[bits].sum()) for _, bits in blocks]
+        rows = np.empty((sum(counts), s), dtype=np.uint16)
+        for (free, bits), lo, m in zip(blocks, np.cumsum([0] + counts), counts):
+            i, j = np.divmod(np.flatnonzero(np.unpackbits(
+                bits, axis=1, count=n, bitorder="little")), n)
+            for c, k in enumerate(cycle):
+                rows[lo:lo + m, c] = free[k, i] if k < len(free) else j
+        del blocks
         zero_dim = _zero_dim(rows, size, ambient)
         # the product is commutative: one coefficient per multiset of parts
         multisets, which = np.unique(np.sort(rows[zero_dim], axis=1), axis=0,
@@ -407,25 +401,25 @@ def horn_rows(d, rows, r, lengths):
     return a
 
 
-def _horn_survivors(size, ambient, s, sigma, tests):
+def _horn_survivors(size, ambient, s, sigma, tests, every=False):
     """Yield, in mask-key order, blocks of one representative per orbit
-    of the tuples that are fixed by the cycle type ``sigma`` (None: every
-    tuple), have nonnegative expected dimension and pass every test level
-    in ``tests``: pairs (d, rows) of zero-expected-dimension tuples fixed
-    by ``sigma`` and closed under the swaps below, as every level's rows
-    are, as (K, s) index rows into all_subsets(d, size).  A block pairs
-    prefixes, (cycles - 1, M) indices into all_subsets(size, ambient),
-    with bits (little order) of the last indices that complete each;
-    ``_survivor_chunks`` unpacks them.
+    (of every tuple when ``every``) of the tuples that are fixed by the
+    cycle type ``sigma`` (None: every tuple), have nonnegative expected
+    dimension and pass every test level in ``tests``: pairs (d, rows) of
+    zero-expected-dimension tuples fixed by ``sigma`` and closed under the
+    swaps below, as every level's rows are, as (K, s) index rows into
+    all_subsets(d, size).  A block pairs prefixes, (cycles - 1, M) indices
+    into all_subsets(size, ambient), with bits (little order) of the last
+    indices that complete each.
 
     The orbits are those of the swaps of cycles of equal length (for
     None, all s! permutations of the parts), which leave each of these
     conditions unchanged; a representative's indices do not decrease
     within each run of equal cycle lengths.  Candidates grow by one free
-    index per cycle, weighted by its length, and never below the previous
-    index of their run; a prefix is dropped once its dimension sum can no
-    longer reach the threshold, and each growth step is split to hold
-    about _CHUNK_ROWS rows.  A candidate passes level d when it satisfies
+    index per cycle, weighted by its length, and, unless ``every``, never
+    below the previous index of their run; a prefix is dropped once its
+    dimension sum can no longer reach the threshold, and each growth step
+    is split to hold about _CHUNK_ROWS rows.  A candidate passes level d when it satisfies
     the level's ``horn_rows`` at x = its cycles' Schubert partitions,
     t = ambient - size.  The entries are nonnegative: every cycle but the
     last leaves each row a slack, and the last indices that fit are an AND
@@ -468,7 +462,7 @@ def _horn_survivors(size, ambient, s, sigma, tests):
         free, slack = free[:, (ok := slack.min(axis=1) >= 0)], slack[ok]
         bits = np.bitwise_and.reduce(fits[np.arange(len(starts))[:, None],
                                           slack.T], axis=0)
-        if lengths[-1] == lengths[-2]:
+        if not every and lengths[-1] == lengths[-2]:
             bits &= _at_least(len(dims))[free[-1]]
         if len(bits):
             yield free, bits
@@ -480,7 +474,7 @@ def _horn_survivors(size, ambient, s, sigma, tests):
                 yield from finish(free[:, lo:lo + step])
                 continue
             keep = sums[lo:lo + step, None] + gain >= threshold - reach[k + 1]
-            if k and lengths[k] == lengths[k - 1]:
+            if not every and k and lengths[k] == lengths[k - 1]:
                 keep &= np.arange(len(dims)) >= free[k - 1, lo:lo + step, None]
             i, j = np.nonzero(keep)
             i += lo
@@ -488,17 +482,6 @@ def _horn_survivors(size, ambient, s, sigma, tests):
                             k + 1)
 
     yield from grow(np.zeros((0, 1), dtype=np.intp), np.zeros(1, np.int64), 0)
-
-
-def _survivor_chunks(size, ambient, s, sigma, tests):
-    """The survivors of ``_horn_survivors``, unpacked as a level build
-    reads them: (cycles, K) index arrays, one per block that holds any."""
-    n = comb(ambient, size)
-    for free, bits in _horn_survivors(size, ambient, s, sigma, tests):
-        i, j = np.divmod(np.flatnonzero(np.unpackbits(
-            bits, axis=1, count=n, bitorder="little")), n)
-        if len(j):
-            yield np.vstack((free[:, i], j))
 
 
 @lru_cache(maxsize=None)
@@ -515,10 +498,6 @@ class IntersectingCount(NamedTuple):
     total: int
     diagonal: int
     diagonal_zero_dim: int
-
-
-# numpy 1.24 has no bitwise_count
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 def count_intersecting(size, ambient, store):

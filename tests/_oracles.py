@@ -10,13 +10,17 @@ the subset algebra the Horn inequalities are defined by, ``entry_sum``
 and ``slope`` the spectrum sums they compare; the library evaluates
 them in closed form (``horn.horn_rows``).
 ``horn_check`` is the definitional one-tuple Horn check that the level
-tables are compared against, ``gather_sum_survivors`` the Horn filter
-that sums one table entry per cycle for every candidate, the reference
-for the library's bitset kernel, ``weighted_census`` the census of its
-chunks that weights each unpacked row by its orderings, the reference for
-the library's popcount census, and ``subset_to_schubert_partition`` the
-checked form of a subset's Schubert partition, and ``subset_index`` the
-per-subset arrays of a level built from ``Subset`` objects one by one.
+tables are compared against, ``survivor_chunks`` the kernel's blocks
+unpacked, ``gather_sum_survivors`` the Horn filter that sums one table
+entry per cycle for every candidate, the reference for the library's
+bitset kernel in both of its modes, ``expanded_table`` the level built
+from one representative per orbit by expanding each orbit through sorted
+integer keys, the reference for the library's every-tuple level build,
+``weighted_census`` the census of the filter's chunks that weights each
+unpacked row by its orderings, the reference for the library's popcount
+census, and ``subset_to_schubert_partition`` the checked form of a
+subset's Schubert partition, and ``subset_index`` the per-subset arrays
+of a level built from ``Subset`` objects one by one.
 ``reference_lp`` is a general two-phase simplex over ``Fraction`` with
 Bland's rule, the reference for the library's integer box LP.
 ``serial_find_witness`` runs the restarts of a witness search one after
@@ -31,8 +35,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from horncone import horn
+from horncone import horn, lr
 from horncone.horn import (
+    HornTable,
     IntersectingCount,
     NotSigmaStable,
     horn_rows,
@@ -246,10 +251,23 @@ def horn_check(tup, store, sigma=None):
     return True
 
 
-def gather_sum_survivors(size, ambient, s, sigma, tests):
-    """The chunks ``horn._survivor_chunks`` unpacks from the kernel's
-    blocks, from the same growth of representatives and the same chunk
-    bounds, but each candidate is decided on its own: per test level, one
+def survivor_chunks(size, ambient, s, sigma, tests, every=False):
+    """The blocks of ``horn._horn_survivors`` unpacked: (cycles, K) index
+    arrays, one per block that holds any survivor."""
+    n = math.comb(ambient, size)
+    for free, bits in horn._horn_survivors(size, ambient, s, sigma, tests,
+                                           every):
+        i, j = np.divmod(np.flatnonzero(np.unpackbits(
+            bits, axis=1, count=n, bitorder="little")), n)
+        if len(j):
+            yield np.vstack((free[:, i], j))
+
+
+def gather_sum_survivors(size, ambient, s, sigma, tests, every=False):
+    """The chunks ``survivor_chunks`` unpacks from the kernel's blocks,
+    from the same growth of representatives (of every tuple when
+    ``every``) and the same chunk bounds, but each candidate is decided
+    on its own: per test level, one
     int32 table per cycle holds each part's share of each Horn row, and a
     candidate passes when the entries its cycles gather sum to at most the
     level's bound."""
@@ -277,7 +295,7 @@ def gather_sum_survivors(size, ambient, s, sigma, tests):
         gain = lengths[k] * dims
         for lo in range(0, len(sums), step):
             keep = sums[lo:lo + step, None] + gain >= threshold - reach[k + 1]
-            if k and lengths[k] == lengths[k - 1]:
+            if not every and k and lengths[k] == lengths[k - 1]:
                 keep &= np.arange(len(dims)) >= free[k - 1, lo:lo + step, None]
             i, j = np.nonzero(keep)
             i += lo
@@ -285,6 +303,45 @@ def gather_sum_survivors(size, ambient, s, sigma, tests):
                             k + 1)
 
     yield from grow(np.zeros((0, 1), dtype=np.intp), np.zeros(1, np.int64), 0)
+
+
+def expanded_table(store, size, ambient, sigma):
+    """The level the store would build, from the kernel's sorted
+    representatives: each orbit is expanded by the integer keys (in
+    mask-key order) of every permutation of the cycles that keeps their
+    lengths, sorted, deduped and unravelled into the rows."""
+    s, n = store.arity, math.comb(ambient, size)
+    lengths = (1,) * s if sigma is None else sigma
+    starts = np.cumsum((0,) + lengths[:-1])
+    free = np.hstack([np.zeros((len(lengths), 0), dtype=np.intp),
+                      *survivor_chunks(size, ambient, s, sigma,
+                                       store._test_sets(size, sigma))])
+    perms = [p for p in itertools.permutations(range(len(lengths)))
+             if [lengths[i] for i in p] == list(lengths)]
+    keys = np.empty((len(perms), free.shape[1]), dtype=np.int64)
+    for k, p in enumerate(perms):
+        keys[k] = np.ravel_multi_index(free[list(p)], (n,) * len(lengths))
+    del free
+    keys = keys.reshape(-1)
+    keys.sort()
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    # unravel one cycle at a time, straight into the uint16 rows
+    rows = np.empty((len(keys), s), dtype=np.uint16)
+    for lo, width in reversed(list(zip(starts, lengths))):
+        for c in range(lo, lo + width):
+            np.remainder(keys, n, out=rows[:, c], casting="unsafe")
+        keys //= n
+    del keys
+    zero_dim = horn._zero_dim(rows, size, ambient)
+    # the product is commutative: one coefficient per multiset of parts
+    multisets, which = np.unique(np.sort(rows[zero_dim], axis=1), axis=0,
+                                 return_inverse=True)
+    partitions = horn._index(size, ambient).partitions
+    is_point = np.array([lr._is_point(parts.tolist(), size, ambient)
+                         for parts in partitions[multisets]], dtype=bool)
+    point = np.zeros(len(rows), dtype=bool)
+    point[zero_dim] = is_point[which.reshape(-1)]
+    return HornTable(size, ambient, s, sigma, rows, point)
 
 
 def weighted_census(chunks, size, ambient, s):

@@ -161,6 +161,11 @@ def _unfixed_rows(data):
     data["counts"]["total"] -= 4
 
 
+def _first_row(**fields):
+    # a plain system: every sigma_stable is False
+    return lambda data: data["horn"][0].update(fields)
+
+
 class TestGenerateSystem:
     def test_published_counts(self, store):
         assert [generate_system(r, 3, None, "full0", store).count
@@ -242,6 +247,19 @@ class TestGenerateSystem:
         assert [r.tup for r in back.horn] == [r.tup for r in system.horn]
         assert [r.is_point for r in back.horn] == [r.is_point for r in system.horn]
 
+    def test_levels_hold_the_tables_rows(self, store):
+        system = generate_system(4, 3, None, "all", store)
+        for d, rows, _ in system.levels:
+            assert rows.dtype == np.uint16
+            assert np.shares_memory(rows, store.table(d, 4).rows)
+        back = InequalitySystem.from_json(system.to_json())
+        assert [rows.dtype.kind for _, rows, _ in back.levels] == ["i"] * 3
+        # a level with no rows, as a list, is an empty integer array
+        empty = InequalitySystem(4, 3, None, "all",
+                                 [(1, [], []), *back.levels[1:]])
+        assert empty.levels[0][1].shape == (0, 3)
+        assert empty.levels[0][1].dtype.kind == "i"
+
     def test_json_row_of_another_shape(self, store):
         data = generate_system(3, 3, None, "full0", store).to_json()
         assert data["horn"][0]["d"] == 1
@@ -257,8 +275,16 @@ class TestGenerateSystem:
         (_wrong_total, "counts"),
         (_unknown_level, "unknown level"),
         (_unfixed_rows, "not fixed"),
+        (_first_row(is00="false"), "not the boolean"),
+        (_first_row(is00=None), "not the boolean"),
+        (_first_row(is00=0), "not the boolean"),
+        (_first_row(sigma_stable=True), "not the boolean"),
+        (_first_row(sigma_stable="false"), "not the boolean"),
+        (_first_row(sigma_stable=0), "not the boolean"),
     ], ids=["levels_out_of_order", "level_split", "d_equals_r", "wrong_total",
-            "unknown_level", "rows_not_fixed_by_sigma"])
+            "unknown_level", "rows_not_fixed_by_sigma", "is00_string",
+            "is00_null", "is00_int", "sigma_stable_without_sigma",
+            "sigma_stable_string", "sigma_stable_int"])
     def test_json_that_would_build_another_system(self, store, damage,
                                                   message):
         data = generate_system(3, 3, None, "full0", store).to_json()

@@ -15,10 +15,12 @@ import pytest
 from _oracles import (
     all_tuples,
     compose,
+    expanded_table,
     gather_sum_survivors,
     horn_check,
     orbit,
     subset_index,
+    survivor_chunks,
     weighted_census,
 )
 from horncone import horn, lr
@@ -27,7 +29,6 @@ from horncone.horn import (
     HornStore,
     NotSigmaStable,
     _index,
-    _survivor_chunks,
     count_intersecting,
     cross_check,
     horn_rows,
@@ -408,7 +409,7 @@ class TestAlternativeTestSets:
                     point = np.array(table.point, dtype=bool)
                     tests.append((d, table.rows[point]))
                 reps = [row
-                        for chunk in _survivor_chunks(r, n, 3, None, tests)
+                        for chunk in survivor_chunks(r, n, 3, None, tests)
                         for row in chunk.T.tolist()]
                 assert expanded(reps, 3) == \
                     list(map(tuple, store.table(r, n).rows.tolist()))
@@ -461,7 +462,7 @@ class TestKernelAgainstHornCheck:
 
         monkeypatch.setattr(horn_mod, "_CHUNK_ROWS", 100)
         tests = store._test_sets(3, None)
-        chunks = list(_survivor_chunks(3, 6, 3, None, tests))
+        chunks = list(survivor_chunks(3, 6, 3, None, tests))
         assert len(chunks) > 1
         assert max(c.shape[1] for c in chunks) <= 100
         reps = [row for c in chunks for row in c.T.tolist()]
@@ -478,8 +479,8 @@ class TestKernelAgainstHornCheck:
         lengths = sigma or (1,) * s
         for n in range(1, 6):
             for r in range(1, n + 1):
-                chunks = list(_survivor_chunks(r, n, s, sigma,
-                                               store._test_sets(r, sigma)))
+                chunks = list(survivor_chunks(r, n, s, sigma,
+                                              store._test_sets(r, sigma)))
                 # one index per cycle, a representative per column
                 assert all(c.shape[0] == len(lengths) for c in chunks)
                 reps = [row for c in chunks for row in c.T.tolist()]
@@ -507,7 +508,8 @@ def assert_same_chunks(got, want):
 
 class TestKernelAgainstGatherSum:
     """The bitset kernel yields the chunks of the gather-sum filter, which
-    sums each candidate's Horn rows on its own."""
+    sums each candidate's Horn rows on its own, in both of its modes: one
+    representative per orbit, and every tuple."""
 
     @pytest.mark.parametrize("s, sigma, ambient_max", [
         (3, None, 8), (3, (3,), 11), (3, (1, 2), 7),
@@ -519,25 +521,27 @@ class TestKernelAgainstGatherSum:
         for n in range(1, ambient_max + 1):
             for r in range(1, n + 1):
                 tests = store._test_sets(r, sigma)
-                chunks += assert_same_chunks(
-                    _survivor_chunks(r, n, s, sigma, tests),
-                    gather_sum_survivors(r, n, s, sigma, tests))
-        assert chunks > ambient_max
+                for every in (False, True):
+                    chunks += assert_same_chunks(
+                        survivor_chunks(r, n, s, sigma, tests, every),
+                        gather_sum_survivors(r, n, s, sigma, tests, every))
+        assert chunks > 2 * ambient_max
 
     def test_small_chunks(self, store, monkeypatch):
         # many chunks per level, each a few prefixes
         monkeypatch.setattr(horn, "_CHUNK_ROWS", 100)
         tests = store._test_sets(4, None)
-        assert assert_same_chunks(
-            _survivor_chunks(4, 8, 3, None, tests),
-            gather_sum_survivors(4, 8, 3, None, tests)) > 10
+        for every in (False, True):
+            assert assert_same_chunks(
+                survivor_chunks(4, 8, 3, None, tests, every),
+                gather_sum_survivors(4, 8, 3, None, tests, every)) > 10
 
     def test_point_class_test_sets(self, store):
         for n in range(1, 6):
             for r in range(1, min(n, 4) + 1):
                 tests = [(d, store.table(d, r).select("point")[0])
                          for d in range(1, r)]
-                assert_same_chunks(_survivor_chunks(r, n, 3, None, tests),
+                assert_same_chunks(survivor_chunks(r, n, 3, None, tests),
                                    gather_sum_survivors(r, n, 3, None, tests))
 
     @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
@@ -546,8 +550,10 @@ class TestKernelAgainstGatherSum:
     def test_census_5_11(self):
         store = HornStore(arity=3)
         tests = store._test_sets(5, None)
-        assert_same_chunks(_survivor_chunks(5, 11, 3, None, tests),
-                           gather_sum_survivors(5, 11, 3, None, tests))
+        for every in (False, True):
+            assert_same_chunks(survivor_chunks(5, 11, 3, None, tests, every),
+                               gather_sum_survivors(5, 11, 3, None, tests,
+                                                    every))
         assert count_intersecting(5, 11, store) == weighted_census(
             gather_sum_survivors(5, 11, 3, None, tests), 5, 11, 3)
 
@@ -588,6 +594,33 @@ class TestTableRows:
                         h.update(a.tobytes())
         assert h.hexdigest() == ("de401180d8828ad0abdb0525921ac4fd"
                                  "8c806c7e1c7736614b84294ca985579c")
+
+    def test_kernel_levels_are_the_orbit_expansion(self):
+        # the every-tuple build against the orbit expansion of the
+        # representatives, rows and flags, over the digest's grid
+        stores = {}
+        for s, sigma, top in [(3, None, 8), (3, (3,), 11), (3, (1, 2), 7),
+                              (4, None, 6), (4, (2, 2), 6), (4, (1, 1, 2), 6),
+                              (2, None, 9)]:
+            store = stores.setdefault(s, HornStore(arity=s))
+            for n in range(1, top + 1):
+                for d in range(1, n):
+                    got = store._kernel_table(d, n, sigma)
+                    want = expanded_table(store, d, n, sigma)
+                    assert np.array_equal(got.rows, want.rows), (s, sigma, d, n)
+                    assert np.array_equal(got._point, want._point)
+
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="(5,11) and four-factor (4,9) levels against "
+                               "the orbit expansion are optional; set "
+                               "RUN_OPTIONAL=1")
+    def test_5_11_and_s4_4_9_levels_are_the_orbit_expansion(self):
+        for s, d, n in [(3, 5, 11), (4, 4, 9)]:
+            store = HornStore(arity=s)
+            got = store.table(d, n)
+            want = expanded_table(store, d, n, None)
+            assert np.array_equal(got.rows, want.rows), (s, d, n)
+            assert np.array_equal(got._point, want._point), (s, d, n)
 
     def test_building_makes_no_classify_calls(self, monkeypatch):
         def refuse(tup):
@@ -828,7 +861,7 @@ class TestCountIntersecting:
 
     def test_level_builds_in_bounded_memory(self):
         # the 115,222 rows of plain (4, 9) take 0.7 MB as uint16; the
-        # orbit expansion holds no (M, s) int64 array beside them
+        # build holds no (M, s) int64 array beside them
         store = HornStore(arity=3)
         store.build_through(3, 4)
         tracemalloc.start()
@@ -841,10 +874,9 @@ class TestCountIntersecting:
         assert peak < 5 << 20
 
     def test_plain_5_10_builds_in_bounded_memory(self):
-        # plain (5, 10) expands 123,110 representatives into 738,660 int64
-        # keys (5.6 MB) and dedupes them to 718,738 (5.5 MB); the keys
-        # fill one array, no list of per-permutation arrays beside it,
-        # and the rows are unravelled from them without a temporary
+        # the kernel's blocks of plain (5, 10) are unpacked straight into
+        # one array of its 718,738 uint16 rows (4.3 MB), no list of chunks
+        # beside it; the zero-dim sums over its columns follow
         store = HornStore(arity=3)
         store.build_through(4, 5)
         tracemalloc.start()
