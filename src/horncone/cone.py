@@ -423,14 +423,14 @@ class InequalitySystem:
 def generate_system(r, s=3, sigma=None, level="full0", store=None):
     """Build the inequality system for the rank-r cone.
 
-    ``level`` selects the Horn rows: "full0" uses every
-    zero-expected-dimension intersecting tuple of the levels below r (the
-    default inductive description), "min00" only those whose Schubert
-    product is the point class (the reduced description; at r = 2, s = 3
-    the chamber rows are dropped as well since the Horn rows imply them),
-    and "all" every intersecting tuple regardless of expected dimension
-    (valid but heavily redundant).  ValueError unless r >= 1 and s are
-    integers (numpy ones too, bools not).
+    ``level`` selects the Horn rows: "full0" uses the intersecting tuples
+    of expected dimension zero of the levels below r (the default inductive
+    description), "min00" only those whose Schubert product is the point
+    class (the reduced description; at r = 2, s = 3 the chamber rows are
+    dropped as well since the Horn rows imply them), and "all" every
+    intersecting tuple (valid but heavily redundant).  The store builds
+    only the levels (d, r) and those they read.  ValueError unless r >= 1
+    and s are integers (numpy ones too, bools not).
     """
     if level not in LEVEL_FLAGS:
         raise ValueError(f"unknown level {level!r}")
@@ -443,9 +443,6 @@ def generate_system(r, s=3, sigma=None, level="full0", store=None):
     elif store.arity != s:
         raise ValueError(f"a store of arity {store.arity} has no levels "
                          f"for s={s}")
-    # every level (d, n) with d < r and n <= r, not only the (d, r) the
-    # rows come from: readers of a cache directory expect them all
-    store.build_through(r - 1, r, sigma)
     levels = [(d, *store.table(d, r, sigma).select(LEVEL_FLAGS[level]))
               for d in range(1, r)]
     return InequalitySystem(r, s, sigma, level, levels)

@@ -26,9 +26,10 @@ kernel and the dual map read of each subset.
 
 A level is its members' index rows, in mask-key order, and a point
 flag per row; the zero-dim flag is read off the rows by ``_zero_dim``.
-Gr(n, n) is a point: level (n, n) is one row, flagged point.  A level
-(d, n) with d <= n/2 is the kernel's output, with one ``lr._is_point``
-(a count capped at 2) per distinct multiset of zero-dim parts.  Every
+Gr(n, n) is a point: level (n, n) is one row, flagged point, made where
+it is asked for and never cached.  A level (d, n) with d <= n/2 is the
+kernel's output, with one ``lr._is_point`` (a count capped at 2) per
+distinct multiset of zero-dim parts.  Every
 other level is read off its Grassmann dual (n - d, n): Gr(d, n) =
 Gr(n - d, n) sends each part I to {n + 1 - j : j not in I} and keeps
 expected dimensions and LR coefficients, so the dual's rows are mapped
@@ -36,9 +37,9 @@ and re-sorted with their point flags, and no kernel or LR call runs.
 Tables are immutable once published and keyed by (size, ambient, cycle
 type-or-None).  The key alone fixes the levels a build reads, so
 ``HornStore.table`` hands out any level on first use, building those
-levels as it needs them.  A store may persist each table as one raw file
-(schema 6): a CRC-32 of the key and payload, then the index rows and the
-point flags.
+levels, and no others, as it needs them.  A store may persist each
+table but the point levels as one raw file (schema 6): a CRC-32 of the
+key and payload, then the index rows and the point flags.
 """
 
 from __future__ import annotations
@@ -193,17 +194,17 @@ class HornTable:
 class HornStore:
     """Level tables for one arity, each built on first use.
 
-    ``table(size, ambient, sigma)`` returns the published level, or else
-    reads it from the cache, or else builds it from the lower levels
-    (d, size), d < size, that its Horn tests read, or, above the middle,
-    from its dual level (ambient - size, ambient).  An all-ones cycle
-    type fixes every tuple, so it names the plain level.
-    ``cache_dir``, when given, keeps one ``.level`` file per level under
-    ``v6/``: its 4-byte ``_digest``, its rows as little-endian uint16 and
-    its point flags as bytes, 4 + m(2s + 1) in all.  A file that is absent,
-    unreadable, of a length no row count of the arity gives, misshapen
-    (a point off the zero-dim rows too) or does not match the digest of
-    the level asked for is a miss, and the level is built again.
+    ``table(size, ambient, sigma)`` returns the published level, or makes
+    the point level (n, n), or reads the level from the cache, or builds
+    it from the lower levels (d, size), d < size, that its Horn tests
+    read, or, above the middle, from its dual (ambient - size, ambient).
+    An all-ones cycle type fixes every tuple, so it names the plain level.
+    ``cache_dir``, when given, keeps one ``.level`` file per level d < n
+    under ``v6/``: its 4-byte ``_digest``, its rows as little-endian uint16
+    and its point flags as bytes, 4 + m(2s + 1) in all.  A file that is
+    absent, unreadable, of a length no row count of the arity gives,
+    misshapen (a point off the zero-dim rows too) or does not match the
+    digest of the level asked for is a miss, and the level is built again.
     """
 
     def __init__(self, arity=3, cache_dir=None):
@@ -224,8 +225,9 @@ class HornStore:
         key = (size, ambient, None if sigma == (1,) * self.arity else sigma)
         table = self.tables.get(key)
         if table is None:
-            table = self._load_cached(key)
-            if table is None:
+            if size == ambient:  # Gr(n, n) is a point: one row, the point class
+                table = HornTable(size, ambient, self.arity, key[2], [[0] * self.arity], [True])
+            elif (table := self._load_cached(key)) is None:
                 table = self._compute_table(*key)
                 self._save_cached(key, table)
             # publication is a single atomic assignment
@@ -304,9 +306,6 @@ class HornStore:
         return [(t.size, t.rows[t._zero_dim]) for t in tables]
 
     def _compute_table(self, size, ambient, sigma):
-        if size == ambient:  # Gr(n, n) is a point: one row, the point class
-            return HornTable(size, ambient, self.arity, sigma,
-                             np.zeros((1, self.arity), np.uint16), [True])
         if not ambient < 2 * size:
             return self._kernel_table(size, ambient, sigma)
         # above the middle: read off the Grassmann dual (module docstring)
@@ -355,14 +354,14 @@ def _level(size, ambient):
     return size, ambient
 
 
-_Index = namedtuple("_Index", "elements dims partitions incidence dual")
+_Index = namedtuple("_Index", "dims partitions incidence dual")
 
 
 @lru_cache(maxsize=None)
 def _index(size, ambient):
     """all_subsets(size, ambient) as read-only arrays, built without
-    Subsets, a row per subset I in mask order: its elements, dim and
-    Schubert partition (int32), incidence (bool, a column per j) and
+    Subsets, a row per subset I in mask order: its dim and Schubert
+    partition (int32), incidence (bool, a column per j) and
     (size < ambient) the rank of its dual {ambient + 1 - j : j not in I},
     uint16 up to 65,536 subsets and uint32 past them."""
     # mask order is the lex order of {ambient + 1 - j : j in I}, reversed
@@ -376,8 +375,8 @@ def _index(size, ambient):
     dual[np.lexsort(~incidence.T[::-1])] = np.arange(len(lex))
     dims = elements.sum(axis=1) - size * (size + 1) // 2
     partitions = np.arange(1, size + 1) - elements + ambient - size
-    index = _Index(elements, dims.astype(np.int32),
-                   partitions.astype(np.int32), incidence, dual)
+    index = _Index(dims.astype(np.int32), partitions.astype(np.int32),
+                   incidence, dual)
     for a in index:
         a.setflags(write=False)
     return index
@@ -385,9 +384,13 @@ def _index(size, ambient):
 
 def _zero_dim(rows, size, ambient):
     """Whether each (M, s) index row into all_subsets(size, ambient) has
-    expected dimension 0, its dims summing to (s-1) * size * (ambient-size)."""
-    total = sum(_index(size, ambient).dims[column] for column in rows.T)
-    return total == (rows.shape[1] - 1) * size * (ambient - size)
+    expected dimension 0, its dims summing to (s-1) * size * (ambient-size),
+    _CHUNK_ROWS rows at a time (a gather copies its whole index as intp)."""
+    dims, zero = _index(size, ambient).dims, np.empty(len(rows), dtype=bool)
+    want = (rows.shape[1] - 1) * size * (ambient - size)
+    for lo in range(0, len(rows), _CHUNK_ROWS):
+        zero[lo:lo + _CHUNK_ROWS] = sum(dims[c] for c in rows[lo:lo + _CHUNK_ROWS].T) == want
+    return zero
 
 
 def horn_rows(d, rows, r, lengths):
@@ -427,7 +430,7 @@ def _horn_survivors(size, ambient, s, sigma, tests, every=False):
     one comparison per group with one cycle, whose slack is the bound).
     """
     lengths = (1,) * s if sigma is None else sigma
-    _, dims, partitions, _, _ = _index(size, ambient)
+    dims, partitions, _, _ = _index(size, ambient)
     # the expected dimension is nonnegative iff the dims sum to at least
     threshold = (s - 1) * size * (ambient - size)
     # reach[k]: the most the cycles k, k+1, ... can still add

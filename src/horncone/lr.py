@@ -8,8 +8,8 @@ here by direct enumeration of skew tableaux with lattice-word pruning.
 Coefficients are plain Python ints, so they never overflow.
 
 :func:`point_coefficient` reads the point-class coefficient of a product
-without expanding it (the cross-check backend); level builds ask whether
-it is 1 from the same count capped at 2.  Each distinct partition is
+without expanding it; level builds ask whether it is 1 from the same
+count capped at 2.  Each distinct partition is
 checked once (memoized), and internal paths take checked ones.
 :func:`classify` expands the whole product of a subset tuple's classes
 and decides whether it is zero, nonzero, a multiple of the point class,

@@ -21,6 +21,9 @@ unpacked row by its orderings, the reference for the library's popcount
 census, and ``subset_to_schubert_partition`` the checked form of a
 subset's Schubert partition, and ``subset_index`` the per-subset arrays
 of a level built from ``Subset`` objects one by one.
+``lr_member`` decides cone membership of a rational point by
+Littlewood-Richardson positivity and saturation, without the levels or
+the Horn rows.
 ``reference_lp`` is a general two-phase simplex over ``Fraction`` with
 Bland's rule, the reference for the library's integer box LP.
 ``serial_find_witness`` runs the restarts of a witness search one after
@@ -272,7 +275,7 @@ def gather_sum_survivors(size, ambient, s, sigma, tests, every=False):
     candidate passes when the entries its cycles gather sum to at most the
     level's bound."""
     lengths = (1,) * s if sigma is None else sigma
-    _, dims, partitions, _, _ = horn._index(size, ambient)
+    dims, partitions, _, _ = horn._index(size, ambient)
     threshold = (s - 1) * size * (ambient - size)
     reach = np.cumsum([0] + [w * dims.max() for w in lengths[::-1]])[::-1]
     levels = [(partitions @ horn_rows(d, rows, size, lengths)[:, :-1].T.reshape(
@@ -383,6 +386,34 @@ def subset_index(size, ambient):
     return ([p.elements for p in subs], [p.dim() for p in subs],
             [subset_to_schubert_partition(p, ambient) for p in subs],
             [[j in p for j in range(1, ambient + 1)] for p in subs], dual)
+
+
+def lr_member(point):
+    """Whether a SpectrumFamily (A_1 + ... + A_s = t I) is a cone point,
+    by Knutson and Tao's saturation.  The trace and the chamber are
+    checked first; then each spectrum but the last is shifted to a
+    partition, the last taking up the shifts so that t = 0, and all are
+    scaled to coprime integers: the point is a member exactly when nu, the
+    last spectrum negated and reversed, is a partition and occurs
+    (coefficient > 0, up to r rows) in the product of the other
+    partitions' Schur classes.  Past three spectra the first ones are
+    multiplied out in a box wide enough to truncate no class."""
+    spectra, t, r = point.spectra, point.t, point.length
+    if (any(list(x) != sorted(x, reverse=True) for x in spectra)
+            or sum(map(sum, spectra)) != r * t):
+        return False
+    shifted = [[v - x[-1] for v in x] for x in spectra[:-1]]
+    shifted.append([t - sum(x[-1] for x in spectra[:-1]) - v
+                    for v in reversed(spectra[-1])])
+    flat = [v for x in shifted for v in x]
+    scale = math.lcm(*(v.denominator for v in flat))
+    scale = Fraction(scale, math.gcd(*(int(v * scale) for v in flat)) or 1)
+    *head, last, nu = [tuple(int(v * scale) for v in x) for x in shifted]
+    if nu[-1] < 0:
+        return False
+    product = lr.schubert_product(head, (r, r + sum(x[0] for x in head)))
+    return any(lr._lr(rho, lr.normalize_partition(last),
+                      lr.normalize_partition(nu), cap=1) for rho in product)
 
 
 # -- the reference LP -------------------------------------------------

@@ -17,7 +17,7 @@ from horncone import cli
 from horncone.cli import build_parser, main
 from horncone.cone import InequalitySystem, generate_system
 from horncone.horn import HornStore
-from test_cone import CSV_CASES
+from test_cone import CSV_CASES, read_levels
 
 
 def run(capsys, *argv):
@@ -331,6 +331,30 @@ class TestCache:
                              "--cache-dir", str(tmp_path))
         assert code1 == code2 == 0 and out1 == out2
         assert any(tmp_path.rglob("*.level"))
+
+    def test_tables_fill_what_a_cache_reader_reads(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # every plain level through (7, 8) and every σ = (3,) level through
+        # (10, 11), point levels included, is served from the cache
+        # directory that `tables` filled, with no level computed
+        cache = str(tmp_path)
+        for argv in (["--rmax", "8"], ["--rmax", "11", "--sigma", "3"]):
+            assert run(capsys, "tables", *argv, "--cache-dir", cache)[0] == 0
+
+        def refuse(self, size, ambient, sigma):
+            raise LookupError(f"level ({size}, {ambient}, {sigma}) is not cached")
+
+        monkeypatch.setattr(HornStore, "_compute_table", refuse)
+        warm = HornStore(arity=3, cache_dir=cache)
+        warm.build_through(7, 8)
+        warm.build_through(10, 11, sigma=(3,))
+        assert len(warm.tables) == 35 + 65
+
+    def test_system_writes_only_the_levels_it_reads(self, capsys, tmp_path):
+        assert run(capsys, "system", "--r", "8", "--cache-dir", str(tmp_path))[0] == 0
+        assert sorted(p.name for p in (tmp_path / "v6").iterdir()) == sorted(
+            f"int_d{d}_r{n}_s3_full.level" for d, n in read_levels(8))
+        assert len(list(tmp_path.rglob("*"))) == 1 + 13
 
     def test_no_cache_is_not_an_option(self, capsys, tmp_path):
         # the cache is on exactly when --cache-dir is given

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import entry_sum, invariant_dim
+from _oracles import entry_sum, invariant_dim, lr_member
 from horncone.cone import (
     InequalitySystem,
     SpectrumFamily,
@@ -166,7 +166,27 @@ def _first_row(**fields):
     return lambda data: data["horn"][0].update(fields)
 
 
+def read_levels(r):
+    """The levels a rank-r system reads: its levels (d, r), then, for each
+    level (d, n) with 2d <= n, its test levels (d', d), d' < d, and for
+    each above the middle its dual (n - d, n)."""
+    todo, seen = [(d, r) for d in range(1, r)], set()
+    while todo:
+        d, n = todo.pop()
+        if (d, n) not in seen:
+            seen.add((d, n))
+            todo += [(e, d) for e in range(1, d)] if 2 * d <= n else [(n - d, n)]
+    return seen
+
+
 class TestGenerateSystem:
+    @pytest.mark.parametrize("r, sigma, count", [(18, (3,), 53), (8, None, 13)])
+    def test_builds_only_the_levels_it_reads(self, r, sigma, count):
+        store = HornStore(arity=3)
+        generate_system(r, 3, sigma, "full0", store)
+        assert set(store.tables) == {(d, n, sigma) for d, n in read_levels(r)}
+        assert len(store.tables) == count
+
     def test_published_counts(self, store):
         assert [generate_system(r, 3, None, "full0", store).count
                 for r in range(1, 7)] == [2, 8, 20, 52, 156, 539]
@@ -681,6 +701,108 @@ class TestLrMembership:
             assert self.lr_member(lams, store) == want
             checked += 1
         assert checked > 50
+
+
+def boundary_points(rng, system, count, top):
+    """Pairs of points on either side of the boundary of the system's
+    cone, fixed by its cycle type.  A walk starts at partitions (entries
+    <= top), one per cycle but the first, and nu, the sorted sum of the
+    other spectra each permuted at random, a member (diagonal matrices
+    commute); the first cycle's spectrum is -reversed(nu), with t = 0.
+    Each step moves one unit between two parts of one cycle's partition,
+    kept a partition, until ``lr_member`` says the walk has left the cone:
+    its last two places are a pair.  Each point is then shifted and
+    rescaled at random, cycles keeping their equal spectra."""
+    r, points = system.r, []
+
+    def family(walk):
+        return stable_family(system, [[-v for v in reversed(walk[0])],
+                                      *walk[1:]], 0)
+
+    while len(points) < count:
+        parts = [sorted((rng.randint(0, top) for _ in range(r)), reverse=True)
+                 for _ in system.cycles[1:]]
+        others = [p for cyc, p in zip(system.cycles[1:], parts) for _ in cyc]
+        walk = [sorted(map(sum, zip(*(rng.sample(p, r) for p in others))),
+                       reverse=True), *parts]
+        for _ in range(200):
+            c, (i, j) = rng.randrange(len(walk)), rng.sample(range(r), 2)
+            moved = [list(x) for x in walk]
+            moved[c][i] += 1
+            moved[c][j] -= 1
+            if moved[c] != sorted(moved[c], reverse=True) or moved[c][-1] < 0:
+                continue
+            if not lr_member(family(moved)):
+                break
+            walk = moved
+        else:
+            continue
+        for point in (family(walk), family(moved)):
+            taus = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                    for _ in system.cycles]
+            points.append(shift_rescale(point, [taus[c] for c, cyc in enumerate(
+                system.cycles) for _ in cyc], Fraction(rng.randint(1, 7), rng.randint(1, 7))))
+    return points
+
+
+def lr_disagreements(system, points, want):
+    return [p for p, w in zip(points, want) if member(p, system).is_member != w]
+
+
+@pytest.fixture(scope="module")
+def lr_cases():
+    """Systems and boundary points with their LR verdicts: plain ranks
+    4-8, the cycle type (1,2) at ranks 3-6, four spectra at ranks 2-4."""
+    rng, cases = random.Random(7), []
+    plain, four = HornStore(arity=3), HornStore(arity=4)
+    for r, store, sigma, count, top in (
+            [(r, plain, None, 120, 6 if r < 7 else 5) for r in range(4, 9)]
+            + [(r, plain, (1, 2), 70, 6) for r in range(3, 7)]
+            + [(r, four, None, 60, 3) for r in range(2, 5)]):
+        system = generate_system(r, store.arity, sigma, "full0", store)
+        points = boundary_points(rng, system, count, top)
+        cases.append((system, points, [lr_member(p) for p in points]))
+    return cases
+
+
+class TestAgainstLrPositivity:
+    # by Knutson and Tao's saturation a rational point is a cone member
+    # exactly when, scaled to partitions, its LR coefficient is positive;
+    # that count reads neither the levels nor the Horn rows
+
+    def test_decide_agrees_on_boundary_points(self, lr_cases):
+        assert sum(len(points) for _, points, _ in lr_cases) >= 1000
+        for system, points, want in lr_cases:
+            assert lr_disagreements(system, points, want) == []
+            assert sum(want) * 2 == len(want)
+
+    def test_a_system_without_a_point_row_fails(self, lr_cases):
+        # plain rank 4 without its first point row
+        system, points, want = lr_cases[0]
+        (d, rows, point), *rest = system.levels
+        j = int(np.flatnonzero(point)[0])
+        levels = [(d, np.delete(rows, j, axis=0), np.delete(point, j)), *rest]
+        dropped = InequalitySystem(system.r, 3, None, "full0", levels)
+        assert lr_disagreements(dropped, points, want)
+
+    def test_a_system_with_a_flipped_row_fails(self, lr_cases):
+        # plain rank 4 with its first point row negated
+        system, points, want = lr_cases[0]
+        first = 2 + system.chamber_count + np.flatnonzero(system.levels[0][2])[0]
+        flipped = InequalitySystem(system.r, 3, None, "full0", system.levels)
+        matrix = system.matrix.copy()
+        matrix[first] *= -1
+        flipped.matrix = matrix
+        assert lr_disagreements(flipped, points, want)
+
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="rank-10 system of 191,382 rows; set RUN_OPTIONAL=1")
+    def test_rank10_plain(self):
+        system = generate_system(10, 3, None, "full0", HornStore(arity=3))
+        points = boundary_points(random.Random(10), system, 200, 8)
+        want = [lr_member(p) for p in points]
+        assert lr_disagreements(system, points, want) == []
+        assert sum(want) * 2 == len(want)
 
 
 class TestOtherArities:

@@ -221,10 +221,13 @@ class TestTableOnFirstUse:
         assert len(calls) == len(set(calls)) == len(fresh.tables)
 
     def test_build_through_computes_in_level_order(self, monkeypatch):
+        # the point levels (n, n) are published without a computation
         calls = self.counted(monkeypatch)
-        HornStore(arity=3).build_through(7, 8)
+        built = HornStore(arity=3).build_through(7, 8)
         assert calls == [(size, n, None) for size in range(1, 8)
-                         for n in range(size, 9)]
+                         for n in range(size + 1, 9)]
+        assert all(built.tables[(n, n, None)].point == (True,)
+                   for n in range(1, 8))
 
     def test_a_cached_level_reads_no_lower_level(self, monkeypatch,
                                                  tmp_path):
@@ -704,6 +707,46 @@ class TestTableRows:
         assert checked > 0
 
 
+def sigma3_lr_mismatches(table):
+    """The candidates (I, I, I) of a σ = (3,) level (d, n), 2d <= n, with
+    3 codim I = d(n - d), on which the level disagrees with the capped LR
+    count: a row exactly when the count is positive, flagged point exactly
+    when it is 1.  The recursion calls no LR, so membership is checked by
+    an independent backend; the flags re-check the count that set them."""
+    d, n = table.size, table.ambient
+    rows, point = table.select("zero_dim")
+    got = dict(zip(rows[:, 0].tolist(), point.tolist()))
+    partitions = _index(d, n).partitions
+    candidates = np.flatnonzero(3 * partitions.sum(axis=1) == d * (n - d))
+    mismatches = sorted(set(got) - set(candidates.tolist()))
+    for i in candidates.tolist():
+        count = lr._point_count([partitions[i].tolist()] * 3, d, n, cap=2)
+        if got.get(i) != (count == 1 if count else None):
+            mismatches.append(i)
+    return mismatches
+
+
+class TestSigma3AgainstLr:
+    def test_levels_through_ambient_18(self):
+        store, checked = HornStore(arity=3), 0
+        for n in range(2, 19):
+            for d in range(1, n // 2 + 1):
+                table = store.table(d, n, (3,))
+                assert sigma3_lr_mismatches(table) == [], (d, n)
+                checked += len(table.select("zero_dim")[1])
+        assert checked == 2561
+
+    def test_a_dropped_row_or_flipped_flag_fails(self):
+        table = HornStore(arity=3).table(6, 15, (3,))
+        rows, point = table.select("zero_dim")
+        assert point.any() and not point.all()
+        flipped = point.copy()
+        flipped[0] = not flipped[0]
+        for kept, flags in [(rows[1:], point[1:]), (rows, flipped)]:
+            mutant = horn.HornTable(6, 15, 3, (3,), kept, flags)
+            assert sigma3_lr_mismatches(mutant) != []
+
+
 class TestPointLevels:
     """Gr(n, n) is a point: level (n, n) is its one tuple of empty
     partitions, the point class, built with no kernel or LR call."""
@@ -740,6 +783,18 @@ class TestPointLevels:
         for n in range(1, 7):
             assert store.table(n, n, (3,)).point == (True,)
 
+    def test_never_cached_or_computed(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("called for a point level")
+
+        for name in ("_load_cached", "_save_cached", "_compute_table"):
+            monkeypatch.setattr(HornStore, name, refuse)
+        store = HornStore(arity=3, cache_dir=str(tmp_path))
+        for n in range(1, 7):
+            for sigma in (None, (3,)):
+                assert store.table(n, n, sigma).point == (True,)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestIndex:
     def test_index_against_subsets(self):
@@ -749,7 +804,6 @@ class TestIndex:
             for d in range(1, n + 1):
                 index = _index(d, n)
                 elements, dims, partitions, incidence, dual = subset_index(d, n)
-                assert index.elements.tolist() == [list(e) for e in elements]
                 assert index.dims.tolist() == dims
                 assert index.partitions.tolist() == [list(p) for p in partitions]
                 assert index.incidence.tolist() == incidence
@@ -987,7 +1041,9 @@ class TestCache:
             assert np.array_equal(got.rows, table.rows) and got.point == table.point
         assert sorted(os.listdir(tmp_path)) == ["v5", "v6"]
         assert {p.name: p.read_bytes() for p in (tmp_path / "v5").iterdir()} == v5
-        assert len(os.listdir(tmp_path / "v6")) == len(cold.tables)
+        # one file per level but the point levels (n, n), never cached
+        assert len(os.listdir(tmp_path / "v6")) == len(
+            [key for key in cold.tables if key[0] < key[1]])
 
     def test_file_of_another_level_is_a_miss(self, tmp_path):
         store = HornStore(arity=3, cache_dir=str(tmp_path))
