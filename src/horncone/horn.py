@@ -18,11 +18,12 @@ and cycle type, in chunks of bounded size, one index per cycle.  It
 enumerates every cycle but the last, whose indices it yields as bitsets,
 one AND per group of test rows that share the last cycle's part.  A level
 build asks for every tuple and unpacks the bitsets once into its rows,
-already in mask-key order.  Swaps of equal-length cycles change neither a
-tuple's verdict nor the test sets (the Schubert product is commutative),
-so the census asks for one sorted representative per orbit and weights
-it by orbit size from popcounts.  ``_index`` holds, as arrays, what the
-kernel and the dual map read of each subset.
+already in mask-key order.  Permuting the parts of a plain tuple changes
+neither its verdict nor the test sets (the Schubert product is
+commutative), so the census asks only for sorted prefixes, the last
+index free, and weights each bit by its prefix's orderings from
+popcounts.  ``_index`` holds, as arrays, what the kernel and the dual
+map read of each subset.
 
 A level is its members' index rows, in mask-key order, and a point
 flag per row; the zero-dim flag is read off the rows by ``_zero_dim``.
@@ -405,25 +406,26 @@ def horn_rows(d, rows, r, lengths):
 
 
 def _horn_survivors(size, ambient, s, sigma, tests, every=False):
-    """Yield, in mask-key order, blocks of one representative per orbit
-    (of every tuple when ``every``) of the tuples that are fixed by the
-    cycle type ``sigma`` (None: every tuple), have nonnegative expected
-    dimension and pass every test level in ``tests``: pairs (d, rows) of
-    zero-expected-dimension tuples fixed by ``sigma`` and closed under the
-    swaps below, as every level's rows are, as (K, s) index rows into
-    all_subsets(d, size).  A block pairs prefixes, (cycles - 1, M) indices
-    into all_subsets(size, ambient), with bits (little order) of the last
+    """Yield, in mask-key order, blocks of the tuples (unless ``every``,
+    those with a sorted prefix) that are fixed by the cycle type ``sigma``
+    (None: every tuple), have nonnegative expected dimension and pass
+    every test level in ``tests``: pairs (d, rows) of zero-expected-
+    dimension tuples fixed by ``sigma`` and closed under the swaps below,
+    as every level's rows are, as (K, s) index rows into all_subsets(d,
+    size).  A block pairs prefixes, (cycles - 1, M) indices into
+    all_subsets(size, ambient), with bits (little order) of the last
     indices that complete each.
 
-    The orbits are those of the swaps of cycles of equal length (for
-    None, all s! permutations of the parts), which leave each of these
-    conditions unchanged; a representative's indices do not decrease
-    within each run of equal cycle lengths.  Candidates grow by one free
-    index per cycle, weighted by its length, and, unless ``every``, never
-    below the previous index of their run; a prefix is dropped once its
-    dimension sum can no longer reach the threshold, and each growth step
-    is split to hold about _CHUNK_ROWS rows.  A candidate passes level d when it satisfies
-    the level's ``horn_rows`` at x = its cycles' Schubert partitions,
+    Swaps of cycles of equal length (for None, all s! permutations of the
+    parts) leave each of these conditions unchanged.  The prefix is every
+    cycle but the last; a sorted one's indices do not decrease within each
+    run of equal cycle lengths, and the last cycle is never masked.
+    Candidates grow by one free index per cycle, weighted by its length,
+    and, unless ``every``, a prefix index never below the previous one of
+    its run; a prefix is dropped once its dimension sum can no longer
+    reach the threshold, and each growth step is split to hold about
+    _CHUNK_ROWS rows.  A candidate passes level d when it satisfies the
+    level's ``horn_rows`` at x = its cycles' Schubert partitions,
     t = ambient - size.  The entries are nonnegative: every cycle but the
     last leaves each row a slack, and the last indices that fit are an AND
     of one bitset per slack and group of rows sharing the last column (of
@@ -465,8 +467,6 @@ def _horn_survivors(size, ambient, s, sigma, tests, every=False):
         free, slack = free[:, (ok := slack.min(axis=1) >= 0)], slack[ok]
         bits = np.bitwise_and.reduce(fits[np.arange(len(starts))[:, None],
                                           slack.T], axis=0)
-        if not every and lengths[-1] == lengths[-2]:
-            bits &= _at_least(len(dims))[free[-1]]
         if len(bits):
             yield free, bits
 
@@ -487,12 +487,6 @@ def _horn_survivors(size, ambient, s, sigma, tests, every=False):
     yield from grow(np.zeros((0, 1), dtype=np.intp), np.zeros(1, np.int64), 0)
 
 
-@lru_cache(maxsize=None)
-def _at_least(n):
-    """Bitsets (little order) over range(n): row i holds the j >= i."""
-    return np.packbits(np.arange(n) >= np.arange(n)[:, None], 1, "little")
-
-
 class IntersectingCount(NamedTuple):
     """Counts from a full intersecting enumeration: the total, the
     all-components-equal diagonal, and how many diagonal members have
@@ -505,11 +499,11 @@ class IntersectingCount(NamedTuple):
 
 def count_intersecting(size, ambient, store):
     """Count the intersecting tuples of Subsets(size, ambient, s) without
-    materializing them, using the store's lower levels.  Each sorted
-    representative the kernel yields stands for its s!/prod(m!) orderings,
-    m running over the multiplicities of its parts: s!/ties for each bit
-    a prefix's popcount counts, but s!/(ties * (run + 1)) for its own last
-    index.  ValueError unless 1 <= size <= ambient are integers."""
+    materializing them, using the store's lower levels.  Each bit of a
+    sorted prefix the kernel yields stands for the prefix's (s-1)!/prod(m!)
+    orderings, m running over the multiplicities of its parts; the
+    diagonal is the prefixes of one index q whose bit q is set.
+    ValueError unless 1 <= size <= ambient are integers."""
     size, ambient = _level(size, ambient)
     s = store.arity
     # whether the diagonal (j, ..., j) has expected dimension zero
@@ -521,18 +515,16 @@ def count_intersecting(size, ambient, store):
         if s == 1:  # one block, no prefix: every member is diagonal
             on = _POPCOUNT[bits & np.packbits(zero, -1, "little")]
             return IntersectingCount(int(count[0]), int(count[0]), int(on.sum()))
-        last = free[-1]
-        # run: how many parts so far equal the last one; ties: prod(m!)
-        run = ties = np.ones(len(last), dtype=np.int64)
+        # run: how many parts so far equal the latest one; ties: prod(m!)
+        run = ties = np.ones(free.shape[1], dtype=np.int64)
         for k in range(1, s - 1):
             run = np.where(free[k] == free[k - 1], run + 1, 1)
             ties = ties * run
-        hit = (bits[np.arange(len(last)), last >> 3] >> (last & 7)) & 1
-        weight = factorial(s) // ties
-        total += int((weight * (count - hit) + weight // (run + 1) * hit).sum())
-        on = hit.astype(bool) & (run == s - 1)
-        diagonal += int(on.sum())
-        diagonal_zero_dim += int(zero[last[on]].sum())
+        total += int((factorial(s - 1) // ties * count).sum())
+        q = free[0, same := run == s - 1]
+        q = q[(bits[same, q >> 3] >> (q & 7) & 1).astype(bool)]
+        diagonal += len(q)
+        diagonal_zero_dim += int(zero[q].sum())
     return IntersectingCount(total, diagonal, diagonal_zero_dim)
 
 

@@ -14,11 +14,11 @@ tables are compared against, ``survivor_chunks`` the kernel's blocks
 unpacked, ``gather_sum_survivors`` the Horn filter that sums one table
 entry per cycle for every candidate, the reference for the library's
 bitset kernel in both of its modes, ``expanded_table`` the level built
-from one representative per orbit by expanding each orbit through sorted
-integer keys, the reference for the library's every-tuple level build,
-``weighted_census`` the census of the filter's chunks that weights each
-unpacked row by its orderings, the reference for the library's popcount
-census, and ``subset_to_schubert_partition`` the checked form of a
+from the tuples with a sorted prefix by expanding each orbit through
+sorted integer keys, the reference for the library's every-tuple level
+build, ``weighted_census`` the census of the filter's chunks that
+weights each unpacked row by its prefix's orderings, the reference for
+the library's popcount census, and ``subset_to_schubert_partition`` the checked form of a
 subset's Schubert partition, and ``subset_index`` the per-subset arrays
 of a level built from ``Subset`` objects one by one.
 ``lr_member`` decides cone membership of a rational point by
@@ -268,9 +268,9 @@ def survivor_chunks(size, ambient, s, sigma, tests, every=False):
 
 def gather_sum_survivors(size, ambient, s, sigma, tests, every=False):
     """The chunks ``survivor_chunks`` unpacks from the kernel's blocks,
-    from the same growth of representatives (of every tuple when
-    ``every``) and the same chunk bounds, but each candidate is decided
-    on its own: per test level, one
+    from the same growth of sorted prefixes, the last cycle free (of
+    every tuple when ``every``), and the same chunk bounds, but each
+    candidate is decided on its own: per test level, one
     int32 table per cycle holds each part's share of each Horn row, and a
     candidate passes when the entries its cycles gather sum to at most the
     level's bound."""
@@ -298,7 +298,8 @@ def gather_sum_survivors(size, ambient, s, sigma, tests, every=False):
         gain = lengths[k] * dims
         for lo in range(0, len(sums), step):
             keep = sums[lo:lo + step, None] + gain >= threshold - reach[k + 1]
-            if not every and k and lengths[k] == lengths[k - 1]:
+            if (not every and 0 < k < len(lengths) - 1
+                    and lengths[k] == lengths[k - 1]):
                 keep &= np.arange(len(dims)) >= free[k - 1, lo:lo + step, None]
             i, j = np.nonzero(keep)
             i += lo
@@ -309,8 +310,8 @@ def gather_sum_survivors(size, ambient, s, sigma, tests, every=False):
 
 
 def expanded_table(store, size, ambient, sigma):
-    """The level the store would build, from the kernel's sorted
-    representatives: each orbit is expanded by the integer keys (in
+    """The level the store would build, from the kernel's tuples with a
+    sorted prefix: each orbit is expanded by the integer keys (in
     mask-key order) of every permutation of the cycles that keeps their
     lengths, sorted, deduped and unravelled into the rows."""
     s, n = store.arity, math.comb(ambient, size)
@@ -349,18 +350,19 @@ def expanded_table(store, size, ambient, sigma):
 
 def weighted_census(chunks, size, ambient, s):
     """``horn.count_intersecting`` from plain (cycle type None) chunks of
-    sorted representatives, one column each: a row stands for its
-    s!/prod(m!) orderings, m running over the multiplicities of its
-    parts, and the diagonal rows are kept to count their zero-dim ones."""
+    tuples with a sorted prefix, one column each: a row stands for the
+    (s-1)!/prod(m!) orderings of its prefix, m running over the
+    multiplicities of the prefix's parts, and the diagonal rows are kept
+    to count their zero-dim ones."""
     total, diagonal = 0, [np.zeros((0, s), dtype=np.intp)]
     for free in chunks:
         rows = free.T  # one cycle per part
-        # run: how many parts so far equal this one; ties: prod(m!)
+        # run: how many prefix parts so far equal this one; ties: prod(m!)
         run = ties = np.ones(len(rows), dtype=np.int64)
-        for k in range(1, s):
+        for k in range(1, s - 1):
             run = np.where(rows[:, k] == rows[:, k - 1], run + 1, 1)
             ties = ties * run
-        total += int((math.factorial(s) // ties).sum())
+        total += int((math.factorial(s - 1) // ties).sum())
         diagonal.append(rows[(rows == rows[:, :1]).all(axis=1)])
     diagonal = np.concatenate(diagonal)
     return IntersectingCount(total, len(diagonal),

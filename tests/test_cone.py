@@ -21,6 +21,7 @@ from horncone.cone import (
     shift_rescale,
 )
 from horncone.horn import HornStore, NotSigmaStable
+from horncone.lp import solve_lp
 from horncone.subsets import Permutation, expected_dim, stable_tuples
 
 
@@ -803,6 +804,100 @@ class TestAgainstLrPositivity:
         want = [lr_member(p) for p in points]
         assert lr_disagreements(system, points, want) == []
         assert sum(want) * 2 == len(want)
+
+
+def without_row(system, k):
+    """The system with its row k, a Horn row, left out."""
+    levels, j = [], k - 2 - system.chamber_count
+    for d, rows, point in system.levels:
+        if 0 <= j < len(rows):
+            rows, point = np.delete(rows, j, axis=0), np.delete(point, j)
+        levels.append((d, rows, point))
+        j -= len(rows)
+    return InequalitySystem(system.r, system.s, system.sigma, system.level,
+                            levels)
+
+
+def facet_point_failures(system, rows=None):
+    """Check each Horn row k (every one unless ``rows`` names some) by the
+    exact optimum of row k over the box and the system without it.  A
+    full0 row is essential, the optimum positive, exactly when its point
+    flag is set, and then the optimal vertex x* breaks row k alone:
+    ``decide`` names row k with an excess equal to the optimum, the
+    system without row k accepts x*, and LR positivity rejects it.
+    Returns (row, check) for every check that fails, and the number of
+    essential rows."""
+    first, r = 2 + system.chamber_count, system.r
+    point = np.concatenate([p for _, _, p in system.levels])
+    failures, essential = [], 0
+    for k in range(first, system.count) if rows is None else rows:
+        value, x = solve_lp(system.matrix[k], np.delete(system.matrix, k, 0))
+        if (value > 0) != point[k - first]:
+            failures.append((k, "essential iff point"))
+        if value <= 0:
+            continue
+        essential += 1
+        family = stable_family(system, [x[c * r:(c + 1) * r] for c in
+                                        range(len(system.cycles))], x[-1])
+        verdict = system.decide(family)
+        if verdict or verdict.violation.constraint.index != k \
+                or verdict.violation.amount != value:
+            failures.append((k, "decide names row k"))
+        if not without_row(system, k).decide(family):
+            failures.append((k, "accepted without row k"))
+        if lr_member(family):
+            failures.append((k, "LR rejects"))
+    return failures, essential
+
+
+@pytest.fixture(scope="module")
+def facet_stores():
+    return {3: HornStore(arity=3), 4: HornStore(arity=4)}
+
+
+class TestFacetPoints:
+    # every essential Horn row is pinned by a point that breaks it alone;
+    # a boundary walk misses most dropped point rows
+
+    @pytest.mark.parametrize("r, s, sigma, essential, horn", [
+        (4, 3, None, 41, 41), (5, 3, None, 142, 142),
+        (4, 3, (1, 2), 9, 9), (5, 3, (1, 2), 22, 22),
+        (3, 4, None, 20, 20), (4, 4, None, 92, 93),
+        (6, 3, (3,), 2, 3), (9, 3, (3,), 8, 14),
+    ])
+    def test_essential_rows_are_pinned(self, facet_stores, r, s, sigma,
+                                       essential, horn):
+        system = generate_system(r, s, sigma, "full0", facet_stores[s])
+        assert system.counts["horn"] == horn
+        assert facet_point_failures(system) == ([], essential)
+
+    def test_a_system_with_a_flipped_point_flag_fails(self, facet_stores):
+        system = generate_system(4, 3, None, "full0", facet_stores[3])
+        (d, rows, point), *rest = system.levels
+        flipped = InequalitySystem(4, 3, None, "full0",
+                                   [(d, rows, ~point), *rest])
+        k = 2 + system.chamber_count
+        assert facet_point_failures(flipped, [k])[0] == \
+            [(k, "essential iff point")]
+
+    def test_a_system_with_a_negated_row_fails(self, facet_stores):
+        # the negated row's vertex is a cone member: LR accepts it
+        system = generate_system(4, 3, None, "full0", facet_stores[3])
+        k = 2 + system.chamber_count
+        negated = InequalitySystem(4, 3, None, "full0", system.levels)
+        matrix = system.matrix.copy()
+        matrix[k] *= -1
+        negated.matrix = matrix
+        assert facet_point_failures(negated, [k])[0] == [(k, "LR rejects")]
+
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="rank-6 plain facet points, 522 LPs; set "
+                               "RUN_OPTIONAL=1")
+    def test_rank6_plain(self):
+        system = generate_system(6, 3, None, "full0", HornStore(arity=3))
+        # 521 point rows and the one redundant row of rank 6
+        assert system.counts["horn"] == 522
+        assert facet_point_failures(system) == ([], 521)
 
 
 class TestOtherArities:
