@@ -521,7 +521,8 @@ def count_intersecting(size, ambient, store):
             run = np.where(free[k] == free[k - 1], run + 1, 1)
             ties = ties * run
         total += int((factorial(s - 1) // ties * count).sum())
-        q = free[0, same := run == s - 1]
+        same = run == s - 1  # the prefixes (q, ..., q)
+        q = free[0, same]
         q = q[(bits[same, q >> 3] >> (q & 7) & 1).astype(bool)]
         diagonal += len(q)
         diagonal_zero_dim += int(zero[q].sum())
