@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .horn import HornStore, NotSigmaStable, horn_rows, normalize_cycle_type
+from .horn import HornStore, NotSigmaStable, _fits, horn_rows, normalize_cycle_type
 from .subsets import Permutation, Subset, SubsetTuple, _integer, all_subsets
 
 
@@ -248,22 +248,27 @@ class InequalitySystem:
         return matrix
 
     @cached_property
-    def orbits(self):
-        """For each row, the first row of its orbit under the permutations
-        of cycles' column blocks (t fixed) that map the row multiset onto
-        itself: x -> πx carries one row's box LP onto another's, optimum
-        included.  The trace row weighs each block by its cycle's length."""
+    def symmetries(self):
+        """The permutations p of cycles' column blocks, identity first, that
+        map the row multiset onto itself: block c of a row's image is its
+        block p[c], t stays, and the trace row weighs a block by its length."""
+        every = list(itertools.permutations(range(len(self.cycles))))
+        ordered = sorted(self._images(every[0]))
+        return tuple(p for p in every if sorted(self._images(p)) == ordered)
+
+    def _images(self, blocks):
+        """Each row's image under a block permutation, as its bytes."""
         M, r = self.matrix, self.r
-        row = np.dtype((np.void, M.itemsize * M.shape[1]))  # a row's bytes
-        rows = M.view(row).ravel().tolist()
+        cols = [b * r + i for b in blocks for i in range(r)] + [len(M.T) - 1]
+        return M.take(cols, axis=1).view((np.void, M[0].nbytes)).ravel().tolist()
+
+    @cached_property
+    def orbits(self):
+        """For each row, the first row of its orbit under ``symmetries``."""
+        rows = self._images(self.symmetries[0])
         first = {key: k for k, key in reversed(list(enumerate(rows)))}
-        ordered, reps = sorted(rows), np.array([first[key] for key in rows])
-        for blocks in itertools.permutations(range(len(self.cycles))):
-            cols = [b * r + i for b in blocks for i in range(r)] + [len(M.T) - 1]
-            image = M.take(cols, axis=1).view(row).ravel().tolist()
-            if sorted(image) == ordered:
-                reps = np.minimum(reps, [first[key] for key in image])
-        return reps
+        return np.min([[first[key] for key in self._images(p)]
+                       for p in self.symmetries], axis=0)
 
     def _leading_rows(self):
         """The matrix rows before the Horn rows: trace, then chamber."""
@@ -430,13 +435,14 @@ def generate_system(r, s=3, sigma=None, level="full0", store=None):
     dropped as well since the Horn rows imply them), and "all" every
     intersecting tuple (valid but heavily redundant).  The store builds
     only the levels (d, r) and those they read.  ValueError unless r >= 1
-    and s are integers (numpy ones too, bools not).
-    """
+    and s are integers (numpy ones too, bools not), and before any level
+    is built unless C(r, r // 2) <= 65536 (r <= 18)."""
     if level not in LEVEL_FLAGS:
         raise ValueError(f"unknown level {level!r}")
     r, s = _integer(r), _integer(s)
     if r < 1:
         raise ValueError(f"rank {r} is not positive")
+    _fits(r // 2, r)  # the largest level the system reads, before any build
     sigma = normalize_cycle_type(sigma, s)
     if store is None:
         store = HornStore(arity=s)

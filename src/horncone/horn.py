@@ -218,10 +218,7 @@ class HornStore:
     def table(self, size, ambient, sigma=None):
         """The level (size, ambient, sigma), built on first use; ValueError
         unless 1 <= size <= ambient are integers, C(ambient, size) <= 65536."""
-        size, ambient = _level(size, ambient)
-        if comb(ambient, size) > 1 << 16:
-            raise ValueError(f"level (size={size}, ambient={ambient}) needs "
-                             f"C({ambient}, {size}) <= 65536 uint16 positions")
+        size, ambient = _fits(*_level(size, ambient))
         sigma = normalize_cycle_type(sigma, self.arity)
         key = (size, ambient, None if sigma == (1,) * self.arity else sigma)
         table = self.tables.get(key)
@@ -352,6 +349,14 @@ def _level(size, ambient):
     if not 1 <= size <= ambient:
         raise ValueError(f"level (size={size}, ambient={ambient}) needs "
                          "1 <= size <= ambient")
+    return size, ambient
+
+
+def _fits(size, ambient):
+    """(size, ambient); ValueError unless C(ambient, size) <= 65536."""
+    if comb(ambient, size) > 1 << 16:
+        raise ValueError(f"level (size={size}, ambient={ambient}) needs "
+                         f"C({ambient}, {size}) <= 65536 uint16 positions")
     return size, ambient
 
 

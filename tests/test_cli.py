@@ -265,6 +265,17 @@ def test_level_too_wide_exits_at_once(capsys):
     assert code == 2 and out == "" and err.count("\n") == 1 and "65536" in err
 
 
+def test_rank_past_uint16_positions_exits_at_once(capsys, monkeypatch):
+    def refuse(self, size, ambient, sigma):
+        raise AssertionError(f"built level ({size}, {ambient}, {sigma})")
+
+    monkeypatch.setattr(HornStore, "_compute_table", refuse)
+    for sigma in ([], ["--sigma", "3"]):
+        code, out, err = run(capsys, "system", "--r", "19", *sigma)
+        assert code == 2 and out == "" and err.count("\n") == 1 \
+            and "C(19, 9) <= 65536" in err, sigma
+
+
 class TestOptionsEachCommandReads:
     # an option a subcommand would not read is rejected, not ignored
 
@@ -387,6 +398,27 @@ class TestCache:
         assert any((tmp_path / "cache").rglob("*.level"))
         assert pathlib.Path(f"{out}.cold").read_text() == \
             pathlib.Path(f"{out}.warm").read_text()
+
+    def test_lps_and_tables_leave_numpy_ma_out(self, tmp_path):
+        # numpy.ma costs every process that imports it tens of ms: neither
+        # a redundancy report, both t settings, nor the tables import it
+        script = """if True:
+            import sys
+            from horncone import cli, cone, lp
+            system = cone.generate_system(4)
+            for fix_t_zero in (False, True):
+                lp.redundancy_report(system, fix_t_zero)
+            assert cli.main(["tables", "--rmax", "6", "-o", sys.argv[1]]) == 0
+            print("numpy.ma" in sys.modules)
+        """
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script,
+                               str(tmp_path / "tables")],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 class TestCacheIntegrity:

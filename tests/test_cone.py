@@ -249,6 +249,21 @@ class TestGenerateSystem:
             with pytest.raises(ValueError, match="rank"):
                 generate_system(r, 3, None, "full0", store)
 
+    @pytest.mark.parametrize("sigma", [None, (3,)])
+    def test_rank_past_uint16_positions_builds_no_level(self, monkeypatch,
+                                                        sigma):
+        # level (9, 19) has C(19, 9) = 92,378 subsets, past the 65,536
+        # that a uint16 row entry numbers; no level is asked for first
+
+        def refuse(self, size, ambient, sigma):
+            raise AssertionError(f"built level ({size}, {ambient}, {sigma})")
+
+        monkeypatch.setattr(HornStore, "_compute_table", refuse)
+        store = HornStore(arity=3)
+        with pytest.raises(ValueError, match=r"C\(19, 9\) <= 65536"):
+            generate_system(19, 3, sigma, "full0", store)
+        assert store.tables == {}
+
     @pytest.mark.parametrize("r, s", [(3.0, 3), (True, 3), (3, 3.0)])
     def test_rank_and_arity_must_be_integers(self, store, r, s):
         # generate_system(True) was a rank-1 system, 3.0 a TypeError

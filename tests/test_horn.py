@@ -879,12 +879,6 @@ class TestOtherArities:
         for tup in all_tuples(1, 2, 4):
             assert (tup in table) == classify(tup).is_intersecting
 
-    def test_count_intersecting_generic_arity(self):
-        two = HornStore(arity=2)
-        two.build_through(2, 4)
-        cnt = count_intersecting(2, 4, two)
-        assert cnt.total == len(two.table(2, 4))
-
 
 class TestCountIntersecting:
     def test_matches_tables_small(self):

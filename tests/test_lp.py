@@ -173,8 +173,6 @@ class TestRedundancy:
         report = redundancy_report(system)
         assert sum(v.essential for v in report.verdicts) == system.count == 156
 
-    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
-                        reason="119 exact LPs (~2 s); set RUN_OPTIONAL=1")
     def test_rank6_plain_rows_essential_iff_point(self, store):
         # Knutson-Tao-Woodward and Belkale: the essential Horn rows are
         # exactly those whose LR coefficient is 1 (the point flag)
@@ -192,7 +190,7 @@ class TestRedundancy:
                                          or con.meta.is_point), con.index
 
     @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
-                        reason="414 exact LPs (~40 s); set RUN_OPTIONAL=1")
+                        reason="414 exact LPs (~21 s); set RUN_OPTIONAL=1")
     def test_rank7_plain_rows_essential_iff_point(self):
         # at rank 7 the 20 zero-dim rows that are not point rows, and no
         # other row, are redundant
@@ -301,22 +299,50 @@ class TestOrbits:
         assert counts == [8, 17, 42, 119]
 
     def test_one_lp_per_orbit_and_setting(self, store, monkeypatch):
-        # the LPs go through the module's solve_lp, once per orbit and
-        # t setting over the system's lifetime
-        calls = []
+        # the LPs go through the module's solve_lp, once per orbit and t
+        # setting over the system's lifetime, none on a repeat: all 51
+        # other rows in all 13 variables (12 on t = 0) where the
+        # representative's stabilizer is trivial, fewer rows on the
+        # subspace that a larger stabilizer fixes.  Every block
+        # permutation fixes the trace row, first: 4 entries and t
+        calls, after = [], []
 
         def counted(objective, rows):
-            calls.append(len(rows))
+            calls.append((len(objective), len(rows)))
             return solve_lp(objective, rows)
 
         monkeypatch.setattr(lp, "solve_lp", counted)
         system = generate_system(4, 3, None, "full0", store)
         for fix_t_zero in (False, True, False, 1):
             redundancy_report(system, fix_t_zero)
-        assert calls == [51] * 34
+            after.append(len(calls))
+        assert after == [17, 34, 34, 34]
         assert is_redundant(system, 51, fix_t_zero=True) == \
             redundancy_report(system, True).verdicts[51]
         assert len(calls) == 34
+        assert calls[0] == (5, 15)
+        for full, part in [(13, calls[:17]), (12, calls[17:])]:
+            assert all((n == full) == (m == 51) for n, m in part)
+            assert sorted(part) == sorted(
+                [(full, 51)] * 3 + [(full - 4, 31)] * 10 + [(full - 8, 15)] * 4)
+
+    @pytest.mark.parametrize("r, s, sigma", [
+        *((r, 3, None) for r in range(2, 6)),
+        *((r, 3, (1, 2)) for r in range(2, 6)),
+        *((r, 4, sigma) for sigma in [(2, 2), (1, 1, 2)] for r in range(2, 5))])
+    def test_fixed_subspace_optima_are_the_full_optima(self, store, r, s,
+                                                       sigma):
+        # each orbit representative's LP on its fixed subspace has the
+        # optimum of its LP against every other row in every variable
+        for level in ("full0", "min00"):
+            system = generate_system(
+                r, s, sigma, level, store if (s, sigma) == (3, None) else None)
+            for fix_t_zero in (False, True):
+                A = system.matrix[:, :-1] if fix_t_zero else system.matrix
+                for k in sorted(set(system.orbits.tolist())):
+                    full = solve_lp(A[k], np.delete(A, k, axis=0)).value
+                    got = is_redundant(system, k, fix_t_zero).optimum
+                    assert got == full, (level, fix_t_zero, k)
 
 
 class TestMinimize:
