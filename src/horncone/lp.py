@@ -11,7 +11,7 @@ the subspace fixed by the row's stabilizer in ``.symmetries``: the
 columns of the blocks it joins are summed, repeated rows dropped.  It
 keeps the box and the row and permutes the other rows, so an optimal
 point averaged over it is optimal and fixed; the optimum is exact.
-A plain rank-6 report takes about 0.8 s and rank 7 21-24 s (2 cores).
+A plain rank-6 report takes about 0.5 s and rank 7 10-11 s (2 cores).
 
 The solver is the simplex method with Bland's smallest-index rule on a
 fraction-free tableau (Edmonds 1967, Bareiss 1968): the entries are
@@ -43,49 +43,52 @@ class LpResult(NamedTuple):
 
 
 def solve_lp(objective, rows):
-    """Maximize ``objective . x`` subject to ``a . x <= 0`` for every
-    integer row ``a`` of ``rows`` and ``-1 <= x_i <= 1``.
+    """Maximize ``objective . x`` over free x subject to ``a . x <= 0``
+    for every integer row ``a`` of ``rows`` and ``-1 <= x_i <= 1``.
 
-    The tableau splits x = u - v with u, v >= 0 and puts the box after
-    the given rows as ``x_i <= 1, -x_i <= 1`` for each i in turn, one
-    slack per row; the slacks are the starting basis.  Labels number u,
-    v and the slacks in that order, and Bland's rule reads them.  ``T``
-    has one row per basic label and the reduced costs last, and one
-    column per nonbasic label and the right-hand side last.  Returns the
-    exact optimum and an optimal vertex as a tuple of Fractions.  Raises
-    ValueError unless every entry is an integer and every row has
-    ``len(objective)`` of them.
+    Labels number x, then one slack per row: the given rows, then the
+    box as ``x_i <= 1, -x_i <= 1`` for each i in turn.  ``T`` has one row
+    per basic label (the slacks at first) and the reduced costs last, one
+    column per nonbasic label and the right-hand side last.  Bland's rule
+    enters the least label that improves, a free x_j also by decreasing
+    (its column negated, its sign kept).  A basic x_j never leaves, so
+    after at most n pivots that enter one, every pivot is a Bland pivot
+    on fixed rows, which cannot cycle (Bland 1977).  Returns the exact
+    optimum and an optimal vertex as Fractions; raises ValueError unless
+    every row has ``len(objective)`` integer entries, none a bool.
     """
     n, k = len(objective), len(rows)
-    try:
-        A = np.array([objective, *rows])
-        if A.dtype.kind not in "biu":  # ints past int64 turn float or object
-            A = np.array([objective, *rows], dtype=object)
+    kinds = {x.dtype.kind if isinstance(x, np.ndarray) else "O"
+             for x in (objective, rows)}
+    try:  # integer arrays of one kind stack as they are, the rest as objects
+        A = np.vstack([objective, rows]) if kinds in ({"i"}, {"u"}) and \
+            np.ndim(rows) == 2 else np.array([objective, *rows], dtype=object)
     except ValueError:  # rows of different lengths
         A = np.array(None)
     if A.shape != (k + 1, n) or A.dtype == object and not all(
-            isinstance(x, Integral) for x in A.flat):
+            isinstance(x, Integral) and type(x) is not bool for x in A.flat):
         raise ValueError(f"every LP row needs {n} integer entries")
     small = not A.size or -_INT64_SAFE < A.min() and A.max() < _INT64_SAFE
     A = A.astype(np.int64) if small else np.frompyfunc(int, 1, 1)(A)
-    A = np.vstack([A[1:], np.kron(np.eye(n, dtype=np.int64), [[1], [-1]]),
-                   -A[:1]])
-    m = k + 2 * n
-    T = np.hstack([A, -A, [[int(k <= i < m)] for i in range(m + 1)]])
-    basis, nonbasic = list(range(2 * n, 2 * n + m)), list(range(2 * n))
-    D = 1
+    m, D = k + 2 * n, 1
+    T = np.zeros((m + 1, n + 1), A.dtype)
+    T[:k, :n], T[m, :n], T[k:m, n] = A[1:], -A[0], 1
+    T[range(k, m), np.arange(2 * n) // 2] = [1, -1] * n
+    basis, nonbasic, sign = list(range(n, n + m)), list(range(n)), [1] * n
     while True:
-        enter = [j for j, x in enumerate(T[m, :-1].tolist()) if x < 0]
+        enter = [j for j, x in enumerate(T[m, :-1].tolist())
+                 if x < 0 or x and nonbasic[j] < n]
         if not enter:
             break
         s = min(enter, key=nonbasic.__getitem__)
-        # min ratio T[i, -1] / T[i, s] by cross-multiplication, ties to
-        # the smallest basic label.  Some row always qualifies: every ray
-        # of the split polyhedron keeps x, so none improves.
+        if T[m, s] > 0:  # x_j improves by decreasing: -x_j enters
+            T[:, s], sign[nonbasic[s]] = -T[:, s], -1
+        # least ratio b / a over the basic slacks, ties to the least label
         b, a = T[:m, -1].tolist(), T[:m, s].tolist()
         r = -1
         for i in np.flatnonzero(T[:m, s] > 0).tolist():
-            if r < 0 or (b[i] * a[r], basis[i]) < (b[r] * a[i], basis[r]):
+            if basis[i] >= n and (r < 0 or (b[i] * a[r], basis[i])
+                                  < (b[r] * a[i], basis[r])):
                 r = i
         # every entry becomes (T * p - col * row) / D, an exact division;
         # the pivot row stays, and column s passes to the leaving label
@@ -98,11 +101,8 @@ def solve_lp(objective, rows):
         D = p
         if T.dtype != object and np.abs(T).max() >= _INT64_SAFE:
             T = T.astype(object)
-    u = [0] * (2 * n)
-    for i, label in enumerate(basis):
-        if label < 2 * n:
-            u[label] = int(T[i, -1])
-    point = tuple(Fraction(u[i] - u[n + i], D) for i in range(n))
+    rhs = dict(zip(basis, T[:m, -1].tolist()))
+    point = tuple(Fraction(sign[j] * rhs.get(j, 0), D) for j in range(n))
     return LpResult(Fraction(int(T[m, -1]), D), point)
 
 

@@ -62,6 +62,8 @@ class TestSolveLp:
         ([1, 1], [[1]]),                    # a missing entry
         ([Fraction(1, 2), 1], [[1, -1]]),   # a Fraction in the objective
         ([1, 1], [[0.5, -1]]),              # a float row
+        ([True, 2], [[1, False]]),          # bools, as subsets._integer
+        (np.array([1, 1]), np.array([[True, False]])),
     ])
     def test_malformed_input_is_rejected(self, objective, rows):
         with pytest.raises(ValueError, match="integer entries"):
@@ -73,18 +75,29 @@ class TestSolveLp:
         assert all(type(x.numerator) is int for x in (res.value, *res.point))
 
 
+def check_optimum(objective, rows):
+    """solve_lp against the reference simplex: the same value, and a
+    returned point that satisfies every row and the box and attains the
+    value, all in exact Fractions.  Ties may end on another optimal
+    vertex than the reference's, so the points are not compared."""
+    got, want = solve_lp(objective, rows), reference_box_lp(objective, rows)
+    assert got.value == want.value
+    x = [Fraction(v) for v in got.point]
+    assert len(x) == len(objective) and all(-1 <= v <= 1 for v in x)
+    assert all(sum(int(a) * v for a, v in zip(row, x)) <= 0 for row in rows)
+    assert sum(int(c) * v for c, v in zip(objective, x)) == got.value
+    return got
+
+
 class TestAgainstReference:
-    # the integer tableau pivots exactly as the general Fraction simplex
-    # does, so optimum and vertex agree row for row
+    # the integer tableau reaches the optimum of the general Fraction
+    # simplex, at a vertex checked exactly
     def check_system(self, system, indices=None, fix_t_zero=False):
         vectors = [a[:-1] if fix_t_zero else a for a in system.matrix.tolist()]
         if indices is None:
             indices = range(system.count)
         for k in indices:
-            others = vectors[:k] + vectors[k + 1:]
-            got = solve_lp(vectors[k], others)
-            want = reference_box_lp(vectors[k], others)
-            assert (got.value, got.point) == (want.value, want.point), k
+            check_optimum(vectors[k], vectors[:k] + vectors[k + 1:])
 
     @pytest.mark.parametrize("r, level", [(3, "full0"), (4, "full0"),
                                           (3, "min00")])
@@ -101,8 +114,7 @@ class TestAgainstReference:
         self.check_system(system, rows)
 
     def test_empty_program(self):
-        got, want = solve_lp([], []), reference_box_lp([], [])
-        assert (got.value, got.point) == (want.value, want.point) == (0, ())
+        assert check_optimum([], []) == (0, ())
 
     @pytest.mark.parametrize("scale, seed", [
         (10 ** 6, 79),    # int64 at first; products pass 2**31 mid-solve
@@ -115,10 +127,7 @@ class TestAgainstReference:
             n = rng.randint(1, 5)
             rows = [[rng.randint(-scale, scale) for _ in range(n)]
                     for _ in range(rng.randint(1, 10))]
-            obj = [rng.randint(-scale, scale) for _ in range(n)]
-            got = solve_lp(obj, rows)
-            want = reference_box_lp(obj, rows)
-            assert (got.value, got.point) == (want.value, want.point)
+            check_optimum([rng.randint(-scale, scale) for _ in range(n)], rows)
 
     def test_random_homogeneous(self):
         rng = random.Random(73)
@@ -126,10 +135,22 @@ class TestAgainstReference:
             n = rng.randint(1, 4)
             rows = [[rng.randint(-4, 4) for _ in range(n)]
                     for _ in range(rng.randint(0, 12))]
-            obj = [rng.randint(-4, 4) for _ in range(n)]
-            got = solve_lp(obj, rows)
-            want = reference_box_lp(obj, rows)
-            assert (got.value, got.point) == (want.value, want.point)
+            check_optimum([rng.randint(-4, 4) for _ in range(n)], rows)
+
+    def test_beale_cycling_program(self):
+        # Beale (1955): the largest-coefficient rule cycles on it.  x >= 0
+        # is written as the homogeneous rows -x_i <= 0, and the box puts
+        # the optimum 5 at x = (1, 0, 1, 0) after degenerate pivots
+        rows = [[1, -32, -4, 36], [2, -48, -2, 12]]
+        rows += [[-int(i == j) for j in range(4)] for i in range(4)]
+        got = check_optimum([3, -80, 2, -24], rows)
+        assert got.value == 5
+
+    def test_free_variable_enters_negative(self):
+        # min x + y with y <= 2x: both variables enter the basis by
+        # decreasing, at the one optimal vertex (-1/2, -1)
+        got = check_optimum([-1, -1], [[-2, 1]])
+        assert got == (Fraction(3, 2), (Fraction(-1, 2), -1))
 
 
 class TestRedundancy:
@@ -190,7 +211,7 @@ class TestRedundancy:
                                          or con.meta.is_point), con.index
 
     @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
-                        reason="414 exact LPs (~21 s); set RUN_OPTIONAL=1")
+                        reason="414 exact LPs (~12 s); set RUN_OPTIONAL=1")
     def test_rank7_plain_rows_essential_iff_point(self):
         # at rank 7 the 20 zero-dim rows that are not point rows, and no
         # other row, are redundant
