@@ -249,18 +249,22 @@ class InequalitySystem:
 
     @cached_property
     def symmetries(self):
-        """The permutations p of cycles' column blocks, identity first, that
-        map the row multiset onto itself: block c of a row's image is its
-        block p[c], t stays, and the trace row weighs a block by its length."""
-        every = list(itertools.permutations(range(len(self.cycles))))
-        ordered = sorted(self._images(every[0]))
-        return tuple(p for p in every if sorted(self._images(p)) == ordered)
+        """The ``stabilizer`` of every row among all block permutations."""
+        return self.stabilizer(slice(None), [*itertools.permutations(range(len(self.cycles)))])
 
-    def _images(self, blocks):
-        """Each row's image under a block permutation, as its bytes."""
+    def stabilizer(self, rows, group):
+        """The permutations p of ``group`` (identity first), in order, that
+        map the multiset of the rows that the index ``rows`` picks onto
+        itself: block c of a row's image is its block p[c], t stays, and the
+        trace row weighs a block by its length."""
+        ordered = sorted(self._images(group[0], rows))
+        return tuple(p for p in group if sorted(self._images(p, rows)) == ordered)
+
+    def _images(self, blocks, rows=slice(None)):
+        """The image of each row in ``rows`` under a block permutation, as bytes."""
         M, r = self.matrix, self.r
         cols = [b * r + i for b in blocks for i in range(r)] + [len(M.T) - 1]
-        return M.take(cols, axis=1).view((np.void, M[0].nbytes)).ravel().tolist()
+        return M.take(cols, axis=1)[rows].view((np.void, M[0].nbytes)).ravel().tolist()
 
     @cached_property
     def orbits(self):

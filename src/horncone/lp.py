@@ -5,13 +5,15 @@ subject to integer rows ``a . x <= 0`` and the box [-1, 1]^n.  Since
 every constraint of a cone description is homogeneous, a row is implied
 by the others over the cone exactly when it is implied over the cone's
 section by the box; the box also keeps every program feasible (x = 0)
-and bounded.  Redundancy verdicts solve one LP per row orbit, as rows
-of one orbit under ``InequalitySystem.orbits`` have equal optima, on
-the subspace fixed by the row's stabilizer in ``.symmetries``: the
-columns of the blocks it joins are summed, repeated rows dropped.  It
-keeps the box and the row and permutes the other rows, so an optimal
-point averaged over it is optimal and fixed; the optimum is exact.
-A plain rank-6 report takes about 0.5 s and rank 7 10-11 s (2 cores).
+and bounded.  One builder, ``_fixed_optimum``, sets up every redundancy
+LP: a row against the other active rows, on the subspace fixed by the
+row's stabilizer in a group of block permutations that map the active
+rows onto themselves (the columns of the blocks it joins summed,
+repeated rows dropped).  An optimal point averaged over the stabilizer
+stays optimal, so the optimum is exact.  A report passes every row and
+``InequalitySystem.symmetries``, one LP per orbit of ``.orbits``; the
+greedy minimize narrows the group to the rows' ``stabilizer`` at each
+drop.  A plain rank-6 report takes about 0.5 s, rank 7 10-11 s (2 cores).
 
 The solver is the simplex method with Bland's smallest-index rule on a
 fraction-free tableau (Edmonds 1967, Bareiss 1968): the entries are
@@ -137,28 +139,18 @@ class RedundancyReport(NamedTuple):
         }
 
 
-def _row_verdict(system, index, active, fix_t_zero):
-    """Maximize constraint ``index`` subject to the rows of the boolean
-    mask ``active`` (``index`` itself skipped), all sliced from the
-    system's matrix, plus the normalizing box [-1, 1] on all variables;
-    the row is redundant exactly when the optimum is <= 0."""
-    kind = system.constraint(index).kind  # an IndexError before any LP
-    A = system.matrix[:, :-1] if fix_t_zero else system.matrix
-    value = solve_lp(A[index], A[active & (np.arange(len(A)) != index)]).value
-    return RowVerdict(index, kind, value > 0, value)
-
-
-def _fixed_optimum(system, k, fix_t_zero):
-    """Row k's box LP optimum on its stabilizer's fixed subspace."""
+def _fixed_optimum(system, k, fix_t_zero, active, group):
+    """Row k's box LP optimum against the other rows of the boolean mask
+    ``active``, fixed by the permutations of ``group`` that fix row k."""
     M = system.matrix
     blocks = M[:, :-1].reshape(len(M), -1, system.r)
     # join[b]: the least block that row k's stabilizer maps block b to
-    join = np.min([p for p in system.symmetries
+    join = np.min([p for p in group
                    if (blocks[k, list(p)] == blocks[k]).all()], axis=0)
     A = np.hstack([blocks[:, join == b].sum(axis=1)
                    for b in np.flatnonzero(join == np.arange(len(join)))]
                   + [M[:, -1:]] * (not fix_t_zero))
-    rows = dict.fromkeys(map(bytes, np.delete(A, k, axis=0)))
+    rows = dict.fromkeys(map(bytes, A[active & (np.arange(len(A)) != k)]))
     return solve_lp(A[k], np.frombuffer(b"".join(rows), A.dtype)
                     .reshape(len(rows), A.shape[1])).value
 
@@ -170,12 +162,13 @@ def is_redundant(system, index, fix_t_zero=False):
 
     ``fix_t_zero`` restricts to the slice t = 0 (the integral-weight
     picture)."""
-    kind = system.constraint(index).kind  # an IndexError before any LP
-    key = (int(system.orbits[index]), bool(fix_t_zero))
+    row = system.constraint(index)  # an IndexError before any LP
+    key = (int(system.orbits[row.index]), bool(fix_t_zero))
     optima = _OPTIMA.setdefault(system, {})
     if key not in optima:
-        optima[key] = _fixed_optimum(system, key[0], fix_t_zero)
-    return RowVerdict(index, kind, optima[key] > 0, optima[key])
+        optima[key] = _fixed_optimum(system, key[0], fix_t_zero,
+                                     np.ones(system.count, bool), system.symmetries)
+    return RowVerdict(row.index, row.kind, optima[key] > 0, optima[key])
 
 
 def redundancy_report(system, fix_t_zero=False):
@@ -183,7 +176,7 @@ def redundancy_report(system, fix_t_zero=False):
     others: one LP per row orbit."""
     verdicts = tuple(is_redundant(system, k, fix_t_zero)
                      for k in range(system.count))
-    return RedundancyReport(system.level, fix_t_zero, verdicts)
+    return RedundancyReport(system.level, bool(fix_t_zero), verdicts)
 
 
 class MinimizeResult(NamedTuple):
@@ -201,13 +194,16 @@ def minimize_system(system, fix_t_zero=False):
     order and drop each one that is implied by the currently retained
     set.  Verdicts refer to this sequential process; for systems whose
     essential rows are facets the outcome does not depend on the order.
-    """
-    active = np.ones(system.count, bool)
+    Until the first drop a row's LP is ``is_redundant``'s, shared by its orbit."""
+    active, group = np.ones(system.count, bool), system.symmetries
     verdicts = []
     for k in range(system.count):
-        verdict = _row_verdict(system, k, active, fix_t_zero)
-        verdicts.append(verdict)
-        active[k] = verdict.essential
+        value = (is_redundant(system, k, fix_t_zero).optimum if active.all()
+                 else _fixed_optimum(system, k, fix_t_zero, active, group))
+        verdicts.append(RowVerdict(k, system.constraint(k).kind, value > 0, value))
+        if value <= 0:
+            active[k] = False
+            group = system.stabilizer(active, group)
     retained = tuple(np.flatnonzero(active).tolist())
     dropped = tuple(np.flatnonzero(~active).tolist())
     return MinimizeResult(retained, dropped, tuple(verdicts))

@@ -26,6 +26,9 @@ Littlewood-Richardson positivity and saturation, without the levels or
 the Horn rows.
 ``reference_lp`` is a general two-phase simplex over ``Fraction`` with
 Bland's rule, the reference for the library's integer box LP.
+``full_row_minimize`` is the greedy reduction with one box LP per row
+against the rows still retained, in every variable and without the
+symmetries, the reference for the library's ``minimize_system``.
 ``serial_find_witness`` runs the restarts of a witness search one after
 another, the reference for the library's stacked search.
 """
@@ -46,6 +49,7 @@ from horncone.horn import (
     horn_rows,
     normalize_cycle_type,
 )
+from horncone.lp import MinimizeResult, RowVerdict, solve_lp
 from horncone.subsets import (
     Permutation,
     Subset,
@@ -596,6 +600,21 @@ def _pivot(T, basis, leave, enter, width):
                 if row[j] != 0:
                     Ti[j] -= f * row[j]
     basis[leave] = enter
+
+
+def full_row_minimize(system, fix_t_zero=False):
+    """Scan the rows in canonical order and drop each one whose box LP
+    against the other rows still retained, over all variables (t left
+    out on ``fix_t_zero``), has an optimum <= 0."""
+    A = system.matrix[:, :-1] if fix_t_zero else system.matrix
+    active = np.ones(len(A), bool)
+    verdicts = []
+    for k in range(len(A)):
+        value = solve_lp(A[k], A[active & (np.arange(len(A)) != k)]).value
+        verdicts.append(RowVerdict(k, system.constraint(k).kind, value > 0, value))
+        active[k] = value > 0
+    return MinimizeResult(tuple(np.flatnonzero(active).tolist()),
+                          tuple(np.flatnonzero(~active).tolist()), tuple(verdicts))
 
 
 def serial_find_witness(spectra, t, max_iters=5000, tol=1e-8, seed=0,

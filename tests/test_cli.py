@@ -621,13 +621,24 @@ class TestGoldenBytes:
             "bc775ad50c6cae5577743eb3f82f54f263ffc5ee8012aae0ec8e2d9b8acbd825",
         ("redundancy", "--r", "4", "--sigma", "3", "--format", "csv"):
             "76fa42a0357e54197b964043663dede1359ad7a2aa7859a06b31a3dbe22e8ba8",
-        # 156 rows in 42 orbits, with and without t; 52 full-row LPs
+        # 156 rows in 42 orbits, with and without t
         ("redundancy", "--r", "5", "--format", "csv"):
             "71a5baf00f11534fa41e9e531ecda7bf841d1a81af758a0723de05d5ba1ad970",
         ("redundancy", "--r", "5", "--format", "csv", "--slice-t"):
             "cdf15442a147a2783e731f28f45e05941c886337ddedce0835fe915cd564fd5e",
+        # 52 rows, none dropped: the 17 orbit LPs of the report
         ("redundancy", "--r", "4", "--minimize"):
             "1d07b40d53ca9777d0ed94933de502b6c6aa771c9898ac2aded88caf999d2a89",
+        # a row drops while block permutations other than the identity
+        # still map the retained rows onto themselves
+        ("redundancy", "--r", "4", "--s", "4", "--minimize"):
+            "7eb2b3bea3b7dac6fa2cdf82efffd76948154f84f5420059cc693b7c9f0749bd",
+        ("redundancy", "--r", "3", "--level", "all", "--minimize",
+         "--format", "csv"):
+            "9dd6e62495a212fa7fce6c169f2dc56ba9873b2c0e14cb01cd6698e8ad6a313a",
+        ("redundancy", "--r", "4", "--s", "4", "--sigma", "1,1,2",
+         "--minimize", "--slice-t"):
+            "f85d86a3541a55c3d4329863469d90cdac01539173c26a0f0acbfe28a95064a0",
         ("crosscheck", "--r", "2", "--n", "5"):
             "678d9d1f6d7fa8058c1879101d344d4b8f7cecdace263c1d57242f043a17876b",
     }

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from horncone.lp import (
     solve_lp,
 )
 
-from _oracles import reference_lp
+from _oracles import full_row_minimize, reference_lp
 
 
 def reference_box_lp(objective, rows):
@@ -256,6 +257,21 @@ class TestRedundancy:
             assert row["verdict"] in ("essential", "redundant")
             Fraction(row["optimum"])  # parses as p/q
 
+    def test_numpy_index_gives_a_python_int(self, store):
+        # np.int64(3) was kept as the verdict's index, which json refuses
+        system = generate_system(3, 3, None, "full0", store)
+        verdict = is_redundant(system, np.int64(3))
+        assert type(verdict.index) is int and verdict == is_redundant(system, 3)
+        assert json.loads(json.dumps(verdict.to_json()))["index"] == 3
+
+    def test_report_flag_is_a_bool(self, store):
+        # fix_t_zero=1 was written to the JSON as 1
+        system = generate_system(2, 3, None, "min00", store)
+        report = redundancy_report(system, fix_t_zero=1)
+        assert report.fix_t_zero is True
+        assert report.to_json()["t_fixed_to_zero"] is True
+        assert report.verdicts == redundancy_report(system, True).verdicts
+
 
 _DIRECT = {}
 
@@ -366,7 +382,62 @@ class TestOrbits:
                     assert got == full, (level, fix_t_zero, k)
 
 
+MINIMIZE_CASES = [
+    *((r, 3, None, level) for r in range(1, 5) for level in ("full0", "min00")),
+    *((r, 3, None, "all") for r in range(1, 5)),
+    *((r, 3, (1, 2), level) for r in range(2, 6) for level in ("full0", "min00")),
+    *((r, 3, (3,), level) for r in range(2, 10) for level in ("full0", "min00")),
+    *((r, 4, sigma, level) for sigma in [None, (2, 2), (1, 1, 2), (1, 3)]
+      for r in range(2, 5) for level in ("full0", "min00"))]
+
+
 class TestMinimize:
+    @pytest.mark.parametrize("r, s, sigma, level", MINIMIZE_CASES)
+    def test_matches_full_row_greedy(self, store, r, s, sigma, level):
+        # the orbit LPs before the first drop and the narrowed group after
+        # it give every verdict of one LP per row in every variable
+        system = generate_system(
+            r, s, sigma, level, store if (s, sigma) == (3, None) else None)
+        for fix_t_zero in (False, True):
+            assert minimize_system(system, fix_t_zero) == \
+                full_row_minimize(system, fix_t_zero)
+
+    def test_lp_counts(self, store, monkeypatch):
+        # plain rank 4 drops nothing: its 17 orbit LPs, not 52 row LPs.
+        # s = 4 rank 4 drops row 57, which all 24 block permutations keep
+        # as a row set: the 15 orbits that rows 0-57 meet, then one LP for
+        # each of the 49 rows after it
+        calls = []
+
+        def counted(objective, rows):
+            calls.append(len(objective))
+            return solve_lp(objective, rows)
+
+        monkeypatch.setattr(lp, "solve_lp", counted)
+        result = minimize_system(generate_system(4, 3, None, "full0", store))
+        assert result.retained_count == 52 and len(calls) == 17
+        system = generate_system(4, 4, None, "full0")
+        result = minimize_system(system)
+        assert result.dropped == (57,) and len(calls) == 17 + 64
+        assert len(system.stabilizer(np.arange(107) != 57, system.symmetries)) == 24
+
+    def test_rank6_plain_drops_the_report_redundant_row(self, store):
+        # minimize reuses the report's orbit optima up to its one drop
+        system = generate_system(6, 3, None, "full0", store)
+        report = redundancy_report(system)
+        redundant = tuple(v.index for v in report.verdicts if not v.essential)
+        assert redundant == (271,) == minimize_system(system).dropped
+
+    @pytest.mark.skipif(not os.environ.get("RUN_OPTIONAL"),
+                        reason="414 orbit LPs, then one per row (~1.5 min); "
+                               "set RUN_OPTIONAL=1")
+    def test_rank7_plain_drops_the_report_redundant_rows(self):
+        system = generate_system(7, 3, None, "full0", HornStore(arity=3))
+        report = redundancy_report(system)
+        redundant = tuple(v.index for v in report.verdicts if not v.essential)
+        assert len(redundant) == 20
+        assert minimize_system(system).dropped == redundant
+
     def test_rank2_greedy_reaches_five(self, store):
         system = generate_system(2, 3, None, "full0", store)
         assert system.count == 8
