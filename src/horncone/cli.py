@@ -21,17 +21,13 @@ from .horn import HornStore
 _SLICE = 1 << 20  # characters per write in _emit
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_sigma(text):
     if text is None:
         return None
     try:
         return tuple(sorted(int(x) for x in text.split(",")))
     except ValueError:
-        raise UsageError(f"bad cycle type {text!r}; expected e.g. '3' or '1,1,1'")
+        raise ValueError(f"bad cycle type {text!r}; expected e.g. '3' or '1,1,1'")
 
 
 def _store(args, s):
@@ -138,12 +134,11 @@ def _load_family(path):
     spectra = data.get("spectra") if isinstance(data, dict) else None
     if not (isinstance(spectra, list) and "t" in data
             and all(isinstance(spec, list) for spec in spectra)):
-        raise UsageError(f"{path}: expected an object with 'spectra' "
+        raise ValueError(f"{path}: expected an object with 'spectra' "
                          "(a list of lists) and 't'")
     for x in [data["t"], *(x for spec in spectra for x in spec)]:
         if isinstance(x, bool) or not isinstance(x, (int, str)):
-            raise UsageError(f"{path}: {x!r} is not an integer or a "
-                             "rational string")
+            raise ValueError(f"{path}: {x!r} is not an integer or a rational string")
     return cone.SpectrumFamily.from_json(data)
 
 
@@ -329,7 +324,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,10 +39,16 @@ LEVEL_FLAGS = {"full0": "zero_dim", "min00": "point", "all": None}
 
 def _frac(x):
     """An exact rational with Python int parts: a numpy integer's would
-    wrap around or lack ``bit_length``.  A float or bool is a TypeError."""
+    wrap around or lack ``bit_length``.  A float or bool is a TypeError, a
+    string with an exponent or a zero denominator a ValueError."""
     if isinstance(x, (float, bool, np.bool_)):
         raise TypeError(f"spectra must be exact rationals, not {x!r}")
-    x = Fraction(x)
+    if isinstance(x, str) and "e" in x.lower():  # Fraction computes 10**exp
+        raise ValueError(f"{x!r} has an exponent: write p/q or a decimal")
+    try:
+        x = Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
     return Fraction(int(x.numerator), int(x.denominator))
 
 
@@ -264,7 +270,7 @@ class InequalitySystem:
         """The image of each row in ``rows`` under a block permutation, as bytes."""
         M, r = self.matrix, self.r
         cols = [b * r + i for b in blocks for i in range(r)] + [len(M.T) - 1]
-        return M.take(cols, axis=1)[rows].view((np.void, M[0].nbytes)).ravel().tolist()
+        return M[rows].take(cols, axis=1).view((np.void, M[0].nbytes)).ravel().tolist()
 
     @cached_property
     def orbits(self):

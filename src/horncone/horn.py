@@ -147,10 +147,10 @@ class HornTable:
             return (False, False, False)
         return (True, bool(self._zero_dim[lo]), bool(self._point[lo]))
 
-    def _tuples(self, keep=slice(None)):
+    def _tuples(self, flag=None):
         subs = all_subsets(self.size, self.ambient)
         return [SubsetTuple([subs[i] for i in row])
-                for row in self.rows[keep].tolist()]
+                for row in self.select(flag)[0].tolist()]
 
     @property
     def members(self):
@@ -165,10 +165,10 @@ class HornTable:
         return tuple(self._point.tolist())
 
     def zero_dim_members(self):
-        return self._tuples(self._zero_dim)
+        return self._tuples("zero_dim")
 
     def point_members(self):
-        return self._tuples(self._point)
+        return self._tuples("point")
 
     def select(self, flag=None):
         """The index rows and point flags of every member, or of those
@@ -301,7 +301,7 @@ class HornStore:
         """Per-level Horn test tuples for candidates of the given size: the
         zero-expected-dimension rows of each level (d, size)."""
         tables = [self.table(d, size, sigma) for d in range(1, size)]
-        return [(t.size, t.rows[t._zero_dim]) for t in tables]
+        return [(t.size, t.select("zero_dim")[0]) for t in tables]
 
     def _compute_table(self, size, ambient, sigma):
         if not ambient < 2 * size:

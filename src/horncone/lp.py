@@ -145,8 +145,7 @@ def _fixed_optimum(system, k, fix_t_zero, active, group):
     M = system.matrix
     blocks = M[:, :-1].reshape(len(M), -1, system.r)
     # join[b]: the least block that row k's stabilizer maps block b to
-    join = np.min([p for p in group
-                   if (blocks[k, list(p)] == blocks[k]).all()], axis=0)
+    join = np.min(system.stabilizer([k], group), axis=0)
     A = np.hstack([blocks[:, join == b].sum(axis=1)
                    for b in np.flatnonzero(join == np.arange(len(join)))]
                   + [M[:, -1:]] * (not fix_t_zero))

@@ -431,10 +431,9 @@ def find_witness(spectra, t=None, max_iters=5000, tol=1e-8, seed=0,
         raise ValueError(f"need restarts and max_iters >= 1 and a finite tol "
                          f"> 0, got {restarts}, {max_iters}, {tol}")
     spectra, t = _family(spectra, t)
-    lams = [_check_spectrum(l) for l in spectra]
-    if not lams or any(l.size != lams[0].size for l in lams):
+    stacked = _check_spectrum(spectra, stack=True)
+    if stacked.ndim != 2 or not stacked.size:
         raise ValueError("need one or more spectra, all of the same length")
-    stacked = np.stack(lams)
     _check_scale(stacked, t)
     log = residual_log
     if log is not None:

@@ -29,6 +29,9 @@ Bland's rule, the reference for the library's integer box LP.
 ``full_row_minimize`` is the greedy reduction with one box LP per row
 against the rows still retained, in every variable and without the
 symmetries, the reference for the library's ``minimize_system``.
+``block_stabilizer`` finds the permutations that fix one row of a
+system by comparing the row's blocks with their permuted order, the
+reference for the library's ``InequalitySystem.stabilizer`` of one row.
 ``serial_find_witness`` runs the restarts of a witness search one after
 another, the reference for the library's stacked search.
 """
@@ -615,6 +618,14 @@ def full_row_minimize(system, fix_t_zero=False):
         active[k] = value > 0
     return MinimizeResult(tuple(np.flatnonzero(active).tolist()),
                           tuple(np.flatnonzero(~active).tolist()), tuple(verdicts))
+
+
+def block_stabilizer(system, k, group):
+    """The permutations p of ``group``, in order, under which row k of the
+    system keeps its spectrum blocks: block p[c] equals block c for every c."""
+    M = system.matrix
+    blocks = M[:, :-1].reshape(len(M), -1, system.r)
+    return tuple(p for p in group if (blocks[k, list(p)] == blocks[k]).all())
 
 
 def serial_find_witness(spectra, t, max_iters=5000, tol=1e-8, seed=0,

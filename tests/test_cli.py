@@ -171,6 +171,19 @@ class TestSystemAndMember:
                 code, out, err = run(capsys, command, "--input", path)
                 assert code == 2 and out == "" and bad in err, command
 
+    def test_family_file_with_zero_denominator_or_exponent(self, capsys, tmp_path):
+        # "1/0" ended in a ZeroDivisionError traceback with exit 1;
+        # "1e999999999" printed nothing for 20 s while Fraction computed
+        # 10**999999999
+        for bad in ("1/0", "1e999999999"):
+            path = self.family_file(tmp_path, {"spectra": [["1", "0"]] * 3, "t": bad})
+            for command in ("member", "witness"):
+                start = time.perf_counter()
+                code, out, err = run(capsys, command, "--input", path)
+                assert time.perf_counter() - start < 1, (bad, command)
+                assert code == 2 and out == "" and bad in err, (bad, command)
+                assert err.count("\n") == 1 and err.endswith("\n"), err
+
 
 class TestRedundancyCommand:
     def test_sigma_rank6_slice(self, capsys):

@@ -81,6 +81,18 @@ class TestSpectrumFamily:
             with pytest.raises(TypeError):
                 shift_rescale(point, [bool_, 0, 0], 1)
 
+    def test_zero_denominator_and_exponent_rejected(self):
+        # "1/0" raised Fraction's ZeroDivisionError; "1e999999999" had
+        # Fraction compute 10**999999999 before it returned
+        for bad in ("1/0", "-3/00", "1e999999999", "2E-3"):
+            with pytest.raises(ValueError, match="denominator|exponent"):
+                SpectrumFamily([["1", "0"]], bad)
+            with pytest.raises(ValueError, match="denominator|exponent"):
+                SpectrumFamily([[bad, "0"]], 1)
+        point = SpectrumFamily([["0.5", " -3/4 "]], "1.25")
+        assert point.spectra == ((Fraction(1, 2), Fraction(-3, 4)),)
+        assert point.t == Fraction(5, 4)
+
     def test_chamber_violations_reported_not_raised(self, store):
         # a full0 system reports the chamber rows an unsorted family breaks
         f = fam([[0, 1], [1, 0], [2, -3]])

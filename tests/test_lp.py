@@ -17,7 +17,7 @@ from horncone.lp import (
     solve_lp,
 )
 
-from _oracles import full_row_minimize, reference_lp
+from _oracles import block_stabilizer, full_row_minimize, reference_lp
 
 
 def reference_box_lp(objective, rows):
@@ -401,6 +401,27 @@ class TestMinimize:
         for fix_t_zero in (False, True):
             assert minimize_system(system, fix_t_zero) == \
                 full_row_minimize(system, fix_t_zero)
+
+    @pytest.mark.parametrize("r, s, sigma, level", MINIMIZE_CASES)
+    def test_row_stabilizer_matches_block_comparison(self, store, monkeypatch,
+                                                     r, s, sigma, level):
+        # every row's stabilizer, under symmetries and under each group
+        # that the greedy scan hands its LPs, both t settings
+        system = generate_system(
+            r, s, sigma, level, store if (s, sigma) == (3, None) else None)
+        groups, fixed = {system.symmetries}, lp._fixed_optimum
+
+        def spied(*args):  # (system, k, fix_t_zero, active, group)
+            groups.add(args[-1])
+            return fixed(*args)
+
+        monkeypatch.setattr(lp, "_fixed_optimum", spied)
+        for fix_t_zero in (False, True):
+            minimize_system(system, fix_t_zero)
+        for group in groups:
+            for k in range(system.count):
+                assert system.stabilizer([k], group) == \
+                    block_stabilizer(system, k, group), (group, k)
 
     def test_lp_counts(self, store, monkeypatch):
         # plain rank 4 drops nothing: its 17 orbit LPs, not 52 row LPs.

@@ -415,10 +415,11 @@ class TestFindWitness:
             assert res.to_json() == plain.to_json()
             assert type(res.attempts) is int
 
-    @pytest.mark.parametrize("spectra", [[], [[1, -1], [1, 0, -1]]])
-    def test_empty_or_ragged_family_raises(self, spectra):
-        with pytest.raises(ValueError):
-            find_witness(spectra, 0)
+    @pytest.mark.parametrize("spectra", [[], [[1, -1], [1, 0, -1]], [1, -1],
+                                         [[1, 0, -1], [1, -1]]])
+    def test_empty_or_ragged_family_raises(self, spectra, monkeypatch):
+        # no spectra, ragged ones, or one flat spectrum that is no family
+        check_no_attempt(monkeypatch, spectra, 0)
 
     def test_attempts_are_the_restarts(self):
         res = find_witness([[0, 0], [0, 0], [1, -1]], 0, seed=2, restarts=3,
