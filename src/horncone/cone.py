@@ -9,9 +9,10 @@ intersecting tuple of each level d < r.  When the family is required to
 be fixed by a coordinate permutation, the Horn rows shrink to the tuples
 fixed by it and the chamber rows to one run per cycle.
 
-A system keeps its Horn rows as index arrays and builds one int64
-coefficient array on first use, which decisions and LPs read; the CSV
-is yielded in pieces rendered without it; row objects are built where read.
+A system keeps its Horn rows as index arrays.  On first use it builds
+one int64 coefficient array, which decisions and LPs read, and a row-id
+array per block permutation, which symmetries and stabilizers read.  The
+CSV is rendered in pieces without them; row objects are built if read.
 
 All arithmetic is exact: spectra and t are `fractions.Fraction` values,
 serialized as "p/q" strings.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -40,9 +42,10 @@ LEVEL_FLAGS = {"full0": "zero_dim", "min00": "point", "all": None}
 def _frac(x):
     """An exact rational with Python int parts: a numpy integer's would
     wrap around or lack ``bit_length``.  A float or bool is a TypeError, a
-    string with an exponent or a zero denominator a ValueError."""
+    string or Decimal with an exponent or zero denominator a ValueError."""
     if isinstance(x, (float, bool, np.bool_)):
         raise TypeError(f"spectra must be exact rationals, not {x!r}")
+    x = str(x) if isinstance(x, Decimal) else x
     if isinstance(x, str) and "e" in x.lower():  # Fraction computes 10**exp
         raise ValueError(f"{x!r} has an exponent: write p/q or a decimal")
     try:
@@ -84,9 +87,6 @@ class SpectrumFamily:
     @property
     def length(self):
         return len(self.spectra[0])
-
-    def is_stable(self, perm):
-        return perm.act(self.spectra) == self.spectra
 
     def __repr__(self):
         return f"SpectrumFamily({[[str(x) for x in s] for s in self.spectra]}, t={self.t})"
@@ -210,18 +210,25 @@ class InequalitySystem:
                 "chamber": self.chamber_count,
                 "horn": self.count - 2 - self.chamber_count}
 
-    def constraint(self, k):
-        """Row k in canonical order, built alone: the two trace directions,
-        chamber rows by (cycle, position), Horn rows by (level, mask key).
-        ValueError unless ``k`` is an integer, IndexError unless a row."""
+    def kind(self, k):
+        """Row k's kind: trace_le, trace_ge, chamber or horn.  ValueError
+        unless ``k`` is an integer, IndexError unless a row."""
         k = _integer(k)
         if not 0 <= k < self.count:
             raise IndexError(f"row {k} of a system of {self.count} rows")
-        if k < 2:
-            return Constraint(("trace_le", "trace_ge")[k], k, None)
-        if k < 2 + self.chamber_count:
+        return "horn" if k >= 2 + self.chamber_count else \
+            "chamber" if k >= 2 else ("trace_le", "trace_ge")[k]
+
+    def constraint(self, k):
+        """Row k in canonical order, built alone after the checks of
+        ``kind``: the two trace directions, chamber rows by (cycle,
+        position), Horn rows by (level, mask key)."""
+        kind, k = self.kind(k), int(k)
+        if kind == "chamber":
             c, i = divmod(k - 2, self.r - 1)
-            return Constraint("chamber", k, (c, i + 1))
+            return Constraint(kind, k, (c, i + 1))
+        if kind != "horn":
+            return Constraint(kind, k, None)
         j = k - 2 - self.chamber_count
         for d, rows, point in self.levels:
             if j < len(rows):
@@ -254,41 +261,50 @@ class InequalitySystem:
         return matrix
 
     @cached_property
+    def _row_ids(self):
+        """For each block permutation p, the id of every row's image under
+        p (block c of the image is block p[c], t stays): the first index
+        of an equal row, -1 if none."""
+        M, r = self.matrix, self.r
+        perms = [*itertools.permutations(range(len(self.cycles)))]
+        images = (M.take([b * r + i for b in p for i in range(r)] + [len(M.T) - 1], axis=1)
+                  .view((np.void, M[0].nbytes)).ravel().tolist() for p in perms)
+        identity = next(images)
+        first = {key: k for k, key in reversed([*enumerate(identity)])}
+        return {p: np.array([first.get(key, -1) for key in image])
+                for p, image in zip(perms, itertools.chain([identity], images))}
+
+    @cached_property
     def symmetries(self):
         """The ``stabilizer`` of every row among all block permutations."""
-        return self.stabilizer(slice(None), [*itertools.permutations(range(len(self.cycles)))])
+        return self.stabilizer(slice(None), tuple(self._row_ids))
 
     def stabilizer(self, rows, group):
         """The permutations p of ``group`` (identity first), in order, that
-        map the multiset of the rows that the index ``rows`` picks onto
-        itself: block c of a row's image is its block p[c], t stays, and the
-        trace row weighs a block by its length."""
-        ordered = sorted(self._images(group[0], rows))
-        return tuple(p for p in group if sorted(self._images(p, rows)) == ordered)
-
-    def _images(self, blocks, rows=slice(None)):
-        """The image of each row in ``rows`` under a block permutation, as bytes."""
-        M, r = self.matrix, self.r
-        cols = [b * r + i for b in blocks for i in range(r)] + [len(M.T) - 1]
-        return M[rows].take(cols, axis=1).view((np.void, M[0].nbytes)).ravel().tolist()
+        map the multiset of the rows that ``rows`` picks (index list, slice
+        or boolean mask) onto itself: their sorted ids under p are those
+        under the identity.  The trace row weighs a block by its length."""
+        ids = self._row_ids
+        ordered = sorted(ids[group[0]][rows].tolist())
+        return tuple(p for p in group if sorted(ids[p][rows].tolist()) == ordered)
 
     @cached_property
     def orbits(self):
         """For each row, the first row of its orbit under ``symmetries``."""
-        rows = self._images(self.symmetries[0])
-        first = {key: k for k, key in reversed(list(enumerate(rows)))}
-        return np.min([[first[key] for key in self._images(p)]
-                       for p in self.symmetries], axis=0)
+        return np.min([self._row_ids[p] for p in self.symmetries], axis=0)
 
     def _leading_rows(self):
-        """The matrix rows before the Horn rows: trace, then chamber."""
-        r, lengths = self.r, self.lengths
-        trace = [w for w in lengths for _ in range(r)] + [-r]
-        # entry i + 1 minus entry i, for each cycle in turn; t is not read
-        step = np.eye(r - 1, r, 1, dtype=np.int64) - np.eye(r - 1, r, dtype=np.int64)
-        chamber = np.kron(np.eye(len(self.cycles), dtype=np.int64), step)
-        return np.vstack([np.array([trace, [-w for w in trace]], dtype=np.int64),
-                          np.pad(chamber, ((0, 0), (0, 1)))[:self.chamber_count]])
+        """The matrix rows before the Horn rows: the trace row weighs each
+        cycle's entries by its length, then its negation; chamber row
+        (c, i) is entry i + 1 minus entry i of cycle c; t is not read."""
+        r = self.r
+        trace = [w for w in self.lengths for _ in range(r)] + [-r]
+        rows = [trace, [-w for w in trace]]
+        for j in range(self.chamber_count):
+            rows.append([0] * len(trace))
+            col = j + j // (r - 1)  # row c * (r - 1) + i reads column c * r + i
+            rows[-1][col:col + 2] = -1, 1
+        return np.array(rows, np.int64)
 
     # -- membership -----------------------------------------------------
 
@@ -304,13 +320,10 @@ class InequalitySystem:
                 f"point shape ({point.arity}, {point.length}) does not match "
                 f"system shape ({self.s}, {self.r})"
             )
-        if self.sigma is not None:
-            perm = Permutation.from_cycle_type(self.sigma)
-            if not point.is_stable(perm):
-                raise NotSigmaStable(
-                    "the restricted system only decides families fixed by "
-                    f"the cycle type {self.sigma}"
-                )
+        if any(point.spectra[i - 1] != point.spectra[cyc[0] - 1]
+               for cyc in self.cycles for i in cyc[1:]):
+            raise NotSigmaStable("the restricted system only decides families "
+                                 f"fixed by the cycle type {self.sigma}")
         # a stable family repeats its spectrum along each cycle, so the
         # cycle's first spectrum stands for all of them
         x = [v for cyc in self.cycles for v in point.spectra[min(cyc) - 1]]

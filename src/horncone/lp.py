@@ -12,8 +12,9 @@ rows onto themselves (the columns of the blocks it joins summed,
 repeated rows dropped).  An optimal point averaged over the stabilizer
 stays optimal, so the optimum is exact.  A report passes every row and
 ``InequalitySystem.symmetries``, one LP per orbit of ``.orbits``; the
-greedy minimize narrows the group to the rows' ``stabilizer`` at each
-drop.  A plain rank-6 report takes about 0.5 s, rank 7 10-11 s (2 cores).
+greedy minimize narrows the group with ``stabilizer`` at each drop; all
+read the system's row ids.  A plain rank-6 report takes about 0.5 s,
+rank 7 10-11 s (2 cores).
 
 The solver is the simplex method with Bland's smallest-index rule on a
 fraction-free tableau (Edmonds 1967, Bareiss 1968): the entries are
@@ -161,13 +162,13 @@ def is_redundant(system, index, fix_t_zero=False):
 
     ``fix_t_zero`` restricts to the slice t = 0 (the integral-weight
     picture)."""
-    row = system.constraint(index)  # an IndexError before any LP
-    key = (int(system.orbits[row.index]), bool(fix_t_zero))
+    kind, index = system.kind(index), int(index)  # checked before any LP
+    key = (int(system.orbits[index]), bool(fix_t_zero))
     optima = _OPTIMA.setdefault(system, {})
     if key not in optima:
         optima[key] = _fixed_optimum(system, key[0], fix_t_zero,
                                      np.ones(system.count, bool), system.symmetries)
-    return RowVerdict(row.index, row.kind, optima[key] > 0, optima[key])
+    return RowVerdict(index, kind, optima[key] > 0, optima[key])
 
 
 def redundancy_report(system, fix_t_zero=False):
@@ -199,7 +200,7 @@ def minimize_system(system, fix_t_zero=False):
     for k in range(system.count):
         value = (is_redundant(system, k, fix_t_zero).optimum if active.all()
                  else _fixed_optimum(system, k, fix_t_zero, active, group))
-        verdicts.append(RowVerdict(k, system.constraint(k).kind, value > 0, value))
+        verdicts.append(RowVerdict(k, system.kind(k), value > 0, value))
         if value <= 0:
             active[k] = False
             group = system.stabilizer(active, group)

@@ -305,7 +305,9 @@ def verify_witness(matrices, spectra, t):
     t = _check_t(t)
     family = np.asarray(matrices)
     r = lams.shape[-1]
-    if lams.ndim != 2 or family.shape != (len(lams), r, r):
+    if lams.ndim != 2 or not lams.size:
+        raise ValueError("need one or more spectra, all of the same length")
+    if family.shape != (len(lams), r, r):
         raise ValueError("matrices must be a family of one (r, r) matrix "
                          "per spectrum")
     _check_scale(lams, t)

@@ -32,6 +32,9 @@ symmetries, the reference for the library's ``minimize_system``.
 ``block_stabilizer`` finds the permutations that fix one row of a
 system by comparing the row's blocks with their permuted order, the
 reference for the library's ``InequalitySystem.stabilizer`` of one row.
+``image_symmetries``, ``image_orbits`` and ``image_stabilizer`` find
+the block permutations that map rows onto rows by comparing sorted byte
+images of the permuted rows, the reference for the library's row-id map.
 ``serial_find_witness`` runs the restarts of a witness search one after
 another, the reference for the library's stacked search.
 """
@@ -626,6 +629,36 @@ def block_stabilizer(system, k, group):
     M = system.matrix
     blocks = M[:, :-1].reshape(len(M), -1, system.r)
     return tuple(p for p in group if (blocks[k, list(p)] == blocks[k]).all())
+
+
+def _byte_images(system, blocks, rows=slice(None)):
+    """The image of each row in ``rows`` under a block permutation, as bytes."""
+    M, r = system.matrix, system.r
+    cols = [b * r + i for b in blocks for i in range(r)] + [len(M.T) - 1]
+    return M[rows].take(cols, axis=1).view((np.void, M[0].nbytes)).ravel().tolist()
+
+
+def image_stabilizer(system, rows, group):
+    """The permutations of ``group`` (identity first) under which the
+    multiset of byte images of the picked rows stays the same."""
+    ordered = sorted(_byte_images(system, group[0], rows))
+    return tuple(p for p in group if sorted(_byte_images(system, p, rows)) == ordered)
+
+
+def image_symmetries(system):
+    """``image_stabilizer`` of every row among all block permutations."""
+    return image_stabilizer(system, slice(None), [
+        *itertools.permutations(range(len(system.cycles)))])
+
+
+def image_orbits(system):
+    """For each row, the first row whose bytes equal one of its images
+    under ``image_symmetries``."""
+    group, first = image_symmetries(system), {}
+    for k, key in enumerate(_byte_images(system, group[0])):
+        first.setdefault(key, k)
+    return np.min([[first[key] for key in _byte_images(system, p)]
+                   for p in group], axis=0)
 
 
 def serial_find_witness(spectra, t, max_iters=5000, tol=1e-8, seed=0,

@@ -6,7 +6,9 @@ import json
 import math
 import os
 import random
+import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +95,18 @@ class TestSpectrumFamily:
         assert point.spectra == ((Fraction(1, 2), Fraction(-3, 4)),)
         assert point.t == Fraction(5, 4)
 
+    def test_decimal_read_as_its_string(self):
+        # Decimal("1e99999999") went straight to Fraction, which expanded
+        # its power of ten and did not return within 5 s
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            SpectrumFamily([[Decimal("1e99999999"), 0]], 0)
+        assert time.perf_counter() - start < 1
+        point = SpectrumFamily([[Decimal("2.5"), Decimal("-1")]], Decimal("0.75"))
+        assert point.spectra == ((Fraction(5, 2), -1),)
+        assert point.t == Fraction(3, 4)
+        assert all(type(x.numerator) is int for x in point.spectra[0])
+
     def test_chamber_violations_reported_not_raised(self, store):
         # a full0 system reports the chamber rows an unsorted family breaks
         f = fam([[0, 1], [1, 0], [2, -3]])
@@ -134,10 +148,12 @@ class TestSpectrumFamily:
         scaled = shift_rescale(big, [np.int64(0)] * 3, np.int64(4))
         assert scaled.spectra[0] == (2**64, 0) and scaled.t == 2**64
 
-    def test_stability(self):
-        sigma = Permutation.from_cycle_type((3,))
-        assert fam([[1, 0]] * 3).is_stable(sigma)
-        assert not fam([[1, 0], [1, 0], [2, 0]]).is_stable(sigma)
+    def test_stability(self, store):
+        # a system of the 3-cycle reads the families it fixes, no other
+        system = generate_system(2, 3, (3,), "full0", store)
+        assert len(system.excesses(fam([[1, 0]] * 3))[0]) == system.count
+        with pytest.raises(NotSigmaStable):
+            system.excesses(fam([[1, 0], [1, 0], [2, 0]]))
 
 
 # damage to a system's JSON that from_json must reject
@@ -594,6 +610,20 @@ class TestMember:
         system = generate_system(2, 3, (3,), "full0", store)
         with pytest.raises(NotSigmaStable):
             member(fam([[1, 0], [1, 0], [2, -1]], 1), system)
+
+    @pytest.mark.parametrize("s, sigma, spectra", [
+        (3, (1, 2), [[1, 0], [1, 0], [2, -1]]),
+        (4, (2, 2), [[1, 0], [2, -1], [1, 0], [2, -1]])])
+    def test_stable_under_another_permutation_of_the_cycle_type(
+            self, s, sigma, spectra):
+        # the family is fixed by (1 2), resp. (1 3)(2 4), but not by the
+        # system's own cycles (2 3), resp. (1 2)(3 4)
+        system = generate_system(2, s, sigma, "full0")
+        assert [len(c) for c in system.cycles] == list(sigma)
+        with pytest.raises(NotSigmaStable):
+            system.excesses(fam(spectra, 1))
+        swapped = [spectra[i - 1] for c in system.cycles for i in [c[0]] * len(c)]
+        assert len(system.excesses(fam(swapped, 1))[0]) == system.count
 
     def test_chamber_violation_detected(self, store):
         system = generate_system(2, 3, None, "full0", store)

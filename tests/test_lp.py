@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -17,7 +18,14 @@ from horncone.lp import (
     solve_lp,
 )
 
-from _oracles import block_stabilizer, full_row_minimize, reference_lp
+from _oracles import (
+    block_stabilizer,
+    full_row_minimize,
+    image_orbits,
+    image_stabilizer,
+    image_symmetries,
+    reference_lp,
+)
 
 
 def reference_box_lp(objective, rows):
@@ -380,6 +388,80 @@ class TestOrbits:
                     full = solve_lp(A[k], np.delete(A, k, axis=0)).value
                     got = is_redundant(system, k, fix_t_zero).optimum
                     assert got == full, (level, fix_t_zero, k)
+
+
+# plain ranks 3-7, min00 ranks 2 and 6, all ranks 3-4, sigma = (1,2) rank
+# 6, sigma = (3,) rank 9, and s = 4 plain, (2,2) and (1,1,2) at rank 4
+ROW_ID_CASES = [
+    *((r, 3, None, "full0") for r in range(3, 8)),
+    (2, 3, None, "min00"), (6, 3, None, "min00"),
+    (3, 3, None, "all"), (4, 3, None, "all"),
+    (6, 3, (1, 2), "full0"), (9, 3, (3,), "full0"),
+    *((4, 4, sigma, "full0") for sigma in [None, (2, 2), (1, 1, 2)])]
+
+
+@pytest.fixture(scope="module")
+def row_id_systems():
+    plain, equal = HornStore(arity=3), HornStore(arity=3)
+    systems = {case: generate_system(
+        *case, store=plain if case[1:3] == (3, None) else
+        equal if case[1] == 3 else None) for case in ROW_ID_CASES}
+    # test_duplicate_row_is_redundant's system: rank 2 with its first Horn
+    # row twice
+    system = generate_system(2, 3, None, "full0", plain)
+    d, rows, point = system.levels[0]
+    systems["doubled"] = InequalitySystem(
+        2, 3, None, "full0", [*system.levels, (d, rows[:1], point[:1])])
+    return systems
+
+
+class TestRowIds:
+    # symmetries, orbits and stabilizers read one id map per block
+    # permutation; the byte images of every permuted row are the reference
+    @pytest.mark.parametrize("case", [*ROW_ID_CASES, "doubled"], ids=str)
+    def test_id_map_matches_byte_images(self, row_id_systems, case):
+        system = row_id_systems[case]
+        assert system.symmetries == image_symmetries(system)
+        assert system.orbits.tolist() == image_orbits(system).tolist()
+        rng = np.random.default_rng(37)
+        everything = (*itertools.permutations(range(len(system.cycles))),)
+        for group in {system.symmetries, everything}:
+            for k in range(system.count):
+                assert system.stabilizer([k], group) == \
+                    image_stabilizer(system, [k], group), (group, k)
+            for _ in range(20):
+                active = rng.random(system.count) < rng.random()
+                assert system.stabilizer(active, group) == \
+                    image_stabilizer(system, active, group), group
+
+    def test_doubled_row_has_its_twins_id(self, row_id_systems):
+        system = row_id_systems["doubled"]
+        first = 2 + system.chamber_count
+        assert system._row_ids[0, 1, 2][-1] == first
+        assert system.stabilizer([first], system.symmetries) == \
+            system.stabilizer([system.count - 1], system.symmetries)
+
+    @pytest.mark.parametrize("case", [*ROW_ID_CASES, "doubled"], ids=str)
+    def test_kind_is_the_constraints(self, row_id_systems, case):
+        system = row_id_systems[case]
+        assert [system.kind(k) for k in range(system.count)] == \
+            [system.constraint(k).kind for k in range(system.count)]
+
+    @pytest.mark.parametrize("index, error", [
+        ("count", IndexError), (1.5, ValueError)])
+    def test_row_checked_by_kind_before_any_lp(self, store, monkeypatch,
+                                               index, error):
+        system = generate_system(3, 3, None, "full0", store)
+        if index == "count":
+            index = system.count
+
+        def no_lp(*args):
+            raise AssertionError("solved an LP for a row that is not there")
+
+        monkeypatch.setattr(lp, "solve_lp", no_lp)
+        for call in (system.kind, lambda k: is_redundant(system, k)):
+            with pytest.raises(error):
+                call(index)
 
 
 MINIMIZE_CASES = [

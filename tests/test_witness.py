@@ -321,6 +321,12 @@ class TestFindWitness:
         with pytest.raises(ValueError):
             verify_witness(family[:2], [[1, -1]] * 3, 3)
 
+    def test_verify_without_spectra_raises(self):
+        # an empty stack reached _check_scale, where numpy's max of no
+        # entries raised "zero-size array to reduction operation maximum"
+        with pytest.raises(ValueError, match="need one or more spectra"):
+            verify_witness(np.zeros((0, 2, 2)), np.zeros((0, 2)), 0)
+
     def test_non_member_never_converges(self):
         res = find_witness([[0, 0, 0], [0, 0, 0], [1, 0, -1]], 0, seed=2,
                            restarts=8)
